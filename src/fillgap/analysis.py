@@ -113,9 +113,14 @@ def maxae(y_true, y_pred) -> float:
 
 
 def mae(y_true, y_pred) -> float:
-    """Mean absolute difference between true and predicted values."""
+    """Mean absolute difference between true and predicted values.
+
+    Never above ``maxae``: the rounded mean of equal values can exceed them
+    by an ulp, so it is capped at the largest difference.
+    """
     y_true, y_pred = _paired(y_true, y_pred)
-    return float(np.abs(y_true - y_pred).mean())
+    err = np.abs(y_true - y_pred)
+    return float(min(err.mean(), err.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,10 @@ def pearson(a, b) -> float:
         raise DataError("first sequence has zero variance; correlation undefined")
     if (b == b[0]).all():
         raise DataError("second sequence has zero variance; correlation undefined")
+    # Scaling by a power of two is exact, leaves the correlation unchanged,
+    # and keeps the products in corrcoef from underflowing on tiny inputs.
+    a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+    b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
     return float(np.corrcoef(a, b)[0, 1])
 
 

@@ -93,16 +93,16 @@ def _resolve_cli_budget(raw: str, n: int) -> int:
 
 
 def _cmd_select(args) -> int:
+    from .errors import DataError
     from .selection import StrategySpec, select
 
-    if args.strategy == "fps_then_random" and args.switch is None:
-        raise _UsageError("--switch is required for fps_then_random")
-    if args.strategy != "fps_then_random" and args.switch is not None:
-        raise _UsageError("--switch is only valid for fps_then_random")
+    try:
+        spec = StrategySpec(
+            kind=args.strategy, switch_fraction=args.switch, start_index=args.start_index
+        )
+    except DataError as exc:
+        raise _UsageError(str(exc)) from None
     pool = _load_pool(args, need_labels=False)
-    spec = StrategySpec(
-        kind=args.strategy, switch_fraction=args.switch, start_index=args.start_index
-    )
     budget = _resolve_cli_budget(args.budget, pool.n)
     result = select(pool.features, spec, budget, seed=args.seed)
     _emit(result.to_json(include_traces=args.trace), args.out)
@@ -292,11 +292,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="run a sampler over a pool CSV")
     p.add_argument("--data", required=True)
-    p.add_argument(
-        "--strategy",
-        required=True,
-        choices=["fps", "random", "facility_location", "kmedoidspp", "fps_then_random"],
-    )
+    p.add_argument("--strategy", required=True, help="sampler; unknown names list the valid ones")
     p.add_argument("--budget", required=True, help="count (>= 1) or fraction in (0, 1)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start-index", type=int, default=None)

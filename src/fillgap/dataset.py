@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import DataError
 from .rng import rng_from_seed
+from .selection import nn_distances
 
 # Nuclear charges for the supported element symbols.
 CHARGE_BY_SYMBOL = {"H": 1, "C": 6, "N": 7, "O": 8, "F": 9, "S": 16}
@@ -405,7 +406,16 @@ def minmax_normalize(ds: Dataset) -> tuple[Dataset, ColumnScaling]:
 # ---------------------------------------------------------------------------
 
 
-def _synthesize(cfg: SynthConfig) -> tuple[Dataset, SynthInfo]:
+def synth_with_info(cfg: SynthConfig) -> tuple[Dataset, SynthInfo]:
+    """Generate a seeded dataset whose label map has a known Lipschitz
+    constant and bounded label noise, plus the exact generator constants.
+
+    Bulk points fill a compact cluster; ``tail_fraction`` of the points are
+    isolated, each at least three bulk-median nearest-neighbour spacings from
+    every other point. Labels are a fixed linear map of the features plus
+    bounded uniform noise whose mean absolute deviation is at most
+    ``noise_level``. Deterministic in ``cfg.seed``.
+    """
     n_tail = int(round(cfg.n * cfg.tail_fraction))
     if cfg.tail_fraction > 0.0 and n_tail < 1:
         raise DataError(
@@ -434,9 +444,7 @@ def _synthesize(cfg: SynthConfig) -> tuple[Dataset, SynthInfo]:
 
     median_nn = math.nan
     if n_tail > 0:
-        dists = cdist(bulk, bulk)
-        np.fill_diagonal(dists, np.inf)
-        median_nn = float(np.median(dists.min(axis=1)))
+        median_nn = float(np.median(nn_distances(bulk)[0]))
         center = bulk.mean(axis=0)
         radius_bulk = float(np.linalg.norm(bulk - center, axis=1).max())
         dirs = rng.standard_normal((n_tail, cfg.d))
@@ -471,23 +479,5 @@ def _synthesize(cfg: SynthConfig) -> tuple[Dataset, SynthInfo]:
 
 
 def synth_lipschitz(cfg: SynthConfig) -> Dataset:
-    """Generate a seeded dataset whose label map has a known Lipschitz
-    constant and bounded label noise.
-
-    Bulk points fill a compact cluster; ``tail_fraction`` of the points are
-    isolated, each at least three bulk-median nearest-neighbour spacings from
-    every other point. Labels are a fixed linear map of the features plus
-    bounded uniform noise whose mean absolute deviation is at most
-    ``noise_level``. Deterministic in ``cfg.seed``.
-    """
-    return _synthesize(cfg)[0]
-
-
-def synth_with_info(cfg: SynthConfig) -> tuple[Dataset, SynthInfo]:
-    """Like synth_lipschitz but also return the exact generator constants."""
-    return _synthesize(cfg)
-
-
-def synth_info(cfg: SynthConfig) -> SynthInfo:
-    """Recompute only the generator constants for a configuration."""
-    return _synthesize(cfg)[1]
+    """The dataset of synth_with_info, without the generator constants."""
+    return synth_with_info(cfg)[0]

@@ -29,7 +29,7 @@ from .regression import (
     condition_number,
     gaussian_kernel_matrix,
     gamma_for_half_kernel,
-    grid_search_cv,
+    grid_search_cv_report,
     krr_fit,
     krr_predict,
 )
@@ -192,13 +192,14 @@ def pool_from_config(cfg: ExperimentConfig) -> Dataset:
 
 def _resolve_model(cfg: ExperimentConfig, pool: Dataset) -> tuple[float, float]:
     if cfg.model.grid_search:
-        return grid_search_cv(
+        report = grid_search_cv_report(
             pool,
             train_sizes=[resolve_budget(b, pool.n) for b in cfg.budgets],
             folds=cfg.model.folds,
             repeats=cfg.model.grid_repeats,
             seed=child_seed(cfg.master_seed, "grid_search"),
         )
+        return report.gamma, report.lam
     gamma = cfg.model.gamma if cfg.model.gamma is not None else gamma_for_half_kernel(pool.features)
     return float(gamma), float(cfg.model.lam)
 

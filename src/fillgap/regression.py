@@ -293,22 +293,6 @@ def grid_search_cv_report(
     )
 
 
-def grid_search_cv(
-    pool: Dataset,
-    train_sizes,
-    gamma_grid=None,
-    lambda_grid=None,
-    folds: int = 5,
-    repeats: int = 1,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Run grid_search_cv_report and return just the averaged (gamma, lambda)."""
-    report = grid_search_cv_report(
-        pool, train_sizes, gamma_grid, lambda_grid, folds, repeats, seed
-    )
-    return report.gamma, report.lam
-
-
 # ---------------------------------------------------------------------------
 # Conditioning
 # ---------------------------------------------------------------------------

@@ -113,11 +113,13 @@ class StrategySpec:
 
 
 # ---------------------------------------------------------------------------
-# Distance plumbing
+# The nearest-selected walk
 #
-# All fill/separation quantities go through _sq_dists_to_row so that traces
-# recorded incrementally by the samplers agree bit-for-bit with values
-# recomputed from scratch.
+# Every sampler's traces, fill_distance, separation_distance and the FPS and
+# k-medoids++ picks come from one recurrence in _walk: each row's squared
+# distance to its nearest selected row, lowered one pick at a time. Callers
+# supply only the rule for the next row, so traces recorded by a sampler agree
+# bit-for-bit with values recomputed from scratch.
 # ---------------------------------------------------------------------------
 
 
@@ -130,16 +132,40 @@ def _as_pool(pool) -> np.ndarray:
     return arr
 
 
-def _row_norms_sq(pool: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", pool, pool)
-
-
 def _sq_dists_to_row(pool: np.ndarray, norms_sq: np.ndarray, row: int) -> np.ndarray:
     d2 = norms_sq - 2.0 * (pool @ pool[row])
     d2 += norms_sq[row]
     np.maximum(d2, 0.0, out=d2)
     d2[row] = 0.0  # exact self-distance despite cancellation in the expansion
     return d2
+
+
+def _walk(pool: np.ndarray, first: int, budget: int, pick) -> tuple[np.ndarray, ...]:
+    """Select ``first``, then ``pick(t, cache, chosen)`` for steps 1..budget-1.
+
+    ``cache`` holds every row's squared distance to its nearest selected row
+    and ``chosen`` marks the rows selected so far; ``pick`` must not modify
+    either. Returns the indices and the per-step fill and separation traces.
+    """
+    norms_sq = np.einsum("ij,ij->i", pool, pool)
+    indices = np.empty(budget, dtype=np.int64)
+    fill = np.empty(budget)
+    sep = np.full(budget, math.nan)
+    chosen = np.zeros(pool.shape[0], dtype=bool)
+    indices[0] = first
+    chosen[first] = True
+    cache = _sq_dists_to_row(pool, norms_sq, first)
+    fill[0] = math.sqrt(cache.max())
+    smallest_sq = math.inf
+    for t in range(1, budget):
+        nxt = int(pick(t, cache, chosen))
+        indices[t] = nxt
+        chosen[nxt] = True
+        smallest_sq = min(smallest_sq, float(cache[nxt]))
+        np.minimum(cache, _sq_dists_to_row(pool, norms_sq, nxt), out=cache)
+        fill[t] = math.sqrt(cache.max())
+        sep[t] = 0.5 * math.sqrt(smallest_sq)
+    return indices, fill, sep
 
 
 def _check_selected(pool: np.ndarray, selected) -> np.ndarray:
@@ -151,29 +177,25 @@ def _check_selected(pool: np.ndarray, selected) -> np.ndarray:
     return idx
 
 
+def selection_traces(pool, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Recompute per-step fill and separation traces for an ordered selection."""
+    pool = _as_pool(pool)
+    idx = _check_selected(pool, indices)
+    _, fill, sep = _walk(pool, int(idx[0]), idx.size, lambda t, cache, chosen: idx[t])
+    return fill, sep
+
+
 def fill_distance(pool, selected) -> float:
     """Largest distance from any pool row to its nearest selected row."""
-    pool = _as_pool(pool)
-    idx = _check_selected(pool, selected)
-    norms_sq = _row_norms_sq(pool)
-    best = _sq_dists_to_row(pool, norms_sq, int(idx[0]))
-    for i in idx[1:]:
-        np.minimum(best, _sq_dists_to_row(pool, norms_sq, int(i)), out=best)
-    return float(np.sqrt(best.max()))
+    return float(selection_traces(pool, selected)[0][-1])
 
 
 def separation_distance(pool, selected) -> float:
     """Half the minimum pairwise distance among the selected rows."""
-    pool = _as_pool(pool)
-    idx = _check_selected(pool, selected)
-    if idx.size < 2:
+    sep = selection_traces(pool, selected)[1]
+    if sep.size < 2:
         raise DataError("separation distance needs at least 2 selected rows")
-    norms_sq = _row_norms_sq(pool)
-    smallest_sq = math.inf
-    for s in range(idx.size - 1):
-        d2 = _sq_dists_to_row(pool, norms_sq, int(idx[s]))
-        smallest_sq = min(smallest_sq, float(d2[idx[s + 1 :]].min()))
-    return 0.5 * math.sqrt(smallest_sq)
+    return float(sep[-1])
 
 
 def nn_distances(pool) -> tuple[np.ndarray, float]:
@@ -192,27 +214,8 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
         block = cdist(pool[lo:hi], pool)
         block[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
         out[lo:hi] = block.min(axis=1)
+        del block  # free this block before the next one is allocated
     return out, float(out.mean())
-
-
-def selection_traces(pool, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute per-step fill and separation traces for an ordered selection."""
-    pool = _as_pool(pool)
-    idx = _check_selected(pool, indices)
-    norms_sq = _row_norms_sq(pool)
-    b = idx.size
-    fill = np.empty(b)
-    sep = np.full(b, math.nan)
-    cache = _sq_dists_to_row(pool, norms_sq, int(idx[0]))
-    fill[0] = math.sqrt(cache.max())
-    smallest_sq = math.inf
-    for t in range(1, b):
-        d2 = _sq_dists_to_row(pool, norms_sq, int(idx[t]))
-        smallest_sq = min(smallest_sq, float(cache[idx[t]]))
-        np.minimum(cache, d2, out=cache)
-        fill[t] = math.sqrt(cache.max())
-        sep[t] = 0.5 * math.sqrt(smallest_sq)
-    return fill, sep
 
 
 # ---------------------------------------------------------------------------
@@ -236,34 +239,28 @@ def _first_index(n: int, seed: int, start_index: int | None) -> int:
     return int(rng_from_seed(seed).integers(n))
 
 
+def _farthest(t: int, cache: np.ndarray, chosen: np.ndarray) -> int:
+    nxt = int(np.argmax(cache))  # first max = smallest-index tie-break
+    if chosen[nxt]:  # every row is at distance zero; take the smallest unselected
+        nxt = int(np.flatnonzero(~chosen)[0])
+    return nxt
+
+
 def fps(pool, budget: int, seed: int = 0, start_index: int | None = None) -> SelectionResult:
     """Farthest point sampling.
 
     Starts from a seeded-uniform row (or ``start_index``) and repeatedly adds
     the row farthest from the current selection, ties broken by smallest row
-    index. A per-row minimum-distance cache keeps the cost at O(n * budget)
-    distance evaluations and O(n) extra memory.
+    index. Once every row is at distance zero from the selection (duplicate
+    rows), the smallest unselected row is added. A per-row minimum-distance
+    cache keeps the cost at O(n * budget) distance evaluations and O(n)
+    extra memory.
     """
     pool = _as_pool(pool)
     n = pool.shape[0]
     budget = _check_budget(n, budget)
-    norms_sq = _row_norms_sq(pool)
-
-    indices = np.empty(budget, dtype=np.int64)
-    fill = np.empty(budget)
-    sep = np.full(budget, math.nan)
-    indices[0] = _first_index(n, seed, start_index)
-
-    cache = _sq_dists_to_row(pool, norms_sq, int(indices[0]))
-    fill[0] = math.sqrt(cache.max())
-    smallest_sq = math.inf
-    for t in range(1, budget):
-        nxt = int(np.argmax(cache))  # first max = smallest-index tie-break
-        indices[t] = nxt
-        smallest_sq = min(smallest_sq, float(cache[nxt]))
-        np.minimum(cache, _sq_dists_to_row(pool, norms_sq, nxt), out=cache)
-        fill[t] = math.sqrt(cache.max())
-        sep[t] = 0.5 * math.sqrt(smallest_sq)
+    first = _first_index(n, seed, start_index)
+    indices, fill, sep = _walk(pool, first, budget, _farthest)
     return SelectionResult(indices, fill, sep, strategy="fps", seed=int(seed))
 
 
@@ -342,14 +339,8 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     if max_iters < 0:
         raise DataError("max_iters must be >= 0")
     rng = rng_from_seed(seed)
-    norms_sq = _row_norms_sq(pool)
 
-    medoids = np.empty(budget, dtype=np.int64)
-    medoids[0] = int(rng.integers(n))
-    chosen = np.zeros(n, dtype=bool)
-    chosen[medoids[0]] = True
-    d2 = _sq_dists_to_row(pool, norms_sq, int(medoids[0]))
-    for t in range(1, budget):
+    def d2_draw(t, d2, chosen):
         total = float(d2.sum())
         if total > 0.0:
             u = float(rng.uniform(0.0, total))
@@ -360,9 +351,9 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
         else:
             # Remaining rows all duplicate chosen ones; take the smallest.
             nxt = int(np.flatnonzero(~chosen)[0])
-        medoids[t] = nxt
-        chosen[nxt] = True
-        np.minimum(d2, _sq_dists_to_row(pool, norms_sq, nxt), out=d2)
+        return nxt
+
+    medoids = _walk(pool, int(rng.integers(n)), budget, d2_draw)[0]
 
     for _ in range(max_iters):
         assign = cdist(pool[medoids], pool).argmin(axis=0)
@@ -399,18 +390,21 @@ def fps_then_random(
     if not 0.0 < switch_fraction < 1.0:
         raise DataError("switch_fraction must be in (0, 1)")
     n_switch = min(budget, math.ceil(switch_fraction * n))
+    tail_rng = rng_from_seed(child_seed(seed, "fps_then_random", "post-switch"))
+    tail = None
 
-    head = fps(pool, n_switch, seed=seed, start_index=start_index)
-    indices = head.indices
-    if budget > n_switch:
-        remaining = np.setdiff1d(np.arange(n, dtype=np.int64), indices, assume_unique=False)
-        tail_rng = rng_from_seed(child_seed(seed, "fps_then_random", "post-switch"))
-        extra = remaining[tail_rng.permutation(remaining.size)[: budget - n_switch]]
-        indices = np.concatenate([indices, extra])
-    fill, sep = selection_traces(pool, indices)
-    return SelectionResult(
-        indices, fill, sep, strategy="fps_then_random", seed=int(seed)
-    )
+    def pick(t, cache, chosen):
+        nonlocal tail
+        if t < n_switch:
+            return _farthest(t, cache, chosen)
+        if tail is None:
+            remaining = np.flatnonzero(~chosen)
+            tail = remaining[tail_rng.permutation(remaining.size)]
+        return tail[t - n_switch]
+
+    first = _first_index(n, seed, start_index)
+    indices, fill, sep = _walk(pool, first, budget, pick)
+    return SelectionResult(indices, fill, sep, strategy="fps_then_random", seed=int(seed))
 
 
 def select(pool, spec: StrategySpec, budget: int, seed: int = 0) -> SelectionResult:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fillgap.dataset import (
     read_xyz,
     remove_zero_variance,
     save_dataset,
-    synth_info,
     synth_lipschitz,
     synth_with_info,
 )
@@ -293,7 +293,6 @@ def test_synth_deterministic():
 def test_synth_info_matches_generation():
     cfg = SynthConfig(n=50, d=4, target_lipschitz=2.0, seed=9)
     ds, info = synth_with_info(cfg)
-    assert synth_info(cfg).lipschitz == info.lipschitz
     assert info.lipschitz == pytest.approx(2.0, rel=1e-12)
     # noiseless labels reproduce exactly from the recorded map
     assert np.array_equal(info.label_fn(ds.features), ds.labels)
@@ -329,6 +328,18 @@ def test_synth_tail_points_are_isolated():
     assert isolated[ds.n - info.n_tail :].all()
     # the isolated rows sit far beyond the mean spacing as well
     assert (dists[ds.n - info.n_tail :] > 2.0 * mean).all()
+
+
+def test_synth_tail_memory_stays_below_pairwise_matrix():
+    # The bulk median spacing must come from a streamed nearest-neighbour
+    # pass, not from the full n_bulk x n_bulk distance matrix.
+    cfg = SynthConfig(n=8000, d=8, target_lipschitz=1.0, tail_fraction=0.01, seed=3)
+    tracemalloc.start()
+    _, info = synth_with_info(cfg)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    n_bulk = cfg.n - info.n_tail
+    assert peak < 0.5 * 8 * n_bulk**2
 
 
 def test_synth_tail_too_small_rejected():

@@ -17,7 +17,6 @@ from fillgap.regression import (
     gamma_for_half_kernel,
     gaussian_envelope_slope,
     gaussian_kernel_matrix,
-    grid_search_cv,
     grid_search_cv_report,
     krr_fit,
     krr_lipschitz_bound,
@@ -176,10 +175,10 @@ def test_default_grid_endpoints_and_spacing():
 def test_grid_search_single_cell():
     rng = np.random.default_rng(2)
     pool = labelled(rng.normal(size=(40, 2)), rng.normal(size=40))
-    gamma, lam = grid_search_cv(
+    report = grid_search_cv_report(
         pool, train_sizes=[20], gamma_grid=[0.5], lambda_grid=[1e-4], folds=4, seed=3
     )
-    assert gamma == 0.5 and lam == 1e-4
+    assert report.gamma == 0.5 and report.lam == 1e-4
 
 
 def test_grid_search_recovers_generating_width():
@@ -251,16 +250,16 @@ def test_grid_search_degenerate_fold_rejected():
     rng = np.random.default_rng(2)
     pool = labelled(rng.normal(size=(40, 2)), rng.normal(size=40))
     with pytest.raises(DataError, match="fold"):
-        grid_search_cv(pool, train_sizes=[3], gamma_grid=[1.0], lambda_grid=[1e-6], folds=5)
+        grid_search_cv_report(pool, train_sizes=[3], gamma_grid=[1.0], lambda_grid=[1e-6], folds=5)
 
 
 def test_grid_search_validation():
     rng = np.random.default_rng(2)
     pool = labelled(rng.normal(size=(30, 2)), rng.normal(size=30))
     with pytest.raises(DataError):
-        grid_search_cv(pool, train_sizes=[10], gamma_grid=[], lambda_grid=[1.0])
+        grid_search_cv_report(pool, train_sizes=[10], gamma_grid=[], lambda_grid=[1.0])
     with pytest.raises(DataError):
-        grid_search_cv(pool, train_sizes=[10], gamma_grid=[0.0, 1.0], lambda_grid=[1.0])
+        grid_search_cv_report(pool, train_sizes=[10], gamma_grid=[0.0, 1.0], lambda_grid=[1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -312,8 +312,13 @@ def test_bruteforce_guard():
 def test_sampler_contract(name, sampler):
     rng = np.random.default_rng(17)
     pool = rng.uniform(size=(40, 3))
-    for seed in (0, 1, 2):
-        budget = int(np.random.default_rng(seed).integers(2, 12))
+    # Budget = n on a pool of two distinct rows whose squared distances are
+    # exact: every sampler, and the FPS head of fps_then_random, keeps
+    # picking after every row is at distance zero from the selection.
+    duplicated = np.array([[0.0, 0.0], [1.0, 2.0]])[[0, 1, 0, 0, 1, 0, 1, 0]]
+    cases = [(pool, int(np.random.default_rng(seed).integers(2, 12)), seed) for seed in (0, 1, 2)]
+    cases.append((duplicated, duplicated.shape[0], 3))
+    for pool, budget, seed in cases:
         result = sampler(pool, budget, seed)
         assert result.indices.size == budget
         assert np.unique(result.indices).size == budget
