@@ -297,10 +297,8 @@ def empirical_lipschitz(
     return float((label_d[~zero] / feature_d[~zero]).max())
 
 
-def training_max_error(model: KernelModel, train: Dataset, error_kind: str = "absolute") -> float:
-    """Realized maximum prediction error of the model on its training set."""
-    if error_kind != "absolute":
-        raise DataError(f"unsupported error kind {error_kind!r}; only 'absolute'")
+def training_max_error(model: KernelModel, train: Dataset) -> float:
+    """Realized maximum absolute prediction error of the model on its training set."""
     y = train.require_labels()
     pred = krr_predict(model, train.features)
     return float(np.abs(y - pred).max())

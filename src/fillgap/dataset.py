@@ -253,7 +253,7 @@ def load_dataset(
     )
 
 
-def save_dataset(ds: Dataset, path: str | os.PathLike, label_name: str = "y") -> None:
+def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
     """Write a Dataset as CSV with a header; floats use repr so that a
     load/save cycle round-trips 64-bit values bit-exactly."""
     names = list(ds.feature_names) if ds.feature_names is not None else [
@@ -262,7 +262,7 @@ def save_dataset(ds: Dataset, path: str | os.PathLike, label_name: str = "y") ->
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if ds.labels is not None:
-            writer.writerow(names + [label_name])
+            writer.writerow(names + ["y"])
             for row, y in zip(ds.features, ds.labels):
                 writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
         else:
@@ -339,8 +339,6 @@ def coulomb_matrix(mol: Molecule, max_atoms: int) -> np.ndarray:
     z = mol.charges.astype(np.float64)
     dists = cdist(mol.positions, mol.positions)
     np.fill_diagonal(dists, np.inf)
-    if (dists <= 0.0).any():
-        raise DataError("coincident atoms: off-diagonal Coulomb entries divide by zero")
     block = np.outer(z, z) / dists
     np.fill_diagonal(block, 0.5 * z**2.4)
     out = np.zeros((max_atoms, max_atoms), dtype=np.float64)

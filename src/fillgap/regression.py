@@ -298,7 +298,7 @@ def grid_search_cv_report(
 # ---------------------------------------------------------------------------
 
 
-def condition_number(K, sym_tol: float = 1e-12) -> tuple[float | None, float, float]:
+def condition_number(K) -> tuple[float | None, float, float]:
     """Eigenvalue-based condition number of a symmetric matrix.
 
     Returns (cond, lambda_max, lambda_min); cond is None when the smallest
@@ -309,7 +309,7 @@ def condition_number(K, sym_tol: float = 1e-12) -> tuple[float | None, float, fl
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DataError(f"matrix must be square, got shape {K.shape}")
     scale = float(np.abs(K).max())
-    if float(np.abs(K - K.T).max()) > sym_tol * max(scale, 1.0):
+    if float(np.abs(K - K.T).max()) > 1e-12 * max(scale, 1.0):
         raise DataError("matrix is not symmetric within tolerance")
     eigenvalues = np.linalg.eigvalsh(K)
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])

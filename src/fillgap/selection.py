@@ -1,8 +1,9 @@
 """Samplers that pick training subsets from a pool, the geometric quantities
 they optimize, and exhaustive oracles for certifying them on small instances.
 
-All samplers are deterministic in their seed, break ties by smallest row
-index, and report per-step fill/separation traces. Distances are Euclidean.
+All samplers are deterministic in their seed, break ties between equal
+computed values by smallest row index, and report per-step fill/separation
+traces. Distances are Euclidean.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .rng import child_seed, rng_from_seed
 
 STRATEGY_KINDS = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
 
-# Above this pool size the facility-location greedy scores candidates in
-# chunks instead of precomputing the full distance matrix.
+# Up to this pool size the facility-location greedy keeps the full distance
+# matrix; above it, each row block is recomputed at every step.
 _DENSE_MATRIX_LIMIT = 8192
+
+# Every pool-against-pool pass holds at most this many distances at once.
+_BLOCK_ENTRIES = int(2e7)
 
 _BRUTEFORCE_LIMIT = 10**6
 
@@ -104,6 +108,8 @@ class StrategySpec:
                 raise DataError("switch_fraction must be in (0, 1)")
         elif self.switch_fraction is not None:
             raise DataError("switch_fraction is only valid for fps_then_random")
+        if self.start_index is not None and self.kind in ("random", "kmedoidspp"):
+            raise DataError(f"start_index is not valid for {self.kind}")
 
     @property
     def label(self) -> str:
@@ -115,11 +121,11 @@ class StrategySpec:
 # ---------------------------------------------------------------------------
 # The nearest-selected walk
 #
-# Every sampler's traces, fill_distance, separation_distance and the FPS and
-# k-medoids++ picks come from one recurrence in _walk: each row's squared
-# distance to its nearest selected row, lowered one pick at a time. Callers
-# supply only the rule for the next row, so traces recorded by a sampler agree
-# bit-for-bit with values recomputed from scratch.
+# Every sampler's traces, fill_distance, separation_distance and the FPS,
+# facility-location and k-medoids++ picks come from one recurrence in _walk:
+# each row's squared distance to its nearest selected row, lowered one pick at
+# a time. Callers supply only the rule for the next row, so traces recorded by
+# a sampler agree bit-for-bit with values recomputed from scratch.
 # ---------------------------------------------------------------------------
 
 
@@ -168,6 +174,13 @@ def _walk(pool: np.ndarray, first: int, budget: int, pick) -> tuple[np.ndarray, 
     return indices, fill, sep
 
 
+def _row_blocks(rows: int, width: int):
+    """Row ranges (lo, hi) whose blocks of ``width`` columns hold <= _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
 def _check_selected(pool: np.ndarray, selected) -> np.ndarray:
     idx = np.ascontiguousarray(selected, dtype=np.int64)
     if idx.ndim != 1 or idx.size < 1:
@@ -208,9 +221,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     if n < 2:
         raise DataError("nearest-neighbour distances need at least 2 rows")
     out = np.empty(n)
-    chunk = max(1, int(2e7) // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo, hi in _row_blocks(n, n):
         block = cdist(pool[lo:hi], pool)
         block[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
         out[lo:hi] = block.min(axis=1)
@@ -274,53 +285,38 @@ def random_select(pool, budget: int, seed: int = 0) -> SelectionResult:
     return SelectionResult(indices, fill, sep, strategy="random", seed=int(seed))
 
 
-def _candidate_scores_chunked(pool, min_dists, chunk_rows: int) -> np.ndarray:
-    n = pool.shape[0]
-    scores = np.empty(n)
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        block = cdist(pool[lo:hi], pool)
-        scores[lo:hi] = np.minimum(block, min_dists[None, :]).sum(axis=1)
-    return scores
-
-
 def facility_location(
     pool, budget: int, seed: int = 0, start_index: int | None = None
 ) -> SelectionResult:
     """Add-only greedy minimization of the summed distance from every pool
     row to its nearest selected row.
 
-    Each step scores every remaining candidate against the full pool, so a
-    step costs O(n^2) distance evaluations; the pairwise matrix is kept dense
-    for small pools and streamed in chunks otherwise.
+    Each step adds the candidate of smallest computed score (smallest row
+    index among equal scores) at O(n^2) distance evaluations; the pairwise
+    matrix is kept dense for small pools and recomputed in row blocks otherwise.
     """
     pool = _as_pool(pool)
     n = pool.shape[0]
     budget = _check_budget(n, budget)
-    indices = np.empty(budget, dtype=np.int64)
-    indices[0] = _first_index(n, seed, start_index)
+    first = _first_index(n, seed, start_index)
+    dist_matrix = cdist(pool, pool) if n <= _DENSE_MATRIX_LIMIT else None
 
-    dense = n <= _DENSE_MATRIX_LIMIT
-    dist_matrix = cdist(pool, pool) if dense else None
-    min_dists = (
-        dist_matrix[indices[0]].copy()
-        if dense
-        else cdist(pool[indices[0]][None, :], pool)[0]
-    )
-    selected_mask = np.zeros(n, dtype=bool)
-    selected_mask[indices[0]] = True
-    for t in range(1, budget):
-        if dense:
-            scores = np.minimum(dist_matrix, min_dists[None, :]).sum(axis=1)
-        else:
-            scores = _candidate_scores_chunked(pool, min_dists, max(1, int(2e7) // n))
-        scores[selected_mask] = np.inf
+    def dists(lo: int, hi: int) -> np.ndarray:
+        return cdist(pool[lo:hi], pool) if dist_matrix is None else dist_matrix[lo:hi]
+
+    # Exact distances: the walk's norm-expansion cache cancels far from the origin.
+    min_dists = dists(first, first + 1)[0].copy()
+    scores = np.empty(n)
+
+    def cheapest(t, cache, chosen):
+        for lo, hi in _row_blocks(n, n):
+            scores[lo:hi] = np.minimum(dists(lo, hi), min_dists).sum(axis=1)
+        scores[chosen] = np.inf
         nxt = int(np.argmin(scores))  # first min = smallest-index tie-break
-        indices[t] = nxt
-        selected_mask[nxt] = True
-        row = dist_matrix[nxt] if dense else cdist(pool[nxt][None, :], pool)[0]
-        np.minimum(min_dists, row, out=min_dists)
-    fill, sep = selection_traces(pool, indices)
+        np.minimum(min_dists, dists(nxt, nxt + 1)[0], out=min_dists)
+        return nxt
+
+    indices, fill, sep = _walk(pool, first, budget, cheapest)
     return SelectionResult(indices, fill, sep, strategy="facility_location", seed=int(seed))
 
 
@@ -355,13 +351,18 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
 
     medoids = _walk(pool, int(rng.integers(n)), budget, d2_draw)[0]
 
+    assign = np.empty(n, dtype=np.int64)
     for _ in range(max_iters):
-        assign = cdist(pool[medoids], pool).argmin(axis=0)
+        for lo, hi in _row_blocks(n, budget):
+            assign[lo:hi] = cdist(pool[lo:hi], pool[medoids]).argmin(axis=1)
         assign[medoids] = np.arange(budget)
         updated = medoids.copy()
         for k in range(budget):
             members = np.flatnonzero(assign == k)
-            costs = cdist(pool[members], pool[members]).sum(axis=1)
+            rows = pool[members]
+            costs = np.empty(members.size)
+            for lo, hi in _row_blocks(members.size, members.size):
+                costs[lo:hi] = cdist(rows[lo:hi], rows).sum(axis=1)
             updated[k] = members[int(np.argmin(costs))]
         if np.array_equal(updated, medoids):
             break

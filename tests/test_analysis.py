@@ -261,13 +261,6 @@ def test_training_max_error_large_lambda_approaches_label_scale():
     assert gaps[2] <= 1e-3 * top
 
 
-def test_training_max_error_rejects_other_kinds():
-    train = Dataset(np.eye(2), labels=np.zeros(2))
-    model = KernelModel(train.features, np.zeros(2), gamma=1.0, lam=0.0)
-    with pytest.raises(DataError):
-        training_max_error(model, train, error_kind="squared")
-
-
 def test_bound_check_full_pipeline_has_nonnegative_slack():
     ds, info = synth_with_info(
         SynthConfig(n=240, d=3, target_lipschitz=2.0, noise_level=0.1, seed=12)

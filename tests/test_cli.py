@@ -355,9 +355,14 @@ def test_threads_env_fallback(pool_csv, capsys, monkeypatch):
 
 def test_usage_error_leaves_no_partial_output(pool_csv, tmp_path, capsys):
     out_path = tmp_path / "never.json"
-    code, _, _ = run(
-        capsys, "select", "--data", pool_csv, "--strategy", "fps_then_random",
-        "--budget", "5", "--seed", "1", "--out", out_path,
-    )  # missing --switch
-    assert code == 1
-    assert not out_path.exists()
+    for bad in (
+        ("--strategy", "fps_then_random"),  # missing --switch
+        ("--strategy", "random", "--start-index", "3"),  # option the sampler ignores
+        ("--strategy", "kmedoidspp", "--start-index", "3"),
+    ):
+        code, _, _ = run(
+            capsys, "select", "--data", pool_csv, *bad,
+            "--budget", "5", "--seed", "1", "--out", out_path,
+        )
+        assert code == 1
+        assert not out_path.exists()

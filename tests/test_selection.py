@@ -196,6 +196,43 @@ def test_facility_location_vs_exhaustive_oracle():
     assert np.mean(ratios) < 1.5
 
 
+@pytest.mark.parametrize("dense_limit,block_entries", [(None, None), (None, 7), (0, 7)])
+def test_facility_location_matches_eager_greedy(monkeypatch, dense_limit, block_entries):
+    from scipy.spatial.distance import cdist
+
+    from fillgap import selection
+
+    # Patched limits run the multi-block and the recomputed-block paths.
+    if dense_limit is not None:
+        monkeypatch.setattr(selection, "_DENSE_MATRIX_LIMIT", dense_limit)
+    if block_entries is not None:
+        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", block_entries, raising=False)
+    rng = np.random.default_rng(23)
+    duplicated = rng.normal(size=(3, 2))[rng.integers(0, 3, size=12)]
+    for pool, budget in ((rng.uniform(-1, 1, size=(30, 3)), 12), (duplicated, 12)):
+        dist_matrix = cdist(pool, pool)
+        for start in (0, 5):
+            expected = [start]
+            while len(expected) < budget:
+                nearest = dist_matrix[:, expected].min(axis=1)
+                scores = np.minimum(dist_matrix, nearest).sum(axis=1)
+                scores[expected] = np.inf
+                expected.append(int(np.argmin(scores)))  # smallest index on ties
+            result = facility_location(pool, budget, start_index=start)
+            assert result.indices.tolist() == expected
+            fill, sep = selection_traces(pool, expected)
+            assert np.array_equal(result.fill_trace, fill)
+            assert np.array_equal(result.sep_trace, sep, equal_nan=True)
+
+
+def test_facility_location_translation_invariant():
+    # Far from the origin the norm expansion cancels; FL scores exact distances.
+    pool = np.random.default_rng(0).uniform(size=(300, 4)) * 1e-3
+    near = facility_location(pool, 30, start_index=0)
+    far = facility_location(pool + 1e5, 30, start_index=0)
+    assert np.array_equal(near.indices, far.indices)
+
+
 def test_kmedoidspp_separated_pairs():
     import itertools
 
@@ -230,6 +267,27 @@ def test_kmedoidspp_exhaustive_and_deterministic():
     b = kmedoidspp(LINE5, 5, seed=2)
     assert sorted(a.indices.tolist()) == [0, 1, 2, 3, 4]
     assert np.array_equal(a.indices, b.indices)
+
+
+def test_kmedoidspp_memory_stays_within_blocks(monkeypatch):
+    import tracemalloc
+
+    from fillgap import selection
+
+    n = 3000
+    pool = np.random.default_rng(0).uniform(size=(n, 4))
+    expected = kmedoidspp(pool, 2, seed=1)
+    monkeypatch.setattr(selection, "_BLOCK_ENTRIES", 10_000, raising=False)
+    tracemalloc.start()
+    try:
+        result = kmedoidspp(pool, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(result.indices, expected.indices)
+    # One cluster holds at least n/2 rows, so its full cost matrix would take
+    # (n/2)^2 * 8 bytes = 18 MB.
+    assert peak < 2 * 2**20
 
 
 def test_kmedoidspp_max_iters_zero_is_seeding_only():
@@ -372,6 +430,9 @@ def test_strategy_spec_validation():
         StrategySpec(kind="fps_then_random")
     with pytest.raises(DataError):
         StrategySpec(kind="fps", switch_fraction=0.2)
+    for kind in ("random", "kmedoidspp"):  # samplers that ignore start_index
+        with pytest.raises(DataError, match="start_index"):
+            StrategySpec(kind=kind, start_index=7)
     spec = StrategySpec(kind="fps_then_random", switch_fraction=0.02)
     assert spec.label == "fps_then_random:0.02"
 
