@@ -4,8 +4,11 @@ cross-seed aggregates, and CSV/INI plumbing.
 Every cell derives its seed by hashing (master seed, strategy label,
 repeat), so reports are a pure function of the configuration and the
 dataset bytes and extending the sweep grid never reshuffles existing
-cells. Budgets within a repeat share the seed, which makes greedy
-samplers exact prefixes of their larger-budget runs.
+cells. Budgets within a repeat share the seed, so every sampler except
+k-medoids++ selects at a smaller budget exactly the prefix, in indices and
+traces, of its selection at a larger one. The sweep therefore selects once
+per (strategy, repeat) at the largest budget and slices each cell from that
+run; k-medoids++ selects per cell.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .regression import (
     krr_predict,
 )
 from .rng import child_seed
-from .selection import StrategySpec, select
+from .selection import _PREFIX_KINDS, StrategySpec, select
 
 METRICS = (
     "maxae",
@@ -190,11 +193,11 @@ def pool_from_config(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _resolve_model(cfg: ExperimentConfig, pool: Dataset) -> tuple[float, float]:
+def _resolve_model(cfg: ExperimentConfig, pool: Dataset, sizes: list[int]) -> tuple[float, float]:
     if cfg.model.grid_search:
         report = grid_search_cv_report(
             pool,
-            train_sizes=[resolve_budget(b, pool.n) for b in cfg.budgets],
+            train_sizes=sizes,
             folds=cfg.model.folds,
             repeats=cfg.model.grid_repeats,
             seed=child_seed(cfg.master_seed, "grid_search"),
@@ -215,17 +218,20 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     needs_labels = any(m in _PREDICTION_METRICS for m in cfg.metrics)
     if needs_labels:
         pool.require_labels()
-    gamma, lam = _resolve_model(cfg, pool)
+    sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
+    gamma, lam = _resolve_model(cfg, pool, sizes)
 
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label
-        for budget in cfg.budgets:
-            size = resolve_budget(budget, pool.n)
-            for rep in range(cfg.repeats):
-                seed = child_seed(cfg.master_seed, label, rep)
-                result = select(pool.features, spec, size, seed=seed)
-                idx = result.indices
+        seeds = [child_seed(cfg.master_seed, label, rep) for rep in range(cfg.repeats)]
+        runs = None
+        if spec.kind in _PREFIX_KINDS:
+            runs = [select(pool.features, spec, max(sizes), seed=seed) for seed in seeds]
+        for budget, size in zip(cfg.budgets, sizes):
+            for rep, seed in enumerate(seeds):
+                result = runs[rep] if runs else select(pool.features, spec, size, seed=seed)
+                idx = result.indices[:size]
                 mask = np.ones(pool.n, dtype=bool)
                 mask[idx] = False
                 if mask.sum() + idx.size != pool.n:
@@ -233,9 +239,9 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
 
                 values: dict[str, float] = {}
                 if "fill_distance" in cfg.metrics:
-                    values["fill_distance"] = float(result.fill_trace[-1])
+                    values["fill_distance"] = float(result.fill_trace[size - 1])
                 if "sep_distance" in cfg.metrics:
-                    values["sep_distance"] = float(result.sep_trace[-1])
+                    values["sep_distance"] = float(result.sep_trace[size - 1])
                 if any(m in _CONDITIONING_METRICS for m in cfg.metrics):
                     K = gaussian_kernel_matrix(pool.features[idx], gamma)
                     if "cond_unregularized" in cfg.metrics:

@@ -8,6 +8,7 @@ traces. Distances are Euclidean.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -21,8 +22,13 @@ from .rng import child_seed, rng_from_seed
 
 STRATEGY_KINDS = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
 
+# Kinds whose selection at a smaller budget, same seed, is the prefix of their
+# selection at a larger one, in indices and traces.
+_PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
+
 # Up to this pool size the facility-location greedy keeps the full distance
-# matrix; above it, each row block is recomputed at every step.
+# matrix and rescores lazily; above it, each row block is recomputed and every
+# candidate rescored at every step.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every pool-against-pool pass holds at most this many distances at once.
@@ -292,8 +298,13 @@ def facility_location(
     row to its nearest selected row.
 
     Each step adds the candidate of smallest computed score (smallest row
-    index among equal scores) at O(n^2) distance evaluations; the pairwise
-    matrix is kept dense for small pools and recomputed in row blocks otherwise.
+    index among equal scores). Up to _DENSE_MATRIX_LIMIT rows the pairwise
+    matrix is kept, and after one full pass the greedy runs lazily (Minoux's
+    accelerated greedy): a candidate's last computed gain bounds its current
+    one, so a step rescores only the candidates whose bound could still reach
+    the best score, reading one matrix row each. Larger pools recompute the
+    matrix in row blocks and rescore every candidate, O(n^2) evaluations per
+    step.
     """
     pool = _as_pool(pool)
     n = pool.shape[0]
@@ -306,13 +317,37 @@ def facility_location(
 
     # Exact distances: the walk's norm-expansion cache cancels far from the origin.
     min_dists = dists(first, first + 1)[0].copy()
+    # Rounding slack for the lazy bounds: no later sum of min_dists exceeds this one.
+    margin = 64 * n * np.finfo(np.float64).eps * float(min_dists.sum())
     scores = np.empty(n)
+    stale: list[tuple[float, int]] = []  # heap of (last score - its sum(min_dists), row)
 
     def cheapest(t, cache, chosen):
-        for lo, hi in _row_blocks(n, n):
-            scores[lo:hi] = np.minimum(dists(lo, hi), min_dists).sum(axis=1)
-        scores[chosen] = np.inf
-        nxt = int(np.argmin(scores))  # first min = smallest-index tie-break
+        if dist_matrix is None or t == 1:
+            for lo, hi in _row_blocks(n, n):
+                scores[lo:hi] = np.minimum(dists(lo, hi), min_dists).sum(axis=1)
+            scores[chosen] = np.inf
+            nxt = int(np.argmin(scores))  # first min = smallest-index tie-break
+            if dist_matrix is not None:
+                rest = np.flatnonzero(~chosen)
+                rest = rest[rest != nxt]
+                stale.extend(zip((scores[rest] - min_dists.sum()).tolist(), rest.tolist()))
+                heapq.heapify(stale)
+        else:
+            # Gains only shrink, so total + (stale score - stale total) bounds a
+            # row's score from below; rescore rows until no bound can reach the best.
+            total = float(min_dists.sum())
+            best = math.inf
+            rescored = []
+            while stale and total + stale[0][0] <= best + margin:
+                row = heapq.heappop(stale)[1]
+                score = float(np.minimum(dist_matrix[row], min_dists).sum())
+                rescored.append((score, row))
+                best = min(best, score)
+            nxt = min(rescored)[1]  # smallest score, then smallest index
+            for score, row in rescored:
+                if row != nxt:
+                    heapq.heappush(stale, (score - total, row))
         np.minimum(min_dists, dists(nxt, nxt + 1)[0], out=min_dists)
         return nxt
 

@@ -107,6 +107,50 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
         assert values[0] >= values[1] >= values[2]
 
 
+def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
+    # Prefix samplers select once at the largest budget; k-medoids++ per cell.
+    from fillgap import experiment
+    from fillgap.selection import select
+
+    calls = []
+
+    def counting(pool, spec, budget, seed=0):
+        calls.append((spec.kind, budget))
+        return select(pool, spec, budget, seed=seed)
+
+    monkeypatch.setattr(experiment, "select", counting)
+    cfg = small_config(
+        strategies=tuple(
+            StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")
+        )
+        + (StrategySpec(kind="fps_then_random", switch_fraction=0.1),),
+        budgets=(0.05, 0.1, 0.2),
+        metrics=("maxae", "mae", "fill_distance", "sep_distance", "cond_unregularized"),
+        repeats=2,
+    )
+    report = run_experiment(cfg)
+    sizes = [resolve_budget(b, 120) for b in cfg.budgets]
+    for kind in ("fps", "random", "facility_location", "fps_then_random"):
+        assert [b for k, b in calls if k == kind] == [max(sizes)] * cfg.repeats
+    assert sorted(b for k, b in calls if k == "kmedoidspp") == sorted(sizes * cfg.repeats)
+    # Slicing changes no row: selecting every cell at its own budget agrees.
+    monkeypatch.setattr(experiment, "_PREFIX_KINDS", ())
+    assert rows_csv(run_experiment(cfg)) == rows_csv(report)
+
+
+def test_too_small_budget_fails_before_any_pool_work(monkeypatch):
+    from fillgap import experiment
+
+    def never(*args, **kwargs):
+        raise AssertionError("pool work started before every budget was resolved")
+
+    monkeypatch.setattr(experiment, "select", never)
+    monkeypatch.setattr(experiment, "gamma_for_half_kernel", never)
+    cfg = small_config(budgets=(0.01, 0.5), metrics=("fill_distance",))  # 1.2 of 120 rows
+    with pytest.raises(DataError, match="fewer than 2"):
+        run_experiment(cfg)
+
+
 def test_training_and_evaluation_sets_disjoint():
     # reproduce a cell's selection and check the complement evaluation
     cfg = small_config(repeats=1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillgap.dataset import SynthConfig, synth_lipschitz
 from fillgap.errors import DataError
 from fillgap.selection import (
     SelectionResult,
@@ -24,6 +25,7 @@ from fillgap.selection import (
 )
 
 LINE5 = np.arange(5.0)[:, None]
+TAIL_TIE_SEED = 9012901901826290948
 LINE6 = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 10.0])[:, None]
 
 ALL_SAMPLERS = [
@@ -209,16 +211,30 @@ def test_facility_location_matches_eager_greedy(monkeypatch, dense_limit, block_
         monkeypatch.setattr(selection, "_BLOCK_ENTRIES", block_entries, raising=False)
     rng = np.random.default_rng(23)
     duplicated = rng.normal(size=(3, 2))[rng.integers(0, 3, size=12)]
-    for pool, budget in ((rng.uniform(-1, 1, size=(30, 3)), 12), (duplicated, 12)):
+    # Shipped tail pool: at this seed two rows of equal gain reach step 38
+    # with summed scores that round apart.
+    tail = synth_lipschitz(
+        SynthConfig(n=2000, d=8, target_lipschitz=2.0, tail_fraction=0.01, seed=31337)
+    ).features
+    starts = ({"start_index": 0}, {"start_index": 5})
+    cases = (
+        (rng.uniform(-1, 1, size=(30, 3)), 12, starts),
+        (duplicated, 12, starts),
+        (tail, 40, ({"seed": TAIL_TIE_SEED},)),
+    )
+    for pool, budget, calls in cases:
         dist_matrix = cdist(pool, pool)
-        for start in (0, 5):
+        for kwargs in calls:
+            start = kwargs.get("start_index")
+            if start is None:
+                start = selection._first_index(pool.shape[0], kwargs["seed"], None)
             expected = [start]
             while len(expected) < budget:
                 nearest = dist_matrix[:, expected].min(axis=1)
                 scores = np.minimum(dist_matrix, nearest).sum(axis=1)
                 scores[expected] = np.inf
                 expected.append(int(np.argmin(scores)))  # smallest index on ties
-            result = facility_location(pool, budget, start_index=start)
+            result = facility_location(pool, budget, **kwargs)
             assert result.indices.tolist() == expected
             fill, sep = selection_traces(pool, expected)
             assert np.array_equal(result.fill_trace, fill)
@@ -321,6 +337,29 @@ def test_fps_then_random_trace_behaviour():
     prefix = result.fill_trace[:switch]
     assert (np.diff(prefix) <= 1e-12).all()
     assert (result.fill_trace[switch:] <= prefix[-1] + 1e-12).all()
+
+
+@pytest.mark.parametrize("kind", ["fps", "random", "facility_location", "fps_then_random"])
+def test_prefix_kinds_are_prefixes_of_larger_budgets(kind):
+    # A sweep selects once at its largest budget and slices the smaller cells.
+    from fillgap import selection
+
+    assert kind in selection._PREFIX_KINDS
+    assert "kmedoidspp" not in selection._PREFIX_KINDS
+    rng = np.random.default_rng(31)
+    duplicated = rng.normal(size=(4, 2))[rng.integers(0, 4, size=60)]
+    # Switch points ceil(0.05 * 60) = 3 and ceil(0.5 * 60) = 30 fall below
+    # and above the smaller budgets.
+    fractions = (0.05, 0.5) if kind == "fps_then_random" else (None,)
+    for pool in (rng.uniform(-1, 1, size=(60, 3)), duplicated):
+        for fraction in fractions:
+            spec = StrategySpec(kind, switch_fraction=fraction)
+            full = select(pool, spec, 40, seed=17)
+            for b in (2, 10, 25):
+                part = select(pool, spec, b, seed=17)
+                assert np.array_equal(part.indices, full.indices[:b])
+                assert np.array_equal(part.fill_trace, full.fill_trace[:b])
+                assert np.array_equal(part.sep_trace, full.sep_trace[:b], equal_nan=True)
 
 
 def test_fps_then_random_invalid_fraction():
