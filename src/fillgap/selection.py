@@ -27,8 +27,7 @@ STRATEGY_KINDS = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_
 _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
 # Up to this pool size the facility-location greedy keeps the full distance
-# matrix and rescores lazily; above it, each row block is recomputed and every
-# candidate rescored at every step.
+# matrix; above it, every distance row it reads is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every pool-against-pool pass holds at most this many distances at once.
@@ -298,13 +297,14 @@ def facility_location(
     row to its nearest selected row.
 
     Each step adds the candidate of smallest computed score (smallest row
-    index among equal scores). Up to _DENSE_MATRIX_LIMIT rows the pairwise
-    matrix is kept, and after one full pass the greedy runs lazily (Minoux's
+    index among equal scores). The first step scores every candidate, O(n^2)
+    distance evaluations; after it the greedy runs lazily (Minoux's
     accelerated greedy): a candidate's last computed gain bounds its current
     one, so a step rescores only the candidates whose bound could still reach
-    the best score, reading one matrix row each. Larger pools recompute the
-    matrix in row blocks and rescore every candidate, O(n^2) evaluations per
-    step.
+    the best score, at one distance row (O(n)) each. When many gains tie
+    exactly, that is nearly every candidate. The pairwise matrix is kept for
+    pools of up to _DENSE_MATRIX_LIMIT rows; larger pools recompute each row
+    they read.
     """
     pool = _as_pool(pool)
     n = pool.shape[0]
@@ -319,20 +319,19 @@ def facility_location(
     min_dists = dists(first, first + 1)[0].copy()
     # Rounding slack for the lazy bounds: no later sum of min_dists exceeds this one.
     margin = 64 * n * np.finfo(np.float64).eps * float(min_dists.sum())
-    scores = np.empty(n)
     stale: list[tuple[float, int]] = []  # heap of (last score - its sum(min_dists), row)
 
     def cheapest(t, cache, chosen):
-        if dist_matrix is None or t == 1:
+        if t == 1:
+            scores = np.empty(n)
             for lo, hi in _row_blocks(n, n):
                 scores[lo:hi] = np.minimum(dists(lo, hi), min_dists).sum(axis=1)
             scores[chosen] = np.inf
             nxt = int(np.argmin(scores))  # first min = smallest-index tie-break
-            if dist_matrix is not None:
-                rest = np.flatnonzero(~chosen)
-                rest = rest[rest != nxt]
-                stale.extend(zip((scores[rest] - min_dists.sum()).tolist(), rest.tolist()))
-                heapq.heapify(stale)
+            rest = np.flatnonzero(~chosen)
+            rest = rest[rest != nxt]
+            stale.extend(zip((scores[rest] - min_dists.sum()).tolist(), rest.tolist()))
+            heapq.heapify(stale)
         else:
             # Gains only shrink, so total + (stale score - stale total) bounds a
             # row's score from below; rescore rows until no bound can reach the best.
@@ -341,7 +340,7 @@ def facility_location(
             rescored = []
             while stale and total + stale[0][0] <= best + margin:
                 row = heapq.heappop(stale)[1]
-                score = float(np.minimum(dist_matrix[row], min_dists).sum())
+                score = float(np.minimum(dists(row, row + 1)[0], min_dists).sum())
                 rescored.append((score, row))
                 best = min(best, score)
             nxt = min(rescored)[1]  # smallest score, then smallest index
