@@ -9,6 +9,13 @@ k-medoids++ selects at a smaller budget exactly the prefix, in indices and
 traces, of its selection at a larger one. The sweep therefore selects once
 per (strategy, repeat) at the largest budget and slices each cell from that
 run; k-medoids++ selects per cell.
+
+Every selection in a sweep reads one shared pool geometry. For pools of up to
+``selection._DENSE_MATRIX_LIMIT`` rows it keeps one n x n distance matrix
+(8 MB at n=1000, 512 MiB at n=8192), built when facility location or
+k-medoids++ first reads it and shared by both; larger pools recompute
+distances in bounded row blocks. A standalone ``kmedoidspp`` call builds no
+matrix and keeps its block-bounded memory.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .regression import (
     krr_predict,
 )
 from .rng import child_seed
-from .selection import _PREFIX_KINDS, StrategySpec, select
+from .selection import _PREFIX_KINDS, StrategySpec, _Geometry, select
 
 METRICS = (
     "maxae",
@@ -221,16 +228,17 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
     gamma, lam = _resolve_model(cfg, pool, sizes)
 
+    geometry = _Geometry(pool.features)
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label
         seeds = [child_seed(cfg.master_seed, label, rep) for rep in range(cfg.repeats)]
         runs = None
         if spec.kind in _PREFIX_KINDS:
-            runs = [select(pool.features, spec, max(sizes), seed=seed) for seed in seeds]
+            runs = [select(geometry, spec, max(sizes), seed=seed) for seed in seeds]
         for budget, size in zip(cfg.budgets, sizes):
             for rep, seed in enumerate(seeds):
-                result = runs[rep] if runs else select(pool.features, spec, size, seed=seed)
+                result = runs[rep] if runs else select(geometry, spec, size, seed=seed)
                 idx = result.indices[:size]
                 mask = np.ones(pool.n, dtype=bool)
                 mask[idx] = False

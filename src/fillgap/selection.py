@@ -20,14 +20,32 @@ from scipy.spatial.distance import cdist
 from .errors import DataError
 from .rng import child_seed, rng_from_seed
 
-STRATEGY_KINDS = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
+# Strategy kind -> its sampler, called as (pool, spec, budget, seed). Sampler
+# names are looked up at call time, so a wrapped sampler is the one that runs.
+_SAMPLERS = {
+    "fps": lambda pool, spec, budget, seed: fps(
+        pool, budget, seed=seed, start_index=spec.start_index
+    ),
+    "random": lambda pool, spec, budget, seed: random_select(pool, budget, seed=seed),
+    "facility_location": lambda pool, spec, budget, seed: facility_location(
+        pool, budget, seed=seed, start_index=spec.start_index
+    ),
+    "kmedoidspp": lambda pool, spec, budget, seed: kmedoidspp(pool, budget, seed=seed),
+    "fps_then_random": lambda pool, spec, budget, seed: fps_then_random(
+        pool, budget, spec.switch_fraction, seed=seed, start_index=spec.start_index
+    ),
+}
+
+STRATEGY_KINDS = tuple(_SAMPLERS)
 
 # Kinds whose selection at a smaller budget, same seed, is the prefix of their
 # selection at a larger one, in indices and traces.
 _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
-# Up to this pool size the facility-location greedy keeps the full distance
-# matrix; above it, every distance row it reads is recomputed.
+# Up to this pool size a _Geometry keeps the full n x n distance matrix (8 MB
+# at n=1000, 512 MiB at n=8192), built on first use; a sweep builds one and
+# shares it between facility location and k-medoids. Above the limit, and in
+# a standalone kmedoidspp call, every distance block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every pool-against-pool pass holds at most this many distances at once.
@@ -135,6 +153,8 @@ class StrategySpec:
 
 
 def _as_pool(pool) -> np.ndarray:
+    if isinstance(pool, _Geometry):
+        return pool.pool  # validated when the geometry was built
     arr = np.ascontiguousarray(pool, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"pool must be a non-empty 2-D matrix, got shape {arr.shape}")
@@ -184,6 +204,38 @@ def _row_blocks(rows: int, width: int):
     step = max(1, _BLOCK_ENTRIES // max(width, 1))
     for lo in range(0, rows, step):
         yield lo, min(lo + step, rows)
+
+
+class _Geometry:
+    """A validated float64 pool and the one source of its pairwise distances.
+
+    With ``keep_matrix`` and at most _DENSE_MATRIX_LIMIT rows, the full
+    ``cdist`` matrix is built on the first ``dists`` call and every later block
+    is sliced from it; otherwise each block is recomputed with ``cdist``. Both
+    give the same bits: a ``cdist`` block equals that slice of the full matrix.
+    """
+
+    def __init__(self, pool, keep_matrix: bool = True):
+        self.pool = _as_pool(pool)
+        self.n = self.pool.shape[0]
+        self._keeps_matrix = keep_matrix and self.n <= _DENSE_MATRIX_LIMIT
+        self._matrix: np.ndarray | None = None
+
+    def dists(self, rows, cols=slice(None)) -> np.ndarray:
+        """Distances from the pool rows ``rows`` to the pool rows ``cols``;
+        each is a slice or an index array."""
+        if not self._keeps_matrix:
+            return cdist(self.pool[rows], self.pool[cols])
+        if self._matrix is None:
+            self._matrix = cdist(self.pool, self.pool)
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            return self._matrix[rows, cols]
+        return self._matrix[np.ix_(rows, cols)]
+
+
+def _geometry(pool, keep_matrix: bool) -> _Geometry:
+    """The caller's shared geometry, or a new one around a raw pool."""
+    return pool if isinstance(pool, _Geometry) else _Geometry(pool, keep_matrix)
 
 
 def _check_selected(pool: np.ndarray, selected) -> np.ndarray:
@@ -302,21 +354,19 @@ def facility_location(
     accelerated greedy): a candidate's last computed gain bounds its current
     one, so a step rescores only the candidates whose bound could still reach
     the best score, at one distance row (O(n)) each. When many gains tie
-    exactly, that is nearly every candidate. The pairwise matrix is kept for
-    pools of up to _DENSE_MATRIX_LIMIT rows; larger pools recompute each row
-    they read.
+    exactly, that is nearly every candidate. Pools of up to
+    _DENSE_MATRIX_LIMIT rows keep the n x n distance matrix (8 MB at n=1000,
+    512 MiB at n=8192): a standalone call builds its own, and a sweep keeps
+    one that facility location and k-medoids share. Larger pools recompute
+    each row they read.
     """
-    pool = _as_pool(pool)
-    n = pool.shape[0]
+    geom = _geometry(pool, keep_matrix=True)
+    n = geom.n
     budget = _check_budget(n, budget)
     first = _first_index(n, seed, start_index)
-    dist_matrix = cdist(pool, pool) if n <= _DENSE_MATRIX_LIMIT else None
-
-    def dists(lo: int, hi: int) -> np.ndarray:
-        return cdist(pool[lo:hi], pool) if dist_matrix is None else dist_matrix[lo:hi]
 
     # Exact distances: the walk's norm-expansion cache cancels far from the origin.
-    min_dists = dists(first, first + 1)[0].copy()
+    min_dists = geom.dists(slice(first, first + 1))[0].copy()
     # Rounding slack for the lazy bounds: no later sum of min_dists exceeds this one.
     margin = 64 * n * np.finfo(np.float64).eps * float(min_dists.sum())
     stale: list[tuple[float, int]] = []  # heap of (last score - its sum(min_dists), row)
@@ -325,7 +375,7 @@ def facility_location(
         if t == 1:
             scores = np.empty(n)
             for lo, hi in _row_blocks(n, n):
-                scores[lo:hi] = np.minimum(dists(lo, hi), min_dists).sum(axis=1)
+                scores[lo:hi] = np.minimum(geom.dists(slice(lo, hi)), min_dists).sum(axis=1)
             scores[chosen] = np.inf
             nxt = int(np.argmin(scores))  # first min = smallest-index tie-break
             rest = np.flatnonzero(~chosen)
@@ -340,17 +390,17 @@ def facility_location(
             rescored = []
             while stale and total + stale[0][0] <= best + margin:
                 row = heapq.heappop(stale)[1]
-                score = float(np.minimum(dists(row, row + 1)[0], min_dists).sum())
+                score = float(np.minimum(geom.dists(slice(row, row + 1))[0], min_dists).sum())
                 rescored.append((score, row))
                 best = min(best, score)
             nxt = min(rescored)[1]  # smallest score, then smallest index
             for score, row in rescored:
                 if row != nxt:
                     heapq.heappush(stale, (score - total, row))
-        np.minimum(min_dists, dists(nxt, nxt + 1)[0], out=min_dists)
+        np.minimum(min_dists, geom.dists(slice(nxt, nxt + 1))[0], out=min_dists)
         return nxt
 
-    indices, fill, sep = _walk(pool, first, budget, cheapest)
+    indices, fill, sep = _walk(geom.pool, first, budget, cheapest)
     return SelectionResult(indices, fill, sep, strategy="facility_location", seed=int(seed))
 
 
@@ -362,9 +412,15 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     summed distance, until no medoid changes or ``max_iters`` is reached.
     Each medoid is pinned to its own cluster during assignment, so clusters
     are never empty. Deterministic in the seed.
+
+    Both Lloyd passes read distances in row blocks of at most _BLOCK_ENTRIES.
+    A standalone call recomputes each block and holds one at a time. In a
+    sweep of n <= _DENSE_MATRIX_LIMIT rows it slices the blocks from the one
+    n x n matrix the sweep keeps and shares with facility location (8 MB at
+    n=1000, 512 MiB at n=8192).
     """
-    pool = _as_pool(pool)
-    n = pool.shape[0]
+    geom = _geometry(pool, keep_matrix=False)
+    n = geom.n
     budget = _check_budget(n, budget)
     if max_iters < 0:
         raise DataError("max_iters must be >= 0")
@@ -383,26 +439,25 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
             nxt = int(np.flatnonzero(~chosen)[0])
         return nxt
 
-    medoids = _walk(pool, int(rng.integers(n)), budget, d2_draw)[0]
+    medoids = _walk(geom.pool, int(rng.integers(n)), budget, d2_draw)[0]
 
     assign = np.empty(n, dtype=np.int64)
     for _ in range(max_iters):
         for lo, hi in _row_blocks(n, budget):
-            assign[lo:hi] = cdist(pool[lo:hi], pool[medoids]).argmin(axis=1)
+            assign[lo:hi] = geom.dists(slice(lo, hi), medoids).argmin(axis=1)
         assign[medoids] = np.arange(budget)
         updated = medoids.copy()
         for k in range(budget):
             members = np.flatnonzero(assign == k)
-            rows = pool[members]
             costs = np.empty(members.size)
             for lo, hi in _row_blocks(members.size, members.size):
-                costs[lo:hi] = cdist(rows[lo:hi], rows).sum(axis=1)
+                costs[lo:hi] = geom.dists(members[lo:hi], members).sum(axis=1)
             updated[k] = members[int(np.argmin(costs))]
         if np.array_equal(updated, medoids):
             break
         medoids = updated
 
-    fill, sep = selection_traces(pool, medoids)
+    fill, sep = selection_traces(geom.pool, medoids)
     return SelectionResult(medoids, fill, sep, strategy="kmedoidspp", seed=int(seed))
 
 
@@ -443,18 +498,8 @@ def fps_then_random(
 
 
 def select(pool, spec: StrategySpec, budget: int, seed: int = 0) -> SelectionResult:
-    """Run the sampler named by a StrategySpec."""
-    if spec.kind == "fps":
-        return fps(pool, budget, seed=seed, start_index=spec.start_index)
-    if spec.kind == "random":
-        return random_select(pool, budget, seed=seed)
-    if spec.kind == "facility_location":
-        return facility_location(pool, budget, seed=seed, start_index=spec.start_index)
-    if spec.kind == "kmedoidspp":
-        return kmedoidspp(pool, budget, seed=seed)
-    return fps_then_random(
-        pool, budget, spec.switch_fraction, seed=seed, start_index=spec.start_index
-    )
+    """Run the sampler named by a StrategySpec on a pool or a shared geometry."""
+    return _SAMPLERS[spec.kind](pool, spec, budget, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -109,16 +109,30 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
 
 def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Prefix samplers select once at the largest budget; k-medoids++ per cell.
-    from fillgap import experiment
+    # Facility location and k-medoids++ share one pool-by-pool distance matrix.
+    from fillgap import experiment, selection
     from fillgap.selection import select
 
     calls = []
+    running = []  # the kind inside select, if any
+    pairwise = []  # pool-by-pool cdist calls made by samplers, by kind
+    cdist = selection.cdist
 
     def counting(pool, spec, budget, seed=0):
         calls.append((spec.kind, budget))
-        return select(pool, spec, budget, seed=seed)
+        running.append(spec.kind)
+        try:
+            return select(pool, spec, budget, seed=seed)
+        finally:
+            running.pop()
+
+    def counting_cdist(a, b, *args, **kwargs):
+        if running and len(a) == len(b) == 120:
+            pairwise.append(running[-1])
+        return cdist(a, b, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "select", counting)
+    monkeypatch.setattr(selection, "cdist", counting_cdist)
     cfg = small_config(
         strategies=tuple(
             StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")
@@ -133,6 +147,13 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     for kind in ("fps", "random", "facility_location", "fps_then_random"):
         assert [b for k, b in calls if k == kind] == [max(sizes)] * cfg.repeats
     assert sorted(b for k, b in calls if k == "kmedoidspp") == sorted(sizes * cfg.repeats)
+    # One matrix, built by the first sampler that reads it. gamma=auto's
+    # nearest-neighbour pass runs outside select and is not counted.
+    assert pairwise == ["facility_location"]
+    # Recomputing every distance block instead of slicing the matrix agrees.
+    with monkeypatch.context() as m:
+        m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
+        assert rows_csv(run_experiment(cfg)) == rows_csv(report)
     # Slicing changes no row: selecting every cell at its own budget agrees.
     monkeypatch.setattr(experiment, "_PREFIX_KINDS", ())
     assert rows_csv(run_experiment(cfg)) == rows_csv(report)

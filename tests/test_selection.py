@@ -306,6 +306,36 @@ def test_kmedoidspp_memory_stays_within_blocks(monkeypatch):
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("block_entries", [None, 7])
+def test_kmedoidspp_on_shared_geometry_matches_bare_pool(monkeypatch, block_entries):
+    import itertools
+
+    from fillgap import selection
+
+    # A sweep's geometry slices its kept matrix; a bare pool recomputes blocks.
+    # A patched block size splits both Lloyd passes into many blocks.
+    if block_entries is not None:
+        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(31)
+    duplicated = np.array([[0.0, 0.0], [1.0, 2.0]])[[0, 1, 0, 0, 1, 0, 1, 0]]
+    lattice = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.float64)
+    cases = (
+        (rng.uniform(-1, 1, size=(60, 3)), (2, 7, 20)),
+        (duplicated, (2, 5, duplicated.shape[0])),
+        (lattice, (3, 10, 30)),
+        (rng.uniform(size=(80, 144)), (2, 8, 25)),
+    )
+    for pool, budgets in cases:
+        geometry = selection._Geometry(pool)
+        for budget, seed in itertools.product(budgets, (0, 1)):
+            shared = kmedoidspp(geometry, budget, seed=seed)
+            bare = kmedoidspp(pool, budget, seed=seed)
+            assert np.array_equal(shared.indices, bare.indices)
+            assert np.array_equal(shared.fill_trace, bare.fill_trace)
+            assert np.array_equal(shared.sep_trace, bare.sep_trace, equal_nan=True)
+        assert geometry._matrix is not None
+
+
 def test_kmedoidspp_max_iters_zero_is_seeding_only():
     pool = random_instance(5, n_max=12)
     result = kmedoidspp(pool, 3, seed=4, max_iters=0)
