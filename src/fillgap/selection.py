@@ -48,8 +48,15 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 # a standalone kmedoidspp call, every distance block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
-# Every pool-against-pool pass holds at most this many distances at once.
+# Facility-location scoring and both k-medoids Lloyd passes hold at most this
+# many distances at once.
 _BLOCK_ENTRIES = int(2e7)
+
+# nn_distances computes its GEMM scores in one reused block of this many
+# entries (4 MiB). Blocks of 2**18 to 2**21 entries ran within noise of each
+# other at n=20000, d=16 (1.2-1.5 s on one BLAS thread); the small one keeps
+# the peak low.
+_NN_BLOCK_ENTRIES = 2**19
 
 _BRUTEFORCE_LIMIT = 10**6
 
@@ -261,28 +268,100 @@ def fill_distance(pool, selected) -> float:
 
 
 def separation_distance(pool, selected) -> float:
-    """Half the minimum pairwise distance among the selected rows."""
-    sep = selection_traces(pool, selected)[1]
-    if sep.size < 2:
+    """Half the minimum pairwise distance among the selected rows.
+
+    Walks only the selected rows, in the given order: each row's value in the
+    walk depends on that row and the selected ones alone, so the result
+    equals the last separation entry of a walk over the whole pool.
+    """
+    pool = _as_pool(pool)
+    idx = _check_selected(pool, selected)
+    if idx.size < 2:
         raise DataError("separation distance needs at least 2 selected rows")
-    return float(sep[-1])
+    rows, order = np.unique(idx, return_inverse=True)  # a repeated index is at distance 0
+    return float(selection_traces(pool[rows], order)[1][-1])
 
 
 def nn_distances(pool) -> tuple[np.ndarray, float]:
     """Distance from every row to its nearest other row, plus the mean.
 
     The mean is the reference level against which isolated points are judged.
+
+    Method. Each value is the row minimum of ``cdist(pool, pool)`` with the
+    diagonal excluded, bit for bit: a GEMM only finds the candidates. The
+    pool is scaled by the power of two ``2**-e`` that brings ``max|pool|``
+    below 1, which is exact and keeps the mean from overflowing, then
+    centred, so norms keep the digits a far-off pool would cancel. With
+    ``x_i`` the centred rows and ``N_i = |x_i|**2``, row blocks of
+    _NN_BLOCK_ENTRIES scores ``G_ij = N_j - 2 x_i.x_j``, which is
+    ``|x_i - x_j|**2 - N_i``, come from one GEMM, self entries set to +inf.
+    A row keeps its winner; only rows whose second-best score lies within the
+    margin of the best also keep every column within it. Each row's distance
+    is the minimum over its own candidates, self excluded, of ``cdist`` on
+    the raw pool; a ``cdist`` sub-block equals that slice of the full matrix.
+
+    Margin. Let ``u = eps / 2``, ``s_ij`` the exact squared distance of the
+    scaled pool, and work to first order in ``u``. Centring moves each
+    ``x_ik`` by at most ``u |x_ik|``, so ``|x_i - x_j|**2`` is within
+    ``2 eps (N_i + N_j)`` of ``s_ij``. A length-d dot product, in any
+    summation order and so at any BLAS thread count, is off by at most
+    ``d u |x_i| |x_j| <= d u (N_i + N_j) / 2``; with the norm and the final
+    addition, ``G_ij`` is within ``delta_i = (d + 3) eps (N_i + N_max)`` of
+    ``s_ij - N_i``. ``cdist`` rounds a squared distance by at most
+    ``(d + 4) u`` relative, so if its minimum is at column k and G's at
+    column a, then ``s_ik <= s_ia + (d + 4) eps s_ia`` and
+    ``G_ik <= G_ia + 2 delta_i + (d + 4) eps s_ia``, where
+    ``s_ia <= 2 (N_i + N_max)``. That sum is ``(4 d + 14) eps (N_i +
+    N_max)``; the margin ``8 (d + 4) eps (N_i + N_max)`` adds room for the
+    second order. Underflow adds absolute errors of ``2**-1075`` per
+    rounding: fewer than ``2 (d + 2)`` in each GEMM score, plus the scaling
+    of a pool spanning more than ``2**1022``; and ``cdist``'s ``d + 2`` on
+    the raw pool, ``2**-1075`` raw each, that is ``2**(-1075 - 2 e)`` scaled.
+    The floor ``16 (d + 2) (2**-1074 + 2**(-1074 - 2 e))`` covers both scores
+    compared. Where it dominates, in pools whose squared distances underflow
+    raw or whose spread is below ``2**-500`` of their largest entry, most
+    rows tie and scan every column: slower, still exact.
+
+    Memory: one scaled copy of the pool plus a few blocks of
+    _NN_BLOCK_ENTRIES entries (4 MiB each), also when every row ties.
     """
     pool = _as_pool(pool)
-    n = pool.shape[0]
+    n, d = pool.shape
     if n < 2:
         raise DataError("nearest-neighbour distances need at least 2 rows")
+    # Scaled rows as columns: a contiguous right-hand GEMM operand runs faster.
+    scale_exp = int(np.frexp(np.abs(pool).max())[1])
+    xt = np.ldexp(pool.T, -scale_exp, order="C")
+    xt -= xt.mean(axis=1, keepdims=True)
+    norms = np.einsum("ij,ij->j", xt, xt)
+    eps = np.finfo(np.float64).eps
+    # Clamped: a floor of 2**1023 already keeps every column.
+    raw_floor = math.ldexp(1.0, min(-1074 - 2 * scale_exp, 1023))
+    floor = 16 * (d + 2) * (math.ldexp(1.0, -1074) + raw_floor)
+    margins = 8 * (d + 4) * eps * (norms + norms.max()) + floor
+
     out = np.empty(n)
-    for lo, hi in _row_blocks(n, n):
-        block = cdist(pool[lo:hi], pool)
-        block[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
+    step = max(1, _NN_BLOCK_ENTRIES // n)
+    scores = np.empty((min(step, n), n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows = np.arange(hi - lo)
+        g = scores[: hi - lo]
+        np.matmul(-2.0 * xt[:, lo:hi].T, xt, out=g)
+        g += norms
+        g[rows, rows + lo] = np.inf
+        winner = g.argmin(axis=1)
+        limit = g[rows, winner] + margins[lo:hi]
+        g[rows, winner] = np.inf
+        tied = g.min(axis=1) <= limit
+        keep = np.zeros(g.shape, dtype=bool)
+        keep[tied] = g[tied] <= limit[tied, None]
+        keep[rows, winner] = True
+        keep[rows, rows + lo] = False
+        cols = np.flatnonzero(keep.any(axis=0))
+        block = cdist(pool[lo:hi], pool[cols])
+        block[~keep[:, cols]] = np.inf
         out[lo:hi] = block.min(axis=1)
-        del block  # free this block before the next one is allocated
     return out, float(out.mean())
 
 

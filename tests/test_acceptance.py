@@ -286,7 +286,8 @@ from fillgap.dataset import SynthConfig, synth_lipschitz
 from fillgap.experiment import (ExperimentConfig, ModelConfig, run_experiment,
                                 rows_csv, aggregates_csv)
 from fillgap.selection import (StrategySpec, fps, random_select,
-                               facility_location, kmedoidspp, fps_then_random)
+                               facility_location, kmedoidspp, fps_then_random,
+                               nn_distances)
 
 pool = synth_lipschitz(SynthConfig(n=150, d=4, target_lipschitz=1.5,
                                    noise_level=0.05, seed=9)).features
@@ -298,6 +299,11 @@ for result in (
     fps_then_random(pool, 12, 0.05, seed=3),
 ):
     sys.stdout.write(result.to_json() + "\\n")
+
+# Many GEMM blocks of nearest-neighbour candidates, each split across threads.
+wide = synth_lipschitz(SynthConfig(n=3000, d=16, target_lipschitz=2.0,
+                                   tail_fraction=0.01, seed=9)).features
+sys.stdout.write(nn_distances(wide)[0].tobytes().hex() + "\\n")
 
 cfg = ExperimentConfig(
     strategies=(StrategySpec(kind="fps"), StrategySpec(kind="random")),
@@ -334,7 +340,7 @@ def test_criterion_08_thread_count_determinism():
         8,
         "thread-count-determinism",
         ok,
-        f"5 samplers + experiment CSVs byte-compared across threads {{1,4,8}}; "
+        f"5 samplers + nn_distances + experiment CSVs byte-compared across threads {{1,4,8}}; "
         f"{len(outputs[1])} bytes each",
     )
     assert ok

@@ -90,6 +90,92 @@ def test_nn_distances_examples():
         nn_distances(np.ones((1, 2)))
 
 
+def _nn_pools():
+    """Pools of every kind the GEMM candidate pass must handle exactly."""
+    import itertools
+
+    rng = np.random.default_rng(41)
+    unit = rng.uniform(size=(301, 6))
+    pools = {
+        "synth": synth_lipschitz(
+            SynthConfig(n=601, d=16, target_lipschitz=2.0, tail_fraction=0.01, seed=51)
+        ).features,
+        "uniform16": rng.uniform(size=(500, 16)),
+        "uniform64": rng.uniform(size=(250, 64)),
+        "uniform144": rng.uniform(size=(200, 144)),
+        "duplicates": rng.normal(size=(30, 3))[rng.integers(0, 30, size=400)],
+        "lattice": np.array(list(itertools.product(range(7), repeat=3)), dtype=np.float64),
+        "small_integers": rng.integers(-3, 4, size=(400, 5)).astype(np.float64),
+        "all_equal": np.full((50, 2), 3.0),
+    }
+    small = rng.uniform(size=(301, 4)) * 1e-3
+    for shift in (0.0, 1e3, 1e5, 1e6):
+        pools[f"shift_{shift:g}"] = small + shift
+    for scale in (2.0**20, 2.0**-20, 1e150, 1e-150, 1e-160, 1e-170, 1e155, 1e160):
+        pools[f"scale_{scale:g}"] = unit * scale
+    return pools
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+def test_nn_distances_matches_brute_cdist(monkeypatch, rows_per_block):
+    from scipy.spatial.distance import cdist
+
+    from fillgap import selection
+    from fillgap.regression import gamma_for_half_kernel
+
+    # Three rows per block runs many blocks and, at n not divisible by 3, a
+    # ragged last one; duplicate, lattice and integer pools tie exactly, so
+    # their rows take the full candidate scan.
+    for name, pool in _nn_pools().items():
+        if rows_per_block is not None:
+            monkeypatch.setattr(selection, "_NN_BLOCK_ENTRIES", rows_per_block * pool.shape[0])
+        dist_matrix = cdist(pool, pool)
+        np.fill_diagonal(dist_matrix, np.inf)
+        expected = dist_matrix.min(axis=1)
+        dists, mean = nn_distances(pool)
+        assert np.array_equal(dists, expected), name
+        assert mean == float(expected.mean()), name
+        median = float(np.median(expected))
+        if median > 0.0:
+            assert gamma_for_half_kernel(pool) == math.log(2.0) / (median * median), name
+
+
+def test_nn_distances_memory_stays_within_blocks():
+    import tracemalloc
+
+    from fillgap import selection
+
+    n, d = 20000, 16
+    pool = np.random.default_rng(0).uniform(size=(n, d))
+    tracemalloc.start()
+    try:
+        nn_distances(pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The scaled copy of the pool plus a few score blocks; one n x n row
+    # block of 2e7 entries would take 160 MB.
+    assert peak < 8 * n * d + 4 * 8 * selection._NN_BLOCK_ENTRIES
+
+
+def test_separation_walks_only_selected_rows_and_matches_full_walk():
+    import itertools
+
+    rng = np.random.default_rng(13)
+    pools = (
+        rng.uniform(size=(700, 7)),
+        rng.normal(size=(25, 4))[rng.integers(0, 25, size=500)],
+        np.array(list(itertools.product(range(8), repeat=3)), dtype=np.float64) * 0.1 + 3.0,
+    )
+    for pool in pools:
+        for seed, budget in itertools.product(range(3), (2, 5, 33, 150)):
+            for result in (fps(pool, budget, seed=seed), random_select(pool, budget, seed=seed)):
+                full_walk = selection_traces(pool, result.indices)[1][-1]
+                assert separation_distance(pool, result.indices) == full_walk
+    # A repeated index is at distance zero from itself.
+    assert separation_distance(pools[0], [3, 5, 3]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # FPS
 # ---------------------------------------------------------------------------
