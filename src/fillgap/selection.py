@@ -53,9 +53,9 @@ _DENSE_MATRIX_LIMIT = 8192
 _BLOCK_ENTRIES = int(2e7)
 
 # nn_distances computes its GEMM scores in one reused block of this many
-# entries (4 MiB). Blocks of 2**18 to 2**21 entries ran within noise of each
-# other at n=20000, d=16 (1.2-1.5 s on one BLAS thread); the small one keeps
-# the peak low.
+# entries (4 MiB). At n=20000, d=16 on one BLAS thread, blocks of 2**19 to
+# 2**21 entries took 1.2-1.4 s and 2**18 took 1.3-1.5 s; larger blocks only
+# hold more memory.
 _NN_BLOCK_ENTRIES = 2**19
 
 _BRUTEFORCE_LIMIT = 10**6
