@@ -15,7 +15,7 @@ from .dataset import Dataset
 from .errors import DataError
 from .regression import KernelModel, krr_lipschitz_bound, krr_predict
 from .rng import rng_from_seed
-from .selection import SelectionResult, fill_distance
+from .selection import SelectionResult
 
 # Pair counts above these limits fall back to seeded subsampling.
 _CORRELATION_MAX_PAIRS = 5_000_000
@@ -317,6 +317,12 @@ def bound_check(
 
     The model must have been trained on exactly the selected rows. The label
     Lipschitz constant defaults to 1, the value for the absolute error.
+
+    The fill distance h is the selection's last ``fill_trace`` entry, which
+    every sampler records on ``pool`` bit for bit as ``fill_distance`` would
+    recompute it. For a selection not computed on this pool (loaded from
+    JSON, edited, or made on another pool), rebuild its traces first with
+    ``selection_traces(pool.features, selection.indices)``.
     """
     y = pool.require_labels()
     idx = selection.indices
@@ -327,7 +333,7 @@ def bound_check(
     ):
         raise DataError("model was not trained on exactly the selected rows")
 
-    h = fill_distance(pool.features, idx)
+    h = float(selection.fill_trace[-1])
     lip_model = krr_lipschitz_bound(model)
     eps_train = training_max_error(
         model, Dataset(pool.features[idx], labels=y[idx], source=pool.source)

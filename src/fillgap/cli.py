@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 _THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -167,7 +168,7 @@ def _parse_constants(raw: str) -> dict[str, float]:
 def _cmd_bound(args) -> int:
     from .analysis import bound_check
     from .regression import load_model
-    from .selection import SelectionResult
+    from .selection import SelectionResult, selection_traces
 
     constants = _parse_constants(args.constants)
     unknown = set(constants) - {"lip_target", "eps", "lip_label_arg"}
@@ -178,6 +179,9 @@ def _cmd_bound(args) -> int:
     pool = _load_pool(args, need_labels=True)
     with open(args.selection, encoding="utf-8") as fh:
         selection = SelectionResult.from_json(fh.read())
+    # The file may be edited or come from another pool: h comes from the traces.
+    fill, sep = selection_traces(pool.features, selection.indices)
+    selection = replace(selection, fill_trace=fill, sep_trace=sep)
     model = load_model(args.model)
     report = bound_check(
         pool,

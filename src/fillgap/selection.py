@@ -52,13 +52,18 @@ _DENSE_MATRIX_LIMIT = 8192
 # many distances at once.
 _BLOCK_ENTRIES = int(2e7)
 
-# nn_distances computes its GEMM scores in one reused block of this many
-# entries (4 MiB). At n=20000, d=16 on one BLAS thread, blocks of 2**19 to
-# 2**21 entries took 1.2-1.4 s and 2**18 took 1.3-1.5 s; larger blocks only
-# hold more memory.
+# nn_distances computes its GEMM scores, and regression.krr_predict its kernel
+# values, in one reused block of this many entries (4 MiB). At n=20000, d=16
+# on one BLAS thread, nearest-neighbour blocks of 2**19 to 2**21 entries took
+# 1.2-1.4 s and 2**18 took 1.3-1.5 s; larger blocks only hold more memory.
+# krr_predict rounds its block down to a multiple of 64 rows (see there).
 _NN_BLOCK_ENTRIES = 2**19
 
 _BRUTEFORCE_LIMIT = 10**6
+
+# A finite pool can still hold entries whose squared distances pass the
+# largest float64; the walk and facility location would then read inf or NaN.
+_OVERFLOW_MESSAGE = "pairwise distances overflow float64; rescale the pool"
 
 
 @dataclass(frozen=True)
@@ -178,6 +183,13 @@ def _sq_dists_to_row(pool: np.ndarray, norms_sq: np.ndarray, row: int) -> np.nda
     return d2
 
 
+def _fill(cache: np.ndarray) -> float:
+    value = math.sqrt(cache.max())
+    if not math.isfinite(value):  # checked before any pick rule reads the cache
+        raise DataError(_OVERFLOW_MESSAGE)
+    return value
+
+
 def _walk(pool: np.ndarray, first: int, budget: int, pick) -> tuple[np.ndarray, ...]:
     """Select ``first``, then ``pick(t, cache, chosen)`` for steps 1..budget-1.
 
@@ -193,7 +205,7 @@ def _walk(pool: np.ndarray, first: int, budget: int, pick) -> tuple[np.ndarray, 
     indices[0] = first
     chosen[first] = True
     cache = _sq_dists_to_row(pool, norms_sq, first)
-    fill[0] = math.sqrt(cache.max())
+    fill[0] = _fill(cache)
     smallest_sq = math.inf
     for t in range(1, budget):
         nxt = int(pick(t, cache, chosen))
@@ -201,7 +213,7 @@ def _walk(pool: np.ndarray, first: int, budget: int, pick) -> tuple[np.ndarray, 
         chosen[nxt] = True
         smallest_sq = min(smallest_sq, float(cache[nxt]))
         np.minimum(cache, _sq_dists_to_row(pool, norms_sq, nxt), out=cache)
-        fill[t] = math.sqrt(cache.max())
+        fill[t] = _fill(cache)
         sep[t] = 0.5 * math.sqrt(smallest_sq)
     return indices, fill, sep
 
@@ -446,6 +458,8 @@ def facility_location(
 
     # Exact distances: the walk's norm-expansion cache cancels far from the origin.
     min_dists = geom.dists(slice(first, first + 1))[0].copy()
+    if not math.isfinite(min_dists.sum()):
+        raise DataError(_OVERFLOW_MESSAGE)
     # Rounding slack for the lazy bounds: no later sum of min_dists exceeds this one.
     margin = 64 * n * np.finfo(np.float64).eps * float(min_dists.sum())
     stale: list[tuple[float, int]] = []  # heap of (last score - its sum(min_dists), row)

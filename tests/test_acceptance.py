@@ -285,6 +285,7 @@ import numpy as np
 from fillgap.dataset import SynthConfig, synth_lipschitz
 from fillgap.experiment import (ExperimentConfig, ModelConfig, run_experiment,
                                 rows_csv, aggregates_csv)
+from fillgap.regression import KernelModel, krr_predict
 from fillgap.selection import (StrategySpec, fps, random_select,
                                facility_location, kmedoidspp, fps_then_random,
                                nn_distances)
@@ -304,6 +305,12 @@ for result in (
 wide = synth_lipschitz(SynthConfig(n=3000, d=16, target_lipschitz=2.0,
                                    tail_fraction=0.01, seed=9)).features
 sys.stdout.write(nn_distances(wide)[0].tobytes().hex() + "\\n")
+
+# Many row blocks of kernel predictions, the last one ragged.
+rng = np.random.default_rng(9)
+queries = rng.uniform(size=(19003, 16))
+model = KernelModel(queries[:1000], rng.normal(size=1000), gamma=0.5, lam=0.0)
+sys.stdout.write(krr_predict(model, queries).tobytes().hex() + "\\n")
 
 cfg = ExperimentConfig(
     strategies=(StrategySpec(kind="fps"), StrategySpec(kind="random")),
@@ -340,8 +347,8 @@ def test_criterion_08_thread_count_determinism():
         8,
         "thread-count-determinism",
         ok,
-        f"5 samplers + nn_distances + experiment CSVs byte-compared across threads {{1,4,8}}; "
-        f"{len(outputs[1])} bytes each",
+        f"5 samplers + nn_distances + krr_predict on 19003 rows + experiment CSVs "
+        f"byte-compared across threads {{1,4,8}}; {len(outputs[1])} bytes each",
     )
     assert ok
 

@@ -297,6 +297,32 @@ def test_bound_check_budget_growth_never_raises_fill_term():
     assert fills[0] >= fills[1] >= fills[2]
 
 
+def test_bound_check_reads_fill_from_the_selection_trace(monkeypatch):
+    from fillgap import analysis, selection
+    from fillgap.selection import STRATEGY_KINDS, StrategySpec, fill_distance, select
+
+    ds, info = synth_with_info(SynthConfig(n=300, d=3, target_lipschitz=1.5, seed=8))
+    gamma = gamma_for_half_kernel(ds.features)
+    specs = [
+        StrategySpec(kind, switch_fraction=0.02 if kind == "fps_then_random" else None)
+        for kind in STRATEGY_KINDS
+    ]
+    cases = []
+    for spec in specs:
+        result = select(ds.features, spec, 20, seed=3)
+        model = _fit_on(ds, result.indices, gamma)
+        cases.append((spec.kind, result, model, fill_distance(ds.features, result.indices)))
+
+    def walk_again(*args, **kwargs):
+        raise AssertionError("bound_check recomputed the fill distance")
+
+    monkeypatch.setattr(selection, "fill_distance", walk_again)
+    monkeypatch.setattr(analysis, "fill_distance", walk_again, raising=False)
+    for kind, result, model, expected in cases:
+        report = bound_check(ds, result, model, lip_target=info.lipschitz, eps=0.0)
+        assert report.fill_dist == expected, kind
+
+
 def test_bound_check_requires_matching_model():
     ds, info = synth_with_info(SynthConfig(n=40, d=2, target_lipschitz=1.0, seed=7))
     selection = fps(ds.features, 8, seed=1)

@@ -191,7 +191,8 @@ def test_nn_matches_recomputation(pool_csv, capsys):
     assert payload["mean"] == mean
 
 
-def test_bound_pipeline(tmp_path, capsys):
+def _bound_inputs(tmp_path, capsys):
+    """A synthetic pool, an FPS selection with traces and a model fitted on it."""
     code, out, _ = run(
         capsys, "synth", "--n", "150", "--d", "3", "--lipschitz", "2.0",
         "--noise", "0.1", "--seed", "9", "--out", tmp_path / "synth.csv",
@@ -223,15 +224,38 @@ def test_bound_pipeline(tmp_path, capsys):
     )
     model_path = tmp_path / "model.krr"
     save_model(model, model_path)
+    return data, sel_path, model_path
 
-    code, out, _ = run(
+
+def _run_bound(capsys, data, sel_path, model_path):
+    return run(
         capsys, "bound", "--data", data, "--selection", sel_path,
         "--model", model_path, "--constants", "lip_target=2.0,eps=0.1",
     )
+
+
+def test_bound_pipeline(tmp_path, capsys):
+    code, out, _ = _run_bound(capsys, *_bound_inputs(tmp_path, capsys))
     assert code == 0
     report = json.loads(out)
     assert report["slack"] >= 0.0
     assert report["observed_maxae"] <= report["bound_value"]
+
+
+def test_bound_rebuilds_the_traces_of_the_selection_file(tmp_path, capsys):
+    data, sel_path, model_path = _bound_inputs(tmp_path, capsys)
+    code, expected, _ = _run_bound(capsys, data, sel_path, model_path)
+    assert code == 0
+    payload = json.loads(sel_path.read_text())
+    payload["fill_trace"] = [10.0 * v for v in payload["fill_trace"]]
+    altered = tmp_path / "altered.json"
+    altered.write_text(json.dumps(payload))
+    code, out, _ = _run_bound(capsys, data, altered, model_path)
+    assert code == 0
+    assert out == expected
+    del payload["fill_trace"], payload["sep_trace"]
+    altered.write_text(json.dumps(payload))
+    assert _run_bound(capsys, data, altered, model_path)[1] == expected
 
 
 def test_bound_requires_constants(tmp_path, pool_csv, capsys):
@@ -330,6 +354,20 @@ def test_data_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "nn", "--data", bad)
     assert code == 2
     assert "row 2" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_select_overflowing_pool_exit_code(tmp_path, capsys):
+    pool = np.random.default_rng(41).uniform(size=(301, 6)) * 1e155
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, pool, fmt="%.17g", delimiter=",", header="a,b,c,d,e,f", comments="")
+    for strategy in ("facility_location", "fps"):
+        code, out, err = run(
+            capsys, "select", "--data", path, "--strategy", strategy,
+            "--budget", "12", "--seed", "4",
+        )
+        assert code == 2, strategy
+        assert out == "" and "overflow" in err, strategy
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

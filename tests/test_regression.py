@@ -105,6 +105,81 @@ def test_predict_dimension_mismatch():
         krr_predict(model, np.zeros((4, 2)))
 
 
+def test_predict_rejects_non_finite_queries():
+    model = KernelModel(np.zeros((2, 3)), np.ones(2), gamma=1.0, lam=0.0)
+    queries = np.zeros((200, 3))
+    queries[150, 1] = np.nan
+    with pytest.raises(DataError, match="kernel inputs contain NaN or Inf entries"):
+        krr_predict(model, queries)
+
+
+def test_predict_memory_stays_within_blocks():
+    import tracemalloc
+
+    from fillgap import regression
+
+    n, d, b = 20000, 16, 1000
+    rng = np.random.default_rng(0)
+    queries = rng.uniform(size=(n, d))
+    model = KernelModel(queries[:b], rng.normal(size=b), gamma=2.0, lam=0.0)
+    tracemalloc.start()
+    try:
+        krr_predict(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The output plus two kernel blocks (8.2 MB, under 16 MiB); the whole
+    # n x b kernel matrix would take 160 MB, and cdist, scaling and exp held
+    # two of them at once.
+    assert peak < 8 * n + 2 * 8 * regression._NN_BLOCK_ENTRIES
+
+
+_PREDICT_EXACT_SCRIPT = """
+import sys
+import numpy as np
+from scipy.spatial.distance import cdist
+from fillgap import regression
+from fillgap.regression import KernelModel, krr_predict
+
+default_entries = regression._NN_BLOCK_ENTRIES
+for n, d, b in ((19003, 16, 1000), (9999, 64, 333), (5001, 144, 77), (70001, 8, 100)):
+    rng = np.random.default_rng(n)
+    queries = rng.uniform(size=(n, d))
+    train = queries[rng.choice(n, size=b, replace=False)]
+    weights = rng.normal(size=b)
+    gamma = 0.5 * d ** -0.5
+    expected = np.exp(-gamma * cdist(queries, train, "sqeuclidean")) @ weights
+    for entries in (default_entries, 64 * b):  # default blocks, then 64 rows each
+        regression._NN_BLOCK_ENTRIES = entries
+        got = krr_predict(KernelModel(train, weights, gamma, 0.0), queries)
+        sys.stdout.write(f"{n} {entries} {int((got != expected).sum())}\\n")
+"""
+
+
+def test_predict_blocks_match_unblocked_kernel_product():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fillgap
+
+    # One BLAS thread: a threaded unblocked product itself moves by an ULP or
+    # two between thread counts, while the blocked one does not (criterion 8).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fillgap.__file__).resolve().parent.parent)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PREDICT_EXACT_SCRIPT], capture_output=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = proc.stdout.decode().split("\n")[:-1]
+    assert len(lines) == 8
+    for line in lines:
+        assert line.endswith(" 0"), f"rows, block entries, mismatches: {line}"
+
+
 def test_model_validation():
     with pytest.raises(DataError):
         KernelModel(np.zeros((3, 2)), np.zeros(2), gamma=1.0, lam=0.0)

@@ -371,6 +371,29 @@ def test_kmedoidspp_exhaustive_and_deterministic():
     assert np.array_equal(a.indices, b.indices)
 
 
+def _overflowing_pool():
+    # Finite entries whose squared distances pass the largest float64.
+    return np.random.default_rng(41).uniform(size=(301, 6)) * 1e155
+
+
+def test_facility_location_raises_on_overflowing_distances():
+    with pytest.raises(DataError, match="overflow"):
+        facility_location(_overflowing_pool(), 12, seed=4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_walk_raises_on_overflowing_distances():
+    pool = _overflowing_pool()
+    with pytest.raises(DataError, match="overflow"):
+        fps(pool, 12, seed=4)
+    with pytest.raises(DataError, match="overflow"):
+        fps(pool, 1, seed=4)
+    for kind in ("random", "kmedoidspp", "fps_then_random"):
+        spec = StrategySpec(kind, switch_fraction=0.02 if kind == "fps_then_random" else None)
+        with pytest.raises(DataError, match="overflow"):
+            select(pool, spec, 12, seed=4)
+
+
 def test_kmedoidspp_memory_stays_within_blocks(monkeypatch):
     import tracemalloc
 
