@@ -174,6 +174,15 @@ def _sample_pair_indices(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _pair_distances(X, y, exact: bool, max_pairs: int, seed: int):
+    """Feature and label distances over all pairs when ``exact``, otherwise
+    over a seeded sample of ``max_pairs`` distinct pairs."""
+    if exact:
+        return pdist(X), pdist(y[:, None])
+    i, j = _sample_pair_indices(X.shape[0], max_pairs, rng_from_seed(seed))
+    return np.linalg.norm(X[i] - X[j], axis=1), np.abs(y[i] - y[j])
+
+
 def pairwise_distance_correlation(
     X, y, max_pairs: int = _CORRELATION_MAX_PAIRS, seed: int = 0
 ) -> CorrelationReport:
@@ -194,17 +203,9 @@ def pairwise_distance_correlation(
     if max_pairs < 2:
         raise DataError("max_pairs must be >= 2")
     total = n * (n - 1) // 2
-    if total <= max_pairs:
-        feature_d = pdist(X)
-        label_d = pdist(y[:, None])
-        subsampled = False
-        count = total
-    else:
-        i, j = _sample_pair_indices(n, max_pairs, rng_from_seed(seed))
-        feature_d = np.linalg.norm(X[i] - X[j], axis=1)
-        label_d = np.abs(y[i] - y[j])
-        subsampled = True
-        count = max_pairs
+    subsampled = total > max_pairs
+    count = max_pairs if subsampled else total
+    feature_d, label_d = _pair_distances(X, y, not subsampled, max_pairs, seed)
     if (feature_d == feature_d[0]).all():
         raise DataError(
             "all feature distances are identical; pairwise correlation undefined"
@@ -282,13 +283,7 @@ def empirical_lipschitz(
     n = X.shape[0]
     if n < 2:
         raise DataError("need at least 2 points")
-    if n <= exact_limit:
-        feature_d = pdist(X)
-        label_d = pdist(y[:, None])
-    else:
-        i, j = _sample_pair_indices(n, max_pairs, rng_from_seed(seed))
-        feature_d = np.linalg.norm(X[i] - X[j], axis=1)
-        label_d = np.abs(y[i] - y[j])
+    feature_d, label_d = _pair_distances(X, y, n <= exact_limit, max_pairs, seed)
     zero = feature_d == 0.0
     if (label_d[zero] > 0.0).any():
         raise DataError("duplicate feature rows with differing labels: infinite slope")
@@ -316,7 +311,8 @@ def bound_check(
     observed maximum absolute error on the unselected rows.
 
     The model must have been trained on exactly the selected rows. The label
-    Lipschitz constant defaults to 1, the value for the absolute error.
+    Lipschitz constant defaults to 1, the value for the absolute error. One
+    prediction pass over the pool gives the training and the observed error.
 
     The fill distance h is the selection's last ``fill_trace`` entry, which
     every sampler records on ``pool`` bit for bit as ``fill_distance`` would
@@ -334,16 +330,11 @@ def bound_check(
         raise DataError("model was not trained on exactly the selected rows")
 
     h = float(selection.fill_trace[-1])
-    lip_model = krr_lipschitz_bound(model)
-    eps_train = training_max_error(
-        model, Dataset(pool.features[idx], labels=y[idx], source=pool.source)
+    pred = krr_predict(model, pool.features)
+    report = error_bound(
+        h, krr_lipschitz_bound(model), lip_label_arg, lip_target, eps, maxae(y[idx], pred[idx])
     )
-    report = error_bound(h, lip_model, lip_label_arg, lip_target, eps, eps_train)
-
     mask = np.ones(pool.n, dtype=bool)
     mask[idx] = False
-    if mask.any():
-        observed = maxae(y[mask], krr_predict(model, pool.features[mask]))
-    else:
-        observed = None
+    observed = maxae(y[mask], pred[mask]) if mask.any() else None
     return replace(report, observed_maxae=observed)

@@ -36,7 +36,7 @@ from .analysis import mae, maxae
 from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, remove_zero_variance, synth_lipschitz
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import (
-    condition_number,
+    _conditions,
     gaussian_kernel_matrix,
     gamma_for_half_kernel,
     grid_search_cv_report,
@@ -252,12 +252,9 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
                     values["sep_distance"] = float(result.sep_trace[size - 1])
                 if any(m in _CONDITIONING_METRICS for m in cfg.metrics):
                     K = gaussian_kernel_matrix(pool.features[idx], gamma)
-                    if "cond_unregularized" in cfg.metrics:
-                        cond_u, _, _ = condition_number(K)
-                        values["cond_unregularized"] = math.nan if cond_u is None else cond_u
-                    if "cond_regularized" in cfg.metrics:
-                        cond_r, _, _ = condition_number(K + lam * np.eye(K.shape[0]))
-                        values["cond_regularized"] = math.nan if cond_r is None else cond_r
+                    cond_r, cond_u, _, _ = _conditions(K, lam)
+                    values["cond_regularized"] = math.nan if cond_r is None else cond_r
+                    values["cond_unregularized"] = math.nan if cond_u is None else cond_u
                 if needs_labels:
                     if mask.any():
                         try:

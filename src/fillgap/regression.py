@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
 from .rng import child_seed, rng_from_seed
-from .selection import _NN_BLOCK_ENTRIES, nn_distances, separation_distance
+from .selection import _BLOCK_ENTRIES, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
 _RESIDUAL_TOL = 1e-8
@@ -91,22 +91,23 @@ class ConditioningReport:
         )
 
 
-def gaussian_kernel(X, Y, gamma: float) -> np.ndarray:
-    """Cross-kernel matrix exp(-gamma * ||x - y||^2) between two row sets."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise DataError(f"incompatible shapes {X.shape} and {Y.shape}")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise DataError("kernel inputs contain NaN or Inf entries")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DataError("gamma must be positive and finite")
-    return np.exp(-gamma * cdist(X, Y, metric="sqeuclidean"))
+def _gaussian_into(out: np.ndarray, X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
+    """Write exp(-gamma * ||x - y||^2) over the rows of X and Y into ``out``, in place."""
+    cdist(X, Y, "sqeuclidean", out=out)
+    np.multiply(out, -gamma, out=out)
+    return np.exp(out, out=out)
 
 
 def gaussian_kernel_matrix(X, gamma: float) -> np.ndarray:
-    """Symmetric Gaussian kernel matrix with unit diagonal."""
-    K = gaussian_kernel(X, X, gamma)
+    """Symmetric Gaussian kernel matrix exp(-gamma * ||x_i - x_j||^2), unit diagonal."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DataError(f"incompatible shapes {X.shape} and {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError("kernel inputs contain NaN or Inf entries")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DataError("gamma must be positive and finite")
+    K = _gaussian_into(np.empty((X.shape[0], X.shape[0])), X, X, gamma)
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -136,8 +137,8 @@ def krr_fit(train: Dataset, gamma: float, lam: float) -> KernelModel:
     y = train.require_labels()
     if not (math.isfinite(lam) and lam >= 0):
         raise DataError("lambda must be non-negative and finite")
-    K = gaussian_kernel_matrix(train.features, gamma)
-    system = K + lam * np.eye(train.n)
+    system = gaussian_kernel_matrix(train.features, gamma)
+    system.flat[:: train.n + 1] += lam
     try:
         factor = cho_factor(system, lower=True, check_finite=False)
         weights = cho_solve(factor, y, check_finite=False)
@@ -161,13 +162,13 @@ def krr_predict(model: KernelModel, X) -> np.ndarray:
     training rows.
 
     The kernel is evaluated in row blocks in one reused buffer of at most
-    _NN_BLOCK_ENTRIES entries (4 MiB), or 64 rows for models of more than
+    _BLOCK_ENTRIES entries (4 MiB), or 64 rows for models of more than
     8192 training rows, so the extra memory is the output plus one block
     however many rows are queried. Each block holds a multiple of 64 rows:
     OpenBLAS's matrix-vector product sums such a block as it sums those rows
     inside one unblocked product, so the predictions equal
-    ``gaussian_kernel(X, T, gamma) @ weights`` bit for bit on one BLAS
-    thread, and do not change with the thread count. Blocks of 65, 262 or
+    ``exp(-gamma * cdist(X, T, "sqeuclidean")) @ weights`` bit for bit on one
+    BLAS thread, and do not change with the thread count. Blocks of 65, 262 or
     2097 rows moved them by up to 8 ULP.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -176,15 +177,12 @@ def krr_predict(model: KernelModel, X) -> np.ndarray:
     if not np.isfinite(X).all():  # the model's own fields are checked when it is built
         raise DataError("kernel inputs contain NaN or Inf entries")
     n = X.shape[0]
-    step = max(64, _NN_BLOCK_ENTRIES // model.b // 64 * 64)
+    step = max(64, _BLOCK_ENTRIES // model.b // 64 * 64)
     buf = np.empty((min(step, n), model.b))
     out = np.empty(n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        block = buf[: hi - lo]
-        cdist(X[lo:hi], model.train_features, "sqeuclidean", out=block)
-        np.multiply(block, -model.gamma, out=block)
-        np.exp(block, out=block)
+        block = _gaussian_into(buf[: hi - lo], X[lo:hi], model.train_features, model.gamma)
         out[lo:hi] = block @ model.weights
     return out
 
@@ -337,10 +335,20 @@ def condition_number(K) -> tuple[float | None, float, float]:
         raise DataError("matrix is not symmetric within tolerance")
     eigenvalues = np.linalg.eigvalsh(K)
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    round_off = 8.0 * np.finfo(np.float64).eps * K.shape[0] * max(abs(lam_max), 1.0)
-    if lam_min <= round_off:
-        return None, lam_max, lam_min
-    return lam_max / lam_min, lam_max, lam_min
+    return _ratio(lam_max, lam_min, K.shape[0]), lam_max, lam_min
+
+
+def _ratio(lam_max: float, lam_min: float, size: int) -> float | None:
+    """lam_max / lam_min, or None when lam_min is non-positive within round-off."""
+    round_off = 8.0 * np.finfo(np.float64).eps * size * max(abs(lam_max), 1.0)
+    return None if lam_min <= round_off else lam_max / lam_min
+
+
+def _conditions(K: np.ndarray, lam: float) -> tuple[float | None, float | None, float, float]:
+    """(cond_regularized, cond_unregularized, lambda_max, lambda_min) of K from
+    one eigen-solve: K + lam * I has K's eigenvalues shifted by lam."""
+    cond_u, lam_max, lam_min = condition_number(K)
+    return _ratio(lam_max + lam, lam_min + lam, K.shape[0]), cond_u, lam_max, lam_min
 
 
 def eigen_bounds(
@@ -378,12 +386,15 @@ def eigen_bounds(
 def conditioning_report(
     pool, selected, gamma: float, lam: float, c_d: float = 1.0
 ) -> ConditioningReport:
-    """Assemble the conditioning summary for a selected training set."""
+    """Assemble the conditioning summary for a selected training set, checking
+    the selection before any kernel work. Both condition numbers come from one
+    eigen-solve of K, since K + lam * I has K's eigenvalues shifted by lam."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise DataError("lambda must be non-negative and finite")
     pool = np.ascontiguousarray(pool, dtype=np.float64)
-    K = gaussian_kernel_matrix(pool[np.asarray(selected, dtype=np.int64)], gamma)
-    cond_u, lam_max, lam_min = condition_number(K)
-    cond_r, _, _ = condition_number(K + lam * np.eye(K.shape[0]))
     sep = separation_distance(pool, selected)
+    K = gaussian_kernel_matrix(pool[np.asarray(selected, dtype=np.int64)], gamma)
+    cond_r, cond_u, lam_max, lam_min = _conditions(K, lam)
     return ConditioningReport(
         cond_regularized=cond_r,
         cond_unregularized=cond_u,

@@ -48,16 +48,13 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 # a standalone kmedoidspp call, every distance block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
-# Facility-location scoring and both k-medoids Lloyd passes hold at most this
-# many distances at once.
-_BLOCK_ENTRIES = int(2e7)
-
-# nn_distances computes its GEMM scores, and regression.krr_predict its kernel
-# values, in one reused block of this many entries (4 MiB). At n=20000, d=16
-# on one BLAS thread, nearest-neighbour blocks of 2**19 to 2**21 entries took
+# Every row-block pass holds at most this many entries at once (4 MiB):
+# nn_distances' GEMM scores, facility-location scoring, both k-medoids Lloyd
+# passes and regression.krr_predict's kernel values. At n=20000, d=16 on one
+# BLAS thread, nearest-neighbour blocks of 2**19 to 2**21 entries took
 # 1.2-1.4 s and 2**18 took 1.3-1.5 s; larger blocks only hold more memory.
 # krr_predict rounds its block down to a multiple of 64 rows (see there).
-_NN_BLOCK_ENTRIES = 2**19
+_BLOCK_ENTRIES = 2**19
 
 _BRUTEFORCE_LIMIT = 10**6
 
@@ -305,7 +302,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     below 1, which is exact and keeps the mean from overflowing, then
     centred, so norms keep the digits a far-off pool would cancel. With
     ``x_i`` the centred rows and ``N_i = |x_i|**2``, row blocks of
-    _NN_BLOCK_ENTRIES scores ``G_ij = N_j - 2 x_i.x_j``, which is
+    _BLOCK_ENTRIES scores ``G_ij = N_j - 2 x_i.x_j``, which is
     ``|x_i - x_j|**2 - N_i``, come from one GEMM, self entries set to +inf.
     A row keeps its winner; only rows whose second-best score lies within the
     margin of the best also keep every column within it. Each row's distance
@@ -335,7 +332,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     rows tie and scan every column: slower, still exact.
 
     Memory: one scaled copy of the pool plus a few blocks of
-    _NN_BLOCK_ENTRIES entries (4 MiB each), also when every row ties.
+    _BLOCK_ENTRIES entries (4 MiB each), also when every row ties.
     """
     pool = _as_pool(pool)
     n, d = pool.shape
@@ -353,10 +350,9 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     margins = 8 * (d + 4) * eps * (norms + norms.max()) + floor
 
     out = np.empty(n)
-    step = max(1, _NN_BLOCK_ENTRIES // n)
-    scores = np.empty((min(step, n), n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    blocks = list(_row_blocks(n, n))
+    scores = np.empty((blocks[0][1], n))  # the first block is the largest
+    for lo, hi in blocks:
         rows = np.arange(hi - lo)
         g = scores[: hi - lo]
         np.matmul(-2.0 * xt[:, lo:hi].T, xt, out=g)

@@ -21,7 +21,7 @@ from fillgap.analysis import (
 )
 from fillgap.dataset import Dataset, SynthConfig, synth_with_info
 from fillgap.errors import DataError
-from fillgap.regression import KernelModel, gamma_for_half_kernel, krr_fit
+from fillgap.regression import KernelModel, gamma_for_half_kernel, krr_fit, krr_predict
 from fillgap.selection import fps
 
 reasonable = st.floats(-1e6, 1e6, allow_nan=False)
@@ -310,17 +310,35 @@ def test_bound_check_reads_fill_from_the_selection_trace(monkeypatch):
     cases = []
     for spec in specs:
         result = select(ds.features, spec, 20, seed=3)
-        model = _fit_on(ds, result.indices, gamma)
-        cases.append((spec.kind, result, model, fill_distance(ds.features, result.indices)))
+        idx = result.indices
+        model = _fit_on(ds, idx, gamma)
+        mask = np.ones(ds.n, dtype=bool)
+        mask[idx] = False
+        expected = (
+            fill_distance(ds.features, idx),
+            training_max_error(model, Dataset(ds.features[idx], labels=ds.labels[idx])),
+            maxae(ds.labels[mask], krr_predict(model, ds.features[mask])),
+        )
+        cases.append((spec.kind, result, model, expected))
 
     def walk_again(*args, **kwargs):
         raise AssertionError("bound_check recomputed the fill distance")
 
+    predicted = []
+
+    def counted_predict(model, X):
+        predicted.append(len(X))
+        return krr_predict(model, X)
+
     monkeypatch.setattr(selection, "fill_distance", walk_again)
     monkeypatch.setattr(analysis, "fill_distance", walk_again, raising=False)
+    monkeypatch.setattr(analysis, "krr_predict", counted_predict)
     for kind, result, model, expected in cases:
+        predicted.clear()
         report = bound_check(ds, result, model, lip_target=info.lipschitz, eps=0.0)
-        assert report.fill_dist == expected, kind
+        # One prediction pass over the pool gives both error terms bit for bit.
+        assert predicted == [ds.n], kind
+        assert (report.fill_dist, report.train_max_error, report.observed_maxae) == expected, kind
 
 
 def test_bound_check_requires_matching_model():

@@ -229,7 +229,15 @@ def test_metrics_without_labels_do_not_require_them():
     assert all(not math.isnan(r.value) for r in report.rows)
 
 
-def test_conditioning_metrics_behave():
+def test_conditioning_metrics_behave(monkeypatch):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(matrix):
+        solves.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     cfg = small_config(
         metrics=("cond_regularized", "cond_unregularized"),
         model=ModelConfig(gamma=None, lam=1e-4),
@@ -239,9 +247,10 @@ def test_conditioning_metrics_behave():
     rows = {}
     for r in report.rows:
         rows.setdefault((r.strategy, r.budget, r.seed), {})[r.metric] = r.value
+    assert len(solves) == len(rows)  # one eigen-solve per cell for both metrics
     for cell in rows.values():
         if not math.isnan(cell["cond_unregularized"]):
-            assert cell["cond_regularized"] <= cell["cond_unregularized"] * (1 + 1e-9)
+            assert cell["cond_regularized"] <= cell["cond_unregularized"] * (1 + 2**-51)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,17 @@ def test_kernel_identical_rows_all_ones():
 
 
 def test_kernel_unit_diagonal_and_symmetry():
+    from scipy.spatial.distance import cdist
+
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 4))
     K = gaussian_kernel_matrix(X, 0.7)
     assert (np.diag(K) == 1.0).all()
     assert np.array_equal(K, K.T)
     assert (K > 0).all() and (K <= 1.0).all()
+    expected = np.exp(-0.7 * cdist(X, X, "sqeuclidean"))
+    np.fill_diagonal(expected, 1.0)
+    assert np.array_equal(K, expected)
 
 
 def test_kernel_off_diagonal_value():
@@ -131,7 +136,7 @@ def test_predict_memory_stays_within_blocks():
     # The output plus two kernel blocks (8.2 MB, under 16 MiB); the whole
     # n x b kernel matrix would take 160 MB, and cdist, scaling and exp held
     # two of them at once.
-    assert peak < 8 * n + 2 * 8 * regression._NN_BLOCK_ENTRIES
+    assert peak < 8 * n + 2 * 8 * regression._BLOCK_ENTRIES
 
 
 _PREDICT_EXACT_SCRIPT = """
@@ -141,7 +146,7 @@ from scipy.spatial.distance import cdist
 from fillgap import regression
 from fillgap.regression import KernelModel, krr_predict
 
-default_entries = regression._NN_BLOCK_ENTRIES
+default_entries = regression._BLOCK_ENTRIES
 for n, d, b in ((19003, 16, 1000), (9999, 64, 333), (5001, 144, 77), (70001, 8, 100)):
     rng = np.random.default_rng(n)
     queries = rng.uniform(size=(n, d))
@@ -150,7 +155,7 @@ for n, d, b in ((19003, 16, 1000), (9999, 64, 333), (5001, 144, 77), (70001, 8, 
     gamma = 0.5 * d ** -0.5
     expected = np.exp(-gamma * cdist(queries, train, "sqeuclidean")) @ weights
     for entries in (default_entries, 64 * b):  # default blocks, then 64 rows each
-        regression._NN_BLOCK_ENTRIES = entries
+        regression._BLOCK_ENTRIES = entries
         got = krr_predict(KernelModel(train, weights, gamma, 0.0), queries)
         sys.stdout.write(f"{n} {entries} {int((got != expected).sum())}\\n")
 """
@@ -375,11 +380,56 @@ def test_condition_number_rejects_asymmetric():
 def test_regularization_never_worsens_conditioning():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        K = gaussian_kernel_matrix(rng.normal(size=(10, 2)), 1.5)
-        cond_u, _, _ = condition_number(K)
-        cond_r, _, _ = condition_number(K + 1e-3 * np.eye(10))
-        if cond_u is not None and cond_r is not None:
-            assert cond_r <= cond_u * (1 + 1e-12)
+        pool = rng.normal(size=(10, 2))
+        for gamma in (1.5, 0.01):
+            for lam in (0.0, 1e-14, 1e-8, 1e-3, 10.0):
+                report = conditioning_report(pool, np.arange(10), gamma, lam)
+                cond_u, cond_r = report.cond_unregularized, report.cond_regularized
+                if lam == 0.0:
+                    assert cond_r == cond_u
+                if cond_u is not None:
+                    assert cond_r is not None
+                    assert cond_r <= cond_u * (1 + 2**-51)
+
+
+def test_regularized_condition_of_a_singular_kernel():
+    # Duplicate rows make K singular; K + lam * I is not.
+    pool = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [2.0, 1.0]])
+    report = conditioning_report(pool, [0, 1, 2, 3], gamma=0.5, lam=1e-3)
+    assert report.cond_unregularized is None
+    assert report.sep_distance == 0.0
+    assert math.isfinite(report.cond_regularized)
+    expected = (report.lambda_max + 1e-3) / (report.lambda_min + 1e-3)
+    assert report.cond_regularized == expected
+    assert conditioning_report(pool, [0, 1, 2, 3], gamma=0.5, lam=0.0).cond_regularized is None
+
+
+def test_conditioning_report_solves_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    pool = np.random.default_rng(1).normal(size=(30, 3))
+    for lam in (0.0, 1e-4):
+        conditioning_report(pool, [0, 5, 9, 17], gamma=0.5, lam=lam)
+    assert calls == [(4, 4), (4, 4)]
+
+
+def test_conditioning_report_checks_selection_before_kernel_work(monkeypatch):
+    from fillgap import regression
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built before the selection was checked")
+
+    monkeypatch.setattr(regression, "gaussian_kernel_matrix", no_kernel)
+    pool = np.random.default_rng(1).normal(size=(30, 3))
+    for selected in ([0, 5, 30], [0, -1, 5]):
+        with pytest.raises(DataError, match="selected index out of range"):
+            conditioning_report(pool, selected, gamma=0.5, lam=1e-4)
 
 
 def test_eigen_bounds_identity_case():
@@ -425,6 +475,9 @@ def test_conditioning_report_fields():
     assert report.lower_bound_params == (3, 0.5, 1.0)
     payload = report.to_json()
     assert "cond_unregularized" in payload
+    for lam in (math.nan, -1e-3, math.inf):
+        with pytest.raises(DataError, match="lambda must be non-negative and finite"):
+            conditioning_report(pool, [0, 5, 9, 17], gamma=0.5, lam=lam)
 
 
 def test_gamma_for_half_kernel():

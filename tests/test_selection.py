@@ -128,7 +128,7 @@ def test_nn_distances_matches_brute_cdist(monkeypatch, rows_per_block):
     # their rows take the full candidate scan.
     for name, pool in _nn_pools().items():
         if rows_per_block is not None:
-            monkeypatch.setattr(selection, "_NN_BLOCK_ENTRIES", rows_per_block * pool.shape[0])
+            monkeypatch.setattr(selection, "_BLOCK_ENTRIES", rows_per_block * pool.shape[0])
         dist_matrix = cdist(pool, pool)
         np.fill_diagonal(dist_matrix, np.inf)
         expected = dist_matrix.min(axis=1)
@@ -153,9 +153,9 @@ def test_nn_distances_memory_stays_within_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The scaled copy of the pool plus a few score blocks; one n x n row
-    # block of 2e7 entries would take 160 MB.
-    assert peak < 8 * n * d + 4 * 8 * selection._NN_BLOCK_ENTRIES
+    # The scaled copy of the pool plus a few score blocks of 2**19 entries
+    # (4 MiB each); the whole n x n matrix would take 3.2 GB.
+    assert peak < 8 * n * d + 4 * 8 * selection._BLOCK_ENTRIES
 
 
 def test_separation_walks_only_selected_rows_and_matches_full_walk():
