@@ -16,6 +16,18 @@ Every selection in a sweep reads one shared pool geometry. For pools of up to
 k-medoids++ first reads it and shared by both; larger pools recompute
 distances in bounded row blocks. A standalone ``kmedoidspp`` call builds no
 matrix and keeps its block-bounded memory.
+
+The kernel work follows the selections. Under the same limit, each selection
+run computes one block of squared distances from every pool row to its B
+selected rows, ``cdist(X, X[selected], "sqeuclidean")`` (n * B * 8 bytes:
+0.8 MB at n=1000, B=100), and every cell it serves slices its Gram matrix and
+its prediction blocks from that block. A prefix kind's run serves all budgets
+of its (strategy, repeat); a k-medoids++ run serves one cell. Cells run
+repeat by repeat, so at most one block is live at a time. Above the limit each
+cell recomputes its distances with ``cdist`` on just the rows it needs, as
+``gaussian_kernel_matrix`` and ``krr_predict`` do. Either way a cell builds
+one Gram matrix for conditioning and the fit, and the results are the same
+bits.
 """
 
 from __future__ import annotations
@@ -37,14 +49,13 @@ from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, remov
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import (
     _conditions,
-    gaussian_kernel_matrix,
+    _SelectionKernel,
+    _solve,
     gamma_for_half_kernel,
     grid_search_cv_report,
-    krr_fit,
-    krr_predict,
 )
 from .rng import child_seed
-from .selection import _PREFIX_KINDS, StrategySpec, _Geometry, select
+from .selection import _PREFIX_KINDS, SelectionResult, StrategySpec, _Geometry, select
 
 METRICS = (
     "maxae",
@@ -214,6 +225,51 @@ def _resolve_model(cfg: ExperimentConfig, pool: Dataset, sizes: list[int]) -> tu
     return float(gamma), float(cfg.model.lam)
 
 
+def _cell_values(
+    cfg: ExperimentConfig,
+    pool: Dataset,
+    result: SelectionResult,
+    size: int,
+    kernel: _SelectionKernel,
+    lam: float,
+) -> dict[str, float]:
+    """Metric values of one cell, trained on the first ``size`` rows of
+    ``result`` and evaluated on every other pool row. ``kernel`` gives the
+    kernel values against ``result``'s rows; one Gram matrix serves both
+    conditioning and the fit."""
+    idx = result.indices[:size]
+    mask = np.ones(pool.n, dtype=bool)
+    mask[idx] = False
+    if mask.sum() + idx.size != pool.n:
+        raise DataError("selection and evaluation sets overlap")
+
+    values: dict[str, float] = {}
+    if "fill_distance" in cfg.metrics:
+        values["fill_distance"] = float(result.fill_trace[size - 1])
+    if "sep_distance" in cfg.metrics:
+        values["sep_distance"] = float(result.sep_trace[size - 1])
+    conditioning = any(m in _CONDITIONING_METRICS for m in cfg.metrics)
+    predicting = any(m in _PREDICTION_METRICS for m in cfg.metrics)
+    if conditioning or (predicting and mask.any()):
+        K = kernel.gram(size)
+    if conditioning:
+        cond_r, cond_u, _, _ = _conditions(K, lam)
+        values["cond_regularized"] = math.nan if cond_r is None else cond_r
+        values["cond_unregularized"] = math.nan if cond_u is None else cond_u
+    if predicting:
+        values["maxae"] = values["mae"] = math.nan
+        if mask.any():
+            try:
+                weights = _solve(K, pool.labels[idx], lam)  # shifts K: conditioning reads it first
+            except IllConditionedError:
+                return values
+            pred = kernel.predict(np.flatnonzero(mask), weights)
+            truth = pool.labels[mask]
+            values["maxae"] = maxae(truth, pred)
+            values["mae"] = mae(truth, pred)
+    return values
+
+
 def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> ExperimentReport:
     """Execute the sweep: select, train, evaluate on all unselected rows.
 
@@ -222,8 +278,7 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     """
     if pool is None:
         pool = pool_from_config(cfg)
-    needs_labels = any(m in _PREDICTION_METRICS for m in cfg.metrics)
-    if needs_labels:
+    if any(m in _PREDICTION_METRICS for m in cfg.metrics):
         pool.require_labels()
     sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
     gamma, lam = _resolve_model(cfg, pool, sizes)
@@ -232,46 +287,23 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label
+        prefix = spec.kind in _PREFIX_KINDS
         seeds = [child_seed(cfg.master_seed, label, rep) for rep in range(cfg.repeats)]
-        runs = None
-        if spec.kind in _PREFIX_KINDS:
-            runs = [select(geometry, spec, max(sizes), seed=seed) for seed in seeds]
-        for budget, size in zip(cfg.budgets, sizes):
+        cells: dict[tuple[int, int], dict[str, float]] = {}
+        for rep, seed in enumerate(seeds):
+            for col, size in enumerate(sizes):
+                if col == 0 or not prefix:
+                    # Rebinding drops the last selection's block before this
+                    # one's is built, so at most one block is live.
+                    result = select(geometry, spec, max(sizes) if prefix else size, seed=seed)
+                    kernel = _SelectionKernel(
+                        pool.features, result.indices, gamma, geometry.keeps_matrix
+                    )
+                cells[col, rep] = _cell_values(cfg, pool, result, size, kernel, lam)
+        for col, budget in enumerate(cfg.budgets):
             for rep, seed in enumerate(seeds):
-                result = runs[rep] if runs else select(geometry, spec, size, seed=seed)
-                idx = result.indices[:size]
-                mask = np.ones(pool.n, dtype=bool)
-                mask[idx] = False
-                if mask.sum() + idx.size != pool.n:
-                    raise DataError("selection and evaluation sets overlap")
-
-                values: dict[str, float] = {}
-                if "fill_distance" in cfg.metrics:
-                    values["fill_distance"] = float(result.fill_trace[size - 1])
-                if "sep_distance" in cfg.metrics:
-                    values["sep_distance"] = float(result.sep_trace[size - 1])
-                if any(m in _CONDITIONING_METRICS for m in cfg.metrics):
-                    K = gaussian_kernel_matrix(pool.features[idx], gamma)
-                    cond_r, cond_u, _, _ = _conditions(K, lam)
-                    values["cond_regularized"] = math.nan if cond_r is None else cond_r
-                    values["cond_unregularized"] = math.nan if cond_u is None else cond_u
-                if needs_labels:
-                    if mask.any():
-                        try:
-                            train = Dataset(pool.features[idx], labels=pool.labels[idx])
-                            model = krr_fit(train, gamma, lam)
-                            pred = krr_predict(model, pool.features[mask])
-                            truth = pool.labels[mask]
-                            values["maxae"] = maxae(truth, pred)
-                            values["mae"] = mae(truth, pred)
-                        except IllConditionedError:
-                            values["maxae"] = math.nan
-                            values["mae"] = math.nan
-                    else:
-                        values["maxae"] = math.nan
-                        values["mae"] = math.nan
                 for metric in cfg.metrics:
-                    rows.append(RunRow(label, budget, seed, metric, values[metric]))
+                    rows.append(RunRow(label, budget, seed, metric, cells[col, rep][metric]))
 
     return ExperimentReport(
         rows=tuple(rows),

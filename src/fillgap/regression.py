@@ -91,11 +91,44 @@ class ConditioningReport:
         )
 
 
+def _allocate(shape: tuple[int, int]) -> np.ndarray:
+    """``np.empty(shape)``, or a DataError naming the shape and its size when
+    the matrix cannot be allocated."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        gib = shape[0] * shape[1] * 8 / 2**30
+        raise DataError(
+            f"cannot allocate a {shape[0]} x {shape[1]} float64 matrix ({gib:.3g} GiB); "
+            "use fewer rows"
+        ) from None
+
+
 def _gaussian_into(out: np.ndarray, X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     """Write exp(-gamma * ||x - y||^2) over the rows of X and Y into ``out``, in place."""
     cdist(X, Y, "sqeuclidean", out=out)
     np.multiply(out, -gamma, out=out)
     return np.exp(out, out=out)
+
+
+def _dot_rows(count: int, weights: np.ndarray, kernel_into) -> np.ndarray:
+    """``K @ weights`` for a ``count`` x b kernel matrix K that
+    ``kernel_into(out, lo, hi)`` writes, rows lo to hi, into ``out``.
+
+    K is written in row blocks of one reused buffer of at most _BLOCK_ENTRIES
+    entries, or 64 rows when b exceeds 8192, and each block holds a multiple
+    of 64 rows: OpenBLAS's matrix-vector product sums such a block as it sums
+    those rows inside one unblocked product, so the result equals ``K @
+    weights`` bit for bit on one BLAS thread and does not change with the
+    thread count. Blocks of 65, 262 or 2097 rows moved it by up to 8 ULP.
+    """
+    step = max(64, _BLOCK_ENTRIES // weights.size // 64 * 64)
+    buf = np.empty((min(step, count), weights.size))
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        out[lo:hi] = kernel_into(buf[: hi - lo], lo, hi) @ weights
+    return out
 
 
 def gaussian_kernel_matrix(X, gamma: float) -> np.ndarray:
@@ -107,7 +140,7 @@ def gaussian_kernel_matrix(X, gamma: float) -> np.ndarray:
         raise DataError("kernel inputs contain NaN or Inf entries")
     if not (math.isfinite(gamma) and gamma > 0):
         raise DataError("gamma must be positive and finite")
-    K = _gaussian_into(np.empty((X.shape[0], X.shape[0])), X, X, gamma)
+    K = _gaussian_into(_allocate((X.shape[0], X.shape[0])), X, X, gamma)
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -137,54 +170,97 @@ def krr_fit(train: Dataset, gamma: float, lam: float) -> KernelModel:
     y = train.require_labels()
     if not (math.isfinite(lam) and lam >= 0):
         raise DataError("lambda must be non-negative and finite")
-    system = gaussian_kernel_matrix(train.features, gamma)
-    system.flat[:: train.n + 1] += lam
+    weights = _solve(gaussian_kernel_matrix(train.features, gamma), y, lam)
+    return KernelModel(train.features, weights, float(gamma), float(lam))
+
+
+def _solve(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """The weights w of (K + lam * I) w = y, shifting K's diagonal in place;
+    see krr_fit for the checks."""
+    K.flat[:: K.shape[0] + 1] += lam
     try:
-        factor = cho_factor(system, lower=True, check_finite=False)
+        factor = cho_factor(K, lower=True, check_finite=False)
         weights = cho_solve(factor, y, check_finite=False)
     except LinAlgError:
         raise IllConditionedError(
             "kernel system is not numerically positive definite "
-            f"(smallest eigenvalue estimate {_min_eigenvalue(system):.3e}); "
+            f"(smallest eigenvalue estimate {_min_eigenvalue(K):.3e}); "
             "increase lambda or remove duplicate training rows"
         ) from None
-    residual = float(np.linalg.norm(system @ weights - y))
+    residual = float(np.linalg.norm(K @ weights - y))
     if not np.isfinite(weights).all() or residual > _RESIDUAL_TOL * float(np.linalg.norm(y)):
         raise IllConditionedError(
             f"solve residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} * ||y|| "
-            f"(smallest eigenvalue estimate {_min_eigenvalue(system):.3e})"
+            f"(smallest eigenvalue estimate {_min_eigenvalue(K):.3e})"
         )
-    return KernelModel(train.features, weights, float(gamma), float(lam))
+    return weights
 
 
 def krr_predict(model: KernelModel, X) -> np.ndarray:
     """Predict labels as the weighted sum of kernel values against the
     training rows.
 
-    The kernel is evaluated in row blocks in one reused buffer of at most
-    _BLOCK_ENTRIES entries (4 MiB), or 64 rows for models of more than
-    8192 training rows, so the extra memory is the output plus one block
-    however many rows are queried. Each block holds a multiple of 64 rows:
-    OpenBLAS's matrix-vector product sums such a block as it sums those rows
-    inside one unblocked product, so the predictions equal
+    The kernel is evaluated in reused row blocks of at most _BLOCK_ENTRIES
+    entries (4 MiB), or 64 rows for models of more than 8192 training rows,
+    so the extra memory is the output plus one block however many rows are
+    queried. Each block holds a multiple of 64 rows, so the predictions equal
     ``exp(-gamma * cdist(X, T, "sqeuclidean")) @ weights`` bit for bit on one
-    BLAS thread, and do not change with the thread count. Blocks of 65, 262 or
-    2097 rows moved them by up to 8 ULP.
+    BLAS thread and do not change with the thread count (see _dot_rows). A
+    sweep's cells predict through the same row blocking, reading their squared
+    distances from _SelectionKernel, so they get the same bits as this function.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DataError(f"query dimension {X.shape} does not match training dimension {model.d}")
     if not np.isfinite(X).all():  # the model's own fields are checked when it is built
         raise DataError("kernel inputs contain NaN or Inf entries")
-    n = X.shape[0]
-    step = max(64, _BLOCK_ENTRIES // model.b // 64 * 64)
-    buf = np.empty((min(step, n), model.b))
-    out = np.empty(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block = _gaussian_into(buf[: hi - lo], X[lo:hi], model.train_features, model.gamma)
-        out[lo:hi] = block @ model.weights
-    return out
+    return _dot_rows(
+        X.shape[0],
+        model.weights,
+        lambda out, lo, hi: _gaussian_into(out, X[lo:hi], model.train_features, model.gamma),
+    )
+
+
+class _SelectionKernel:
+    """Gaussian kernel values between pool rows and the first b rows of one
+    selection: the one source of a sweep cell's Gram matrix and predictions.
+
+    With ``keep_block``, the first read computes the squared distances to the
+    whole selection, ``cdist(pool, pool[selected], "sqeuclidean")``, as one
+    n x B block (n * B * 8 bytes) and every read slices it. Otherwise each read
+    runs ``cdist`` on just the rows it needs. Both give the same bits, since
+    cdist computes each pair on its own, and the same bits as
+    gaussian_kernel_matrix and krr_predict.
+    """
+
+    def __init__(self, pool: np.ndarray, selected: np.ndarray, gamma: float, keep_block: bool):
+        self.pool = pool
+        self.selected = selected
+        self.gamma = gamma
+        self._keeps_block = keep_block
+        self._block: np.ndarray | None = None
+
+    def _into(self, out: np.ndarray, rows: np.ndarray, b: int) -> np.ndarray:
+        """Write the kernel between pool rows ``rows`` and ``selected[:b]`` into ``out``."""
+        if not self._keeps_block:
+            return _gaussian_into(out, self.pool[rows], self.pool[self.selected[:b]], self.gamma)
+        if self._block is None:
+            block = _allocate((self.pool.shape[0], self.selected.size))
+            self._block = cdist(self.pool, self.pool[self.selected], "sqeuclidean", out=block)
+        np.multiply(self._block[rows, :b], -self.gamma, out=out)
+        return np.exp(out, out=out)
+
+    def gram(self, b: int) -> np.ndarray:
+        """The b x b kernel matrix of ``selected[:b]``, unit diagonal."""
+        K = self._into(_allocate((b, b)), self.selected[:b], b)
+        np.fill_diagonal(K, 1.0)
+        return K
+
+    def predict(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Predictions at pool rows ``rows`` of the model on ``selected[:b]``
+        with ``weights``, b = weights.size."""
+        b = weights.size
+        return _dot_rows(rows.size, weights, lambda out, lo, hi: self._into(out, rows[lo:hi], b))
 
 
 def krr_lipschitz_bound(model: KernelModel) -> float:

@@ -45,7 +45,11 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 # Up to this pool size a _Geometry keeps the full n x n distance matrix (8 MB
 # at n=1000, 512 MiB at n=8192), built on first use; a sweep builds one and
 # shares it between facility location and k-medoids. Above the limit, and in
-# a standalone kmedoidspp call, every distance block read is recomputed.
+# a standalone kmedoidspp call, every distance block read is recomputed. The
+# same limit decides whether a sweep keeps, per selection run, one n x B block
+# of squared distances to the B selected rows (n * B * 8 bytes, at most one
+# live, never more than the n x n matrix) to slice its cells' kernels from,
+# or recomputes each cell's kernel blocks (regression._SelectionKernel).
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB):
@@ -234,19 +238,19 @@ class _Geometry:
     def __init__(self, pool, keep_matrix: bool = True):
         self.pool = _as_pool(pool)
         self.n = self.pool.shape[0]
-        self._keeps_matrix = keep_matrix and self.n <= _DENSE_MATRIX_LIMIT
+        self.keeps_matrix = keep_matrix and self.n <= _DENSE_MATRIX_LIMIT
         self._matrix: np.ndarray | None = None
 
     def dists(self, rows, cols=slice(None)) -> np.ndarray:
         """Distances from the pool rows ``rows`` to the pool rows ``cols``;
         each is a slice or an index array."""
-        if not self._keeps_matrix:
+        if not self.keeps_matrix:
             return cdist(self.pool[rows], self.pool[cols])
         if self._matrix is None:
             self._matrix = cdist(self.pool, self.pool)
         if isinstance(rows, slice) or isinstance(cols, slice):
             return self._matrix[rows, cols]
-        return self._matrix[np.ix_(rows, cols)]
+        return self._matrix[rows[:, None], cols]
 
 
 def _geometry(pool, keep_matrix: bool) -> _Geometry:

@@ -370,6 +370,23 @@ def test_select_overflowing_pool_exit_code(tmp_path, capsys):
         assert out == "" and "overflow" in err, strategy
 
 
+def test_fit_too_large_for_memory_exit_code(pool_csv, tmp_path, capsys, monkeypatch):
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (60, 60):  # the training kernel matrix
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    code, out, err = run(
+        capsys, "fit", "--data", pool_csv, "--label-column", "y", "--gamma", "1.0",
+        "--out", tmp_path / "m.bin",
+    )
+    assert code == 2 and out == ""
+    assert "60 x 60" in err and "GiB" in err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, _ = run(capsys, "nn", "--data", tmp_path / "absent.csv")
     assert code == 2

@@ -110,7 +110,8 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
 def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Prefix samplers select once at the largest budget; k-medoids++ per cell.
     # Facility location and k-medoids++ share one pool-by-pool distance matrix.
-    from fillgap import experiment, selection
+    # Each selection run computes one block of squared distances for its cells.
+    from fillgap import experiment, regression, selection
     from fillgap.selection import select
 
     calls = []
@@ -131,8 +132,17 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
             pairwise.append(running[-1])
         return cdist(a, b, *args, **kwargs)
 
+    kernel_cdist = []  # sqeuclidean cdist calls of the sweep's kernel work, by the last kind selected
+    regression_cdist = regression.cdist
+
+    def counting_kernel_cdist(a, b, metric, **kwargs):
+        assert metric == "sqeuclidean"
+        kernel_cdist.append(calls[-1][0])
+        return regression_cdist(a, b, metric, **kwargs)
+
     monkeypatch.setattr(experiment, "select", counting)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
+    monkeypatch.setattr(regression, "cdist", counting_kernel_cdist)
     cfg = small_config(
         strategies=tuple(
             StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")
@@ -150,7 +160,12 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # One matrix, built by the first sampler that reads it. gamma=auto's
     # nearest-neighbour pass runs outside select and is not counted.
     assert pairwise == ["facility_location"]
-    # Recomputing every distance block instead of slicing the matrix agrees.
+    # One kernel block per (prefix strategy, repeat), at most two per
+    # k-medoids++ cell (a Gram matrix and one prediction block).
+    for kind in ("fps", "random", "facility_location", "fps_then_random"):
+        assert kernel_cdist.count(kind) == cfg.repeats
+    assert kernel_cdist.count("kmedoidspp") <= 2 * len(sizes) * cfg.repeats
+    # Recomputing every distance and kernel block instead of slicing agrees.
     with monkeypatch.context() as m:
         m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
         assert rows_csv(run_experiment(cfg)) == rows_csv(report)
@@ -211,6 +226,46 @@ def test_failed_cells_recorded_not_fatal():
         else:
             assert agg.failures == 0
             assert agg.mean == 0.0  # duplicates give zero separation
+
+
+@pytest.mark.parametrize("limit", [8192, 0])
+def test_failed_prefix_cells_recorded_on_both_kernel_paths(monkeypatch, limit):
+    # Two distinct points in ten rows: any three selected rows repeat one, so
+    # the kernel at lambda zero is singular in every cell, on the shared-block
+    # path and on the per-cell path alike.
+    from fillgap import selection
+
+    monkeypatch.setattr(selection, "_DENSE_MATRIX_LIMIT", limit)
+    feats = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.5]] * 4)
+    pool = Dataset(feats, labels=np.arange(10.0))
+    cfg = ExperimentConfig(
+        strategies=(StrategySpec(kind="fps"), StrategySpec(kind="random")),
+        budgets=(0.3, 0.5),
+        metrics=("maxae", "mae", "fill_distance", "cond_unregularized"),
+        master_seed=1,
+        repeats=2,
+        synth=SynthConfig(n=4, d=2, seed=0),  # replaced by explicit pool below
+        model=ModelConfig(gamma=1.0, lam=0.0),
+    )
+    report = run_experiment(cfg, pool=pool)
+    for agg in report.aggregates:
+        if agg.metric in ("maxae", "mae", "cond_unregularized"):
+            assert agg.failures == 2 and math.isnan(agg.mean), agg
+        else:
+            assert agg.failures == 0 and math.isfinite(agg.mean), agg
+
+
+def test_kernel_block_that_cannot_be_allocated_raises_data_error(monkeypatch):
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (120, 12):  # the pool-by-selection block at budget 0.1
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    with pytest.raises(DataError, match=r"120 x 12 float64 matrix \(.* GiB\)"):
+        run_experiment(small_config())
 
 
 def test_metrics_without_labels_do_not_require_them():

@@ -185,6 +185,39 @@ def test_predict_blocks_match_unblocked_kernel_product():
         assert line.endswith(" 0"), f"rows, block entries, mismatches: {line}"
 
 
+def test_selection_kernel_matches_the_public_kernels(monkeypatch):
+    from fillgap import regression
+
+    rng = np.random.default_rng(3)
+    pool = rng.uniform(size=(700, 5))
+    selected = rng.permutation(700)[:40]
+    rows = np.setdiff1d(np.arange(700), selected[:30])
+    weights = rng.normal(size=30)
+    monkeypatch.setattr(regression, "_BLOCK_ENTRIES", 64 * 30)  # several 64-row blocks
+    expected_gram = gaussian_kernel_matrix(pool[selected[:30]], 0.7)
+    model = KernelModel(pool[selected[:30]], weights, gamma=0.7, lam=0.0)
+    expected_pred = krr_predict(model, pool[rows])
+    for keep_block in (True, False):
+        kernel = regression._SelectionKernel(pool, selected, 0.7, keep_block)
+        assert np.array_equal(kernel.gram(30), expected_gram)
+        assert np.array_equal(kernel.predict(rows, weights), expected_pred)
+
+
+def test_kernel_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (300, 300):
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    train = labelled(np.random.default_rng(0).uniform(size=(300, 2)), np.zeros(300))
+    for build in (lambda: gaussian_kernel_matrix(train.features, 1.0), lambda: krr_fit(train, 1.0, 0.0)):
+        with pytest.raises(DataError, match=r"300 x 300 float64 matrix \(0.000671 GiB\)"):
+            build()
+
+
 def test_model_validation():
     with pytest.raises(DataError):
         KernelModel(np.zeros((3, 2)), np.zeros(2), gamma=1.0, lam=0.0)
