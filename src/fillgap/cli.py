@@ -50,7 +50,7 @@ def _apply_thread_limit(threads: int | None) -> None:
     if "numpy" in sys.modules:
         return  # too late to bound the pools; library defaults apply
     for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)  # an explicit count overrides inherited ones
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -81,6 +81,8 @@ def _resolve_cli_budget(raw: str, n: int) -> int:
         value = float(raw)
     except ValueError:
         raise _UsageError(f"--budget must be a count or fraction, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise _UsageError(f"--budget must be finite, got {raw!r}")
     if 0 < value < 1:
         return resolve_budget(value, n)
     if value != int(value):

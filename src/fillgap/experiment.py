@@ -10,24 +10,19 @@ traces, of its selection at a larger one. The sweep therefore selects once
 per (strategy, repeat) at the largest budget and slices each cell from that
 run; k-medoids++ selects per cell.
 
-Every selection in a sweep reads one shared pool geometry. For pools of up to
-``selection._DENSE_MATRIX_LIMIT`` rows it keeps one n x n distance matrix
-(8 MB at n=1000, 512 MiB at n=8192), built when facility location or
-k-medoids++ first reads it and shared by both; larger pools recompute
-distances in bounded row blocks. A standalone ``kmedoidspp`` call builds no
-matrix and keeps its block-bounded memory.
-
-The kernel work follows the selections. Under the same limit, each selection
-run computes one block of squared distances from every pool row to its B
-selected rows, ``cdist(X, X[selected], "sqeuclidean")`` (n * B * 8 bytes:
-0.8 MB at n=1000, B=100), and every cell it serves slices its Gram matrix and
-its prediction blocks from that block. A prefix kind's run serves all budgets
-of its (strategy, repeat); a k-medoids++ run serves one cell. Cells run
-repeat by repeat, so at most one block is live at a time. Above the limit each
-cell recomputes its distances with ``cdist`` on just the rows it needs, as
-``gaussian_kernel_matrix`` and ``krr_predict`` do. Either way a cell builds
-one Gram matrix for conditioning and the fit, and the results are the same
-bits.
+The samplers' distance blocks and the cells' kernels come from one source,
+``selection._Geometry``: for pools of up to selection's dense limit (8192
+rows) it keeps a full matrix and slices it, above that it recomputes bounded
+row blocks, with the same bits either way. The samplers share one n x n
+distance matrix (8 MB at n=1000, 512 MiB at n=8192), built when facility
+location or k-medoids++ first reads it. Each selection run gets one geometry
+of squared distances from every pool row to its B selected rows (n * B * 8
+bytes: 0.8 MB at n=1000, B=100). Every cell the run serves, all budgets of a
+prefix kind's (strategy, repeat) or one k-medoids++ cell, reads its Gram
+matrix and prediction blocks from it through the readers behind
+``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
+for conditioning and the fit. Cells run repeat by repeat, so at most one such
+n x B matrix is live.
 """
 
 from __future__ import annotations
@@ -47,13 +42,7 @@ from . import __version__
 from .analysis import mae, maxae
 from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, remove_zero_variance, synth_lipschitz
 from .errors import ConfigError, DataError, IllConditionedError
-from .regression import (
-    _conditions,
-    _SelectionKernel,
-    _solve,
-    gamma_for_half_kernel,
-    grid_search_cv_report,
-)
+from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
 from .rng import child_seed
 from .selection import _PREFIX_KINDS, SelectionResult, StrategySpec, _Geometry, select
 
@@ -89,6 +78,10 @@ class ModelConfig:
             raise ConfigError("[model] gamma must be positive or 'auto'")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError("[model] lambda must be non-negative")
+        if self.folds < 2:
+            raise ConfigError("[model] folds must be >= 2")
+        if self.grid_repeats < 1:
+            raise ConfigError("[model] grid_repeats must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -230,12 +223,13 @@ def _cell_values(
     pool: Dataset,
     result: SelectionResult,
     size: int,
-    kernel: _SelectionKernel,
+    sq_dists: _Geometry,
+    gamma: float,
     lam: float,
 ) -> dict[str, float]:
     """Metric values of one cell, trained on the first ``size`` rows of
-    ``result`` and evaluated on every other pool row. ``kernel`` gives the
-    kernel values against ``result``'s rows; one Gram matrix serves both
+    ``result`` and evaluated on every other pool row. ``sq_dists`` gives the
+    squared distances to ``result``'s rows; one Gram matrix serves both
     conditioning and the fit."""
     idx = result.indices[:size]
     mask = np.ones(pool.n, dtype=bool)
@@ -251,7 +245,7 @@ def _cell_values(
     conditioning = any(m in _CONDITIONING_METRICS for m in cfg.metrics)
     predicting = any(m in _PREDICTION_METRICS for m in cfg.metrics)
     if conditioning or (predicting and mask.any()):
-        K = kernel.gram(size)
+        K = _gram(sq_dists.dists, idx, size, gamma)
     if conditioning:
         cond_r, cond_u, _, _ = _conditions(K, lam)
         values["cond_regularized"] = math.nan if cond_r is None else cond_r
@@ -263,7 +257,7 @@ def _cell_values(
                 weights = _solve(K, pool.labels[idx], lam)  # shifts K: conditioning reads it first
             except IllConditionedError:
                 return values
-            pred = kernel.predict(np.flatnonzero(mask), weights)
+            pred = _predict(sq_dists.dists, np.flatnonzero(mask), weights, gamma)
             truth = pool.labels[mask]
             values["maxae"] = maxae(truth, pred)
             values["mae"] = mae(truth, pred)
@@ -283,7 +277,7 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
     gamma, lam = _resolve_model(cfg, pool, sizes)
 
-    geometry = _Geometry(pool.features)
+    geometry = _Geometry(pool.features)  # validated when the dataset was built
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label
@@ -293,13 +287,13 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
         for rep, seed in enumerate(seeds):
             for col, size in enumerate(sizes):
                 if col == 0 or not prefix:
-                    # Rebinding drops the last selection's block before this
-                    # one's is built, so at most one block is live.
+                    # Rebinding drops the last run's squared distances before
+                    # this one's are built, so at most one n x B matrix is live.
                     result = select(geometry, spec, max(sizes) if prefix else size, seed=seed)
-                    kernel = _SelectionKernel(
-                        pool.features, result.indices, gamma, geometry.keeps_matrix
+                    sq_dists = _Geometry(
+                        pool.features, cols=pool.features[result.indices], metric="sqeuclidean"
                     )
-                cells[col, rep] = _cell_values(cfg, pool, result, size, kernel, lam)
+                cells[col, rep] = _cell_values(cfg, pool, result, size, sq_dists, gamma, lam)
         for col, budget in enumerate(cfg.budgets):
             for rep, seed in enumerate(seeds):
                 for metric in cfg.metrics:
@@ -367,13 +361,12 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
 
 def _parse_strategy(token: str) -> StrategySpec:
     token = token.strip()
-    if ":" in token:
-        kind, _, arg = token.partition(":")
-        if kind != "fps_then_random":
-            raise ConfigError(f"[sweep] strategy {token!r}: only fps_then_random takes an argument")
-        return StrategySpec(kind=kind, switch_fraction=_parse_float("sweep", "strategies", arg))
+    kind, colon, arg = token.partition(":")
+    if colon and kind != "fps_then_random":
+        raise ConfigError(f"[sweep] strategy {token!r}: only fps_then_random takes an argument")
+    fraction = _parse_float("sweep", "strategies", arg) if colon else None
     try:
-        return StrategySpec(kind=token)
+        return StrategySpec(kind=kind, switch_fraction=fraction)
     except DataError as exc:
         raise ConfigError(f"[sweep] strategies: {exc}") from None
 

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
 from .rng import child_seed, rng_from_seed
-from .selection import _BLOCK_ENTRIES, nn_distances, separation_distance
+from .selection import _allocate, _Geometry, _row_blocks, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
 _RESIDUAL_TOL = 1e-8
@@ -91,43 +90,41 @@ class ConditioningReport:
         )
 
 
-def _allocate(shape: tuple[int, int]) -> np.ndarray:
-    """``np.empty(shape)``, or a DataError naming the shape and its size when
-    the matrix cannot be allocated."""
-    try:
-        return np.empty(shape)
-    except MemoryError:
-        gib = shape[0] * shape[1] * 8 / 2**30
-        raise DataError(
-            f"cannot allocate a {shape[0]} x {shape[1]} float64 matrix ({gib:.3g} GiB); "
-            "use fewer rows"
-        ) from None
+def _gram(dists, rows, b: int, gamma: float) -> np.ndarray:
+    """The b x b Gaussian kernel matrix exp(-gamma * D), unit diagonal, of the
+    squared distances D = ``dists(rows, slice(0, b))``."""
+    K = _allocate((b, b))
+    np.multiply(dists(rows, slice(0, b), out=K), -gamma, out=K)
+    np.exp(K, out=K)
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
-def _gaussian_into(out: np.ndarray, X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
-    """Write exp(-gamma * ||x - y||^2) over the rows of X and Y into ``out``, in place."""
-    cdist(X, Y, "sqeuclidean", out=out)
-    np.multiply(out, -gamma, out=out)
-    return np.exp(out, out=out)
+def _predict(dists, rows, weights: np.ndarray, gamma: float) -> np.ndarray:
+    """``exp(-gamma * D) @ weights`` for the squared distances D =
+    ``dists(rows, slice(0, b))``, b = weights.size; ``rows`` is an index array
+    or ``slice(0, count)``.
 
-
-def _dot_rows(count: int, weights: np.ndarray, kernel_into) -> np.ndarray:
-    """``K @ weights`` for a ``count`` x b kernel matrix K that
-    ``kernel_into(out, lo, hi)`` writes, rows lo to hi, into ``out``.
-
-    K is written in row blocks of one reused buffer of at most _BLOCK_ENTRIES
-    entries, or 64 rows when b exceeds 8192, and each block holds a multiple
-    of 64 rows: OpenBLAS's matrix-vector product sums such a block as it sums
-    those rows inside one unblocked product, so the result equals ``K @
-    weights`` bit for bit on one BLAS thread and does not change with the
-    thread count. Blocks of 65, 262 or 2097 rows moved it by up to 8 ULP.
+    The kernel is written in the row blocks of selection._row_blocks, into one
+    reused buffer of at most 4 MiB, or of 64 rows when b exceeds 8192, so the
+    extra memory is the output plus one block however many rows are asked
+    for. Each block holds a multiple of 64 rows: OpenBLAS's matrix-vector
+    product sums such a block as it sums those rows inside one unblocked
+    product, so the result equals the unblocked product bit for bit on one
+    BLAS thread and does not change with the thread count. Blocks of 65, 262
+    or 2097 rows moved it by up to 8 ULP.
     """
-    step = max(64, _BLOCK_ENTRIES // weights.size // 64 * 64)
-    buf = np.empty((min(step, count), weights.size))
+    b = weights.size
+    count = rows.stop if isinstance(rows, slice) else rows.size
+    blocks = list(_row_blocks(count, b, 64))
+    buf = np.empty((blocks[0][1] if blocks else 0, b))  # the first block is the largest
     out = np.empty(count)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        out[lo:hi] = kernel_into(buf[: hi - lo], lo, hi) @ weights
+    for lo, hi in blocks:
+        kernel = buf[: hi - lo]
+        # A slice reads the rows in place: no index array, no gathered copy.
+        block = slice(lo, hi) if isinstance(rows, slice) else rows[lo:hi]
+        np.multiply(dists(block, slice(0, b), out=kernel), -gamma, out=kernel)
+        out[lo:hi] = np.exp(kernel, out=kernel) @ weights
     return out
 
 
@@ -140,9 +137,8 @@ def gaussian_kernel_matrix(X, gamma: float) -> np.ndarray:
         raise DataError("kernel inputs contain NaN or Inf entries")
     if not (math.isfinite(gamma) and gamma > 0):
         raise DataError("gamma must be positive and finite")
-    K = _gaussian_into(_allocate((X.shape[0], X.shape[0])), X, X, gamma)
-    np.fill_diagonal(K, 1.0)
-    return K
+    geometry = _Geometry(X, False, metric="sqeuclidean")
+    return _gram(geometry.dists, slice(None), X.shape[0], gamma)
 
 
 def gaussian_envelope_slope(gamma: float) -> float:
@@ -200,67 +196,20 @@ def krr_predict(model: KernelModel, X) -> np.ndarray:
     """Predict labels as the weighted sum of kernel values against the
     training rows.
 
-    The kernel is evaluated in reused row blocks of at most _BLOCK_ENTRIES
-    entries (4 MiB), or 64 rows for models of more than 8192 training rows,
-    so the extra memory is the output plus one block however many rows are
-    queried. Each block holds a multiple of 64 rows, so the predictions equal
-    ``exp(-gamma * cdist(X, T, "sqeuclidean")) @ weights`` bit for bit on one
-    BLAS thread and do not change with the thread count (see _dot_rows). A
-    sweep's cells predict through the same row blocking, reading their squared
-    distances from _SelectionKernel, so they get the same bits as this function.
+    The predictions equal ``exp(-gamma * cdist(X, T, "sqeuclidean")) @
+    weights`` bit for bit on one BLAS thread and do not change with the
+    thread count; the kernel is held one bounded row block at a time (see
+    _predict). A sweep's cells predict through the same _predict, reading
+    their squared distances from one _Geometry per selection run, so they get
+    the same bits as this function.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DataError(f"query dimension {X.shape} does not match training dimension {model.d}")
     if not np.isfinite(X).all():  # the model's own fields are checked when it is built
         raise DataError("kernel inputs contain NaN or Inf entries")
-    return _dot_rows(
-        X.shape[0],
-        model.weights,
-        lambda out, lo, hi: _gaussian_into(out, X[lo:hi], model.train_features, model.gamma),
-    )
-
-
-class _SelectionKernel:
-    """Gaussian kernel values between pool rows and the first b rows of one
-    selection: the one source of a sweep cell's Gram matrix and predictions.
-
-    With ``keep_block``, the first read computes the squared distances to the
-    whole selection, ``cdist(pool, pool[selected], "sqeuclidean")``, as one
-    n x B block (n * B * 8 bytes) and every read slices it. Otherwise each read
-    runs ``cdist`` on just the rows it needs. Both give the same bits, since
-    cdist computes each pair on its own, and the same bits as
-    gaussian_kernel_matrix and krr_predict.
-    """
-
-    def __init__(self, pool: np.ndarray, selected: np.ndarray, gamma: float, keep_block: bool):
-        self.pool = pool
-        self.selected = selected
-        self.gamma = gamma
-        self._keeps_block = keep_block
-        self._block: np.ndarray | None = None
-
-    def _into(self, out: np.ndarray, rows: np.ndarray, b: int) -> np.ndarray:
-        """Write the kernel between pool rows ``rows`` and ``selected[:b]`` into ``out``."""
-        if not self._keeps_block:
-            return _gaussian_into(out, self.pool[rows], self.pool[self.selected[:b]], self.gamma)
-        if self._block is None:
-            block = _allocate((self.pool.shape[0], self.selected.size))
-            self._block = cdist(self.pool, self.pool[self.selected], "sqeuclidean", out=block)
-        np.multiply(self._block[rows, :b], -self.gamma, out=out)
-        return np.exp(out, out=out)
-
-    def gram(self, b: int) -> np.ndarray:
-        """The b x b kernel matrix of ``selected[:b]``, unit diagonal."""
-        K = self._into(_allocate((b, b)), self.selected[:b], b)
-        np.fill_diagonal(K, 1.0)
-        return K
-
-    def predict(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Predictions at pool rows ``rows`` of the model on ``selected[:b]``
-        with ``weights``, b = weights.size."""
-        b = weights.size
-        return _dot_rows(rows.size, weights, lambda out, lo, hi: self._into(out, rows[lo:hi], b))
+    geometry = _Geometry(X, False, model.train_features, "sqeuclidean")
+    return _predict(geometry.dists, slice(0, X.shape[0]), model.weights, model.gamma)
 
 
 def krr_lipschitz_bound(model: KernelModel) -> float:

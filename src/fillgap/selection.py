@@ -42,22 +42,20 @@ STRATEGY_KINDS = tuple(_SAMPLERS)
 # selection at a larger one, in indices and traces.
 _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
-# Up to this pool size a _Geometry keeps the full n x n distance matrix (8 MB
-# at n=1000, 512 MiB at n=8192), built on first use; a sweep builds one and
-# shares it between facility location and k-medoids. Above the limit, and in
-# a standalone kmedoidspp call, every distance block read is recomputed. The
-# same limit decides whether a sweep keeps, per selection run, one n x B block
-# of squared distances to the B selected rows (n * B * 8 bytes, at most one
-# live, never more than the n x n matrix) to slice its cells' kernels from,
-# or recomputes each cell's kernel blocks (regression._SelectionKernel).
+# Up to this pool size a _Geometry keeps its full distance matrix, built on
+# first use: a sweep keeps the n x n matrix that facility location and
+# k-medoids share (8 MB at n=1000, 512 MiB at n=8192), and per selection run
+# one n x B matrix of squared distances to the B selected rows that its cells
+# slice their kernels from (never more than the n x n one). Above the limit,
+# and in a standalone kmedoidspp call, every block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB):
 # nn_distances' GEMM scores, facility-location scoring, both k-medoids Lloyd
-# passes and regression.krr_predict's kernel values. At n=20000, d=16 on one
-# BLAS thread, nearest-neighbour blocks of 2**19 to 2**21 entries took
+# passes and the kernel values of regression's predictions. At n=20000, d=16
+# on one BLAS thread, nearest-neighbour blocks of 2**19 to 2**21 entries took
 # 1.2-1.4 s and 2**18 took 1.3-1.5 s; larger blocks only hold more memory.
-# krr_predict rounds its block down to a multiple of 64 rows (see there).
+# Predictions round their blocks down to a multiple of 64 rows (regression._predict).
 _BLOCK_ENTRIES = 2**19
 
 _BRUTEFORCE_LIMIT = 10**6
@@ -219,35 +217,56 @@ def _walk(pool: np.ndarray, first: int, budget: int, pick) -> tuple[np.ndarray, 
     return indices, fill, sep
 
 
-def _row_blocks(rows: int, width: int):
-    """Row ranges (lo, hi) whose blocks of ``width`` columns hold <= _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+def _row_blocks(rows: int, width: int, multiple: int = 1):
+    """Row ranges (lo, hi) whose blocks of ``width`` columns hold <= _BLOCK_ENTRIES
+    entries, each a multiple of ``multiple`` rows but the last; blocks of
+    ``multiple`` rows when no larger multiple fits."""
+    step = max(multiple, _BLOCK_ENTRIES // max(width, 1) // multiple * multiple)
     for lo in range(0, rows, step):
         yield lo, min(lo + step, rows)
 
 
-class _Geometry:
-    """A validated float64 pool and the one source of its pairwise distances.
+def _allocate(shape: tuple[int, int]) -> np.ndarray:
+    """``np.empty(shape)``, or a DataError naming the shape and its size when
+    the matrix cannot be allocated."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        gib = shape[0] * shape[1] * 8 / 2**30
+        raise DataError(
+            f"cannot allocate a {shape[0]} x {shape[1]} float64 matrix ({gib:.3g} GiB); "
+            "use fewer rows"
+        ) from None
 
-    With ``keep_matrix`` and at most _DENSE_MATRIX_LIMIT rows, the full
-    ``cdist`` matrix is built on the first ``dists`` call and every later block
-    is sliced from it; otherwise each block is recomputed with ``cdist``. Both
+
+class _Geometry:
+    """The one source of pairwise distance blocks: ``cdist`` with ``metric``
+    from the rows of a validated float64 ``pool`` to the rows of ``cols`` (the
+    pool itself by default).
+
+    With ``keep_matrix`` and at most _DENSE_MATRIX_LIMIT pool rows, the full
+    matrix is built on the first ``dists`` call and every later block is
+    sliced from it; otherwise each block is recomputed with ``cdist``. Both
     give the same bits: a ``cdist`` block equals that slice of the full matrix.
     """
 
-    def __init__(self, pool, keep_matrix: bool = True):
-        self.pool = _as_pool(pool)
-        self.n = self.pool.shape[0]
-        self.keeps_matrix = keep_matrix and self.n <= _DENSE_MATRIX_LIMIT
+    def __init__(self, pool: np.ndarray, keep_matrix: bool = True, cols=None, metric="euclidean"):
+        self.pool = pool
+        self.n = pool.shape[0]
+        self.cols = pool if cols is None else cols
+        self.metric = metric
+        self._keeps_matrix = keep_matrix and self.n <= _DENSE_MATRIX_LIMIT
         self._matrix: np.ndarray | None = None
 
-    def dists(self, rows, cols=slice(None)) -> np.ndarray:
-        """Distances from the pool rows ``rows`` to the pool rows ``cols``;
-        each is a slice or an index array."""
-        if not self.keeps_matrix:
-            return cdist(self.pool[rows], self.pool[cols])
+    def dists(self, rows, cols=slice(None), out=None) -> np.ndarray:
+        """Distances from the pool rows ``rows`` to the rows ``cols`` of
+        ``self.cols``; each is a slice or an index array. A recomputed block is
+        written into ``out`` when given; a kept matrix's is a slice or a gather."""
+        if not self._keeps_matrix:
+            return cdist(self.pool[rows], self.cols[cols], self.metric, out=out)
         if self._matrix is None:
-            self._matrix = cdist(self.pool, self.pool)
+            shape = (self.n, self.cols.shape[0])
+            self._matrix = cdist(self.pool, self.cols, self.metric, out=_allocate(shape))
         if isinstance(rows, slice) or isinstance(cols, slice):
             return self._matrix[rows, cols]
         return self._matrix[rows[:, None], cols]
@@ -255,7 +274,7 @@ class _Geometry:
 
 def _geometry(pool, keep_matrix: bool) -> _Geometry:
     """The caller's shared geometry, or a new one around a raw pool."""
-    return pool if isinstance(pool, _Geometry) else _Geometry(pool, keep_matrix)
+    return pool if isinstance(pool, _Geometry) else _Geometry(_as_pool(pool), keep_matrix)
 
 
 def _check_selected(pool: np.ndarray, selected) -> np.ndarray:

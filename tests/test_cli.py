@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -348,6 +349,23 @@ def test_experiment_invalid_config_is_usage_error(tmp_path, capsys):
     assert "budgets" in err
 
 
+@pytest.mark.parametrize(
+    "old,new,field",
+    [
+        ("strategies = fps, random", "strategies = fps, fps_then_random:1.5", "switch_fraction"),
+        ("lambda = 1e-9", "lambda = 1e-9\ngrid_search = true\nfolds = 1", "folds"),
+        ("lambda = 1e-9", "lambda = 1e-9\ngrid_search = true\ngrid_repeats = 0", "grid_repeats"),
+    ],
+    ids=["switch_fraction", "folds", "grid_repeats"],
+)
+def test_experiment_config_errors_caught_by_dry_run(tmp_path, capsys, old, new, field):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_INI.replace(old, new))
+    code, _, err = run(capsys, "experiment", "--config", cfg, "--dry-run")
+    assert code == 1
+    assert err.startswith("config error: [") and field in err
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,NaN\n")
@@ -406,6 +424,29 @@ def test_threads_env_fallback(pool_csv, capsys, monkeypatch):
     monkeypatch.setenv("FILLGAP_THREADS", "banana")
     code, _, err = run(capsys, "nn", "--data", pool_csv, "--label-column", "y")
     assert code == 1 and "FILLGAP_THREADS" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "1e400"])
+def test_select_rejects_non_finite_budget(pool_csv, capsys, budget):
+    code, out, err = run(
+        capsys, "select", "--data", pool_csv, "--label-column", "y",
+        "--strategy", "fps", "--budget", budget, "--seed", "1",
+    )
+    assert code == 1 and out == ""
+    assert "--budget must be finite" in err
+
+
+def test_threads_flag_overrides_inherited_variables(monkeypatch):
+    import sys
+
+    from fillgap.cli import _THREAD_ENV_VARS, _apply_thread_limit
+
+    # The limit acts only before numpy loads, which reads the variables once.
+    monkeypatch.delitem(sys.modules, "numpy")
+    for var in _THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "4")
+    _apply_thread_limit(1)
+    assert all(os.environ[var] == "1" for var in _THREAD_ENV_VARS)
 
 
 def test_usage_error_leaves_no_partial_output(pool_csv, tmp_path, capsys):

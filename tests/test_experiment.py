@@ -111,12 +111,13 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Prefix samplers select once at the largest budget; k-medoids++ per cell.
     # Facility location and k-medoids++ share one pool-by-pool distance matrix.
     # Each selection run computes one block of squared distances for its cells.
-    from fillgap import experiment, regression, selection
+    from fillgap import experiment, selection
     from fillgap.selection import select
 
     calls = []
     running = []  # the kind inside select, if any
     pairwise = []  # pool-by-pool cdist calls made by samplers, by kind
+    kernel_cdist = []  # sqeuclidean cdist calls of the sweep's kernel work, by the last kind selected
     cdist = selection.cdist
 
     def counting(pool, spec, budget, seed=0):
@@ -127,22 +128,16 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
         finally:
             running.pop()
 
-    def counting_cdist(a, b, *args, **kwargs):
-        if running and len(a) == len(b) == 120:
+    def counting_cdist(a, b, metric="euclidean", **kwargs):
+        if metric == "sqeuclidean":
+            assert not running
+            kernel_cdist.append(calls[-1][0])
+        elif running and len(a) == len(b) == 120:
             pairwise.append(running[-1])
-        return cdist(a, b, *args, **kwargs)
-
-    kernel_cdist = []  # sqeuclidean cdist calls of the sweep's kernel work, by the last kind selected
-    regression_cdist = regression.cdist
-
-    def counting_kernel_cdist(a, b, metric, **kwargs):
-        assert metric == "sqeuclidean"
-        kernel_cdist.append(calls[-1][0])
-        return regression_cdist(a, b, metric, **kwargs)
+        return cdist(a, b, metric, **kwargs)
 
     monkeypatch.setattr(experiment, "select", counting)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
-    monkeypatch.setattr(regression, "cdist", counting_kernel_cdist)
     cfg = small_config(
         strategies=tuple(
             StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")
@@ -412,6 +407,7 @@ lambda = 1e-9
     "mutation,field",
     [
         ("strategies = warp", "strategies"),
+        ("strategies = fps_then_random:1.5", r"\[sweep\] strategies: switch_fraction must be in \(0, 1\)"),
         ("budgets = 0.5, 0.2", "budgets"),
         ("budgets = 0.0, 0.5", "budgets"),
         ("repeats = zero", "repeats"),
@@ -433,6 +429,18 @@ def test_bad_config_names_field(tmp_path, mutation, field):
     path = tmp_path / "exp.ini"
     path.write_text("\n".join(lines))
     with pytest.raises(ConfigError, match=field):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [("folds = 1", r"\[model\] folds must be >= 2"), ("grid_repeats = 0", r"\[model\] grid_repeats must be >= 1")],
+    ids=["folds", "grid_repeats"],
+)
+def test_bad_model_counts_fail_at_load_time(tmp_path, setting, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(GOOD_CONFIG.replace("lambda = 1e-8", f"lambda = 1e-8\ngrid_search = true\n{setting}"))
+    with pytest.raises(ConfigError, match=message):
         load_experiment_config(path)
 
 

@@ -121,7 +121,7 @@ def test_predict_rejects_non_finite_queries():
 def test_predict_memory_stays_within_blocks():
     import tracemalloc
 
-    from fillgap import regression
+    from fillgap import selection
 
     n, d, b = 20000, 16, 1000
     rng = np.random.default_rng(0)
@@ -136,17 +136,17 @@ def test_predict_memory_stays_within_blocks():
     # The output plus two kernel blocks (8.2 MB, under 16 MiB); the whole
     # n x b kernel matrix would take 160 MB, and cdist, scaling and exp held
     # two of them at once.
-    assert peak < 8 * n + 2 * 8 * regression._BLOCK_ENTRIES
+    assert peak < 8 * n + 2 * 8 * selection._BLOCK_ENTRIES
 
 
 _PREDICT_EXACT_SCRIPT = """
 import sys
 import numpy as np
 from scipy.spatial.distance import cdist
-from fillgap import regression
+from fillgap import selection
 from fillgap.regression import KernelModel, krr_predict
 
-default_entries = regression._BLOCK_ENTRIES
+default_entries = selection._BLOCK_ENTRIES
 for n, d, b in ((19003, 16, 1000), (9999, 64, 333), (5001, 144, 77), (70001, 8, 100)):
     rng = np.random.default_rng(n)
     queries = rng.uniform(size=(n, d))
@@ -155,7 +155,7 @@ for n, d, b in ((19003, 16, 1000), (9999, 64, 333), (5001, 144, 77), (70001, 8, 
     gamma = 0.5 * d ** -0.5
     expected = np.exp(-gamma * cdist(queries, train, "sqeuclidean")) @ weights
     for entries in (default_entries, 64 * b):  # default blocks, then 64 rows each
-        regression._BLOCK_ENTRIES = entries
+        selection._BLOCK_ENTRIES = entries
         got = krr_predict(KernelModel(train, weights, gamma, 0.0), queries)
         sys.stdout.write(f"{n} {entries} {int((got != expected).sum())}\\n")
 """
@@ -186,21 +186,34 @@ def test_predict_blocks_match_unblocked_kernel_product():
 
 
 def test_selection_kernel_matches_the_public_kernels(monkeypatch):
-    from fillgap import regression
+    from scipy.spatial.distance import cdist
+
+    from fillgap import regression, selection
 
     rng = np.random.default_rng(3)
     pool = rng.uniform(size=(700, 5))
     selected = rng.permutation(700)[:40]
     rows = np.setdiff1d(np.arange(700), selected[:30])
     weights = rng.normal(size=30)
-    monkeypatch.setattr(regression, "_BLOCK_ENTRIES", 64 * 30)  # several 64-row blocks
+    monkeypatch.setattr(selection, "_BLOCK_ENTRIES", 64 * 30)  # several 64-row blocks
+    expected_dists = cdist(pool, pool[selected], "sqeuclidean")
     expected_gram = gaussian_kernel_matrix(pool[selected[:30]], 0.7)
     model = KernelModel(pool[selected[:30]], weights, gamma=0.7, lam=0.0)
     expected_pred = krr_predict(model, pool[rows])
-    for keep_block in (True, False):
-        kernel = regression._SelectionKernel(pool, selected, 0.7, keep_block)
-        assert np.array_equal(kernel.gram(30), expected_gram)
-        assert np.array_equal(kernel.predict(rows, weights), expected_pred)
+    # A sweep's kept n x B matrix, then the blocks recomputed above the dense limit.
+    for keep in (True, False):
+        sq_dists = selection._Geometry(pool, keep, pool[selected], "sqeuclidean")
+        for block_rows in (slice(100, 300), np.arange(100, 300), rows[::7]):
+            for cols in (slice(0, 30), np.arange(5, 25)):
+                expected = expected_dists[block_rows][:, cols]
+                assert np.array_equal(sq_dists.dists(block_rows, cols), expected)
+        assert np.array_equal(regression._gram(sq_dists.dists, selected[:30], 30, 0.7), expected_gram)
+        assert np.array_equal(regression._predict(sq_dists.dists, rows, weights, 0.7), expected_pred)
+        whole = regression._predict(sq_dists.dists, slice(0, 700), weights, 0.7)
+        assert np.array_equal(whole, krr_predict(model, pool))
+        # The selection's own rows by slice, as gaussian_kernel_matrix reads them.
+        own = selection._Geometry(pool[selected], keep, metric="sqeuclidean")
+        assert np.array_equal(regression._gram(own.dists, slice(0, 30), 30, 0.7), expected_gram)
 
 
 def test_kernel_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):

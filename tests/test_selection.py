@@ -415,6 +415,20 @@ def test_kmedoidspp_memory_stays_within_blocks(monkeypatch):
     assert peak < 2 * 2**20
 
 
+def test_sampler_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (300, 300):
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    pool = np.random.default_rng(0).uniform(size=(300, 2))
+    monkeypatch.setattr(np, "empty", refusing)
+    with pytest.raises(DataError, match=r"300 x 300 float64 matrix \(0.000671 GiB\)"):
+        facility_location(pool, 5, seed=0)
+
+
 @pytest.mark.parametrize("block_entries", [None, 7])
 def test_kmedoidspp_on_shared_geometry_matches_bare_pool(monkeypatch, block_entries):
     import itertools
