@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -37,15 +37,7 @@ class CorrelationReport:
     verdict: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pearson": self.pearson,
-                "spearman": self.spearman,
-                "pair_count": self.pair_count,
-                "subsampled": self.subsampled,
-                "verdict": self.verdict,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -77,18 +69,7 @@ class BoundReport:
         return self.bound_value - self.observed_maxae
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fill_dist": self.fill_dist,
-                "lip_model": self.lip_model,
-                "lip_label_arg": self.lip_label_arg,
-                "lip_target": self.lip_target,
-                "label_uncertainty": self.label_uncertainty,
-                "train_max_error": self.train_max_error,
-                "bound_value": self.bound_value,
-                "observed_maxae": self.observed_maxae,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 # ---------------------------------------------------------------------------

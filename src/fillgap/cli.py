@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 _THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -113,7 +113,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .regression import gamma_for_half_kernel, krr_fit, save_model
+    from .regression import _header, gamma_for_half_kernel, krr_fit, save_model
 
     pool = _load_pool(args, need_labels=True)
     if args.gamma == "auto":
@@ -125,7 +125,7 @@ def _cmd_fit(args) -> int:
             raise _UsageError(f"--gamma must be a number or 'auto', got {args.gamma!r}") from None
     model = krr_fit(pool, gamma, args.lam)
     save_model(model, args.out)
-    print(json.dumps({"gamma": model.gamma, "lambda": model.lam, "b": model.b, "d": model.d}))
+    print(json.dumps(_header(model)))
     return 0
 
 
@@ -193,9 +193,7 @@ def _cmd_bound(args) -> int:
         eps=constants["eps"],
         lip_label_arg=constants.get("lip_label_arg", 1.0),
     )
-    payload = json.loads(report.to_json())
-    payload["slack"] = report.slack
-    _emit(json.dumps(payload), args.out)
+    _emit(json.dumps({**asdict(report), "slack": report.slack}), args.out)
     return 0
 
 
@@ -222,15 +220,9 @@ def _cmd_nn(args) -> int:
 def _cmd_synth(args) -> int:
     from .dataset import SynthConfig, save_dataset, synth_with_info
 
-    cfg = SynthConfig(
-        n=args.n,
-        d=args.d,
-        target_lipschitz=args.lipschitz,
-        noise_level=args.noise,
-        tail_fraction=args.tail_fraction,
-        seed=args.seed,
-    )
-    ds, info = synth_with_info(cfg)
+    # Options left out are absent from args, so their fields keep SynthConfig's defaults.
+    given = {f.name: getattr(args, f.name) for f in fields(SynthConfig) if f.name in args}
+    ds, info = synth_with_info(SynthConfig(**given))
     save_dataset(ds, args.out)
     print(
         json.dumps(
@@ -360,9 +352,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lipschitz", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--tail-fraction", type=float, default=0.0)
+    p.add_argument("--lipschitz", dest="target_lipschitz", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--noise", dest="noise_level", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tail-fraction", type=float, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth)

@@ -34,7 +34,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -118,39 +118,33 @@ class ExperimentConfig:
         unknown = [m for m in self.metrics if m not in METRICS]
         if unknown:
             raise ConfigError(f"[sweep] unknown metrics {unknown}; valid: {METRICS}")
+        labels = [s.label for s in self.strategies]
+        for key, names in (("strategies", labels), ("metrics", self.metrics)):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ConfigError(f"[sweep] {key} repeated: {repeated}")
 
     def canonical(self) -> str:
-        payload = {
-            "strategies": [s.label for s in self.strategies],
-            "budgets": [repr(b) for b in self.budgets],
-            "metrics": list(self.metrics),
-            "master_seed": self.master_seed,
-            "repeats": self.repeats,
-            "dataset_path": self.dataset_path,
-            "label_column": self.label_column,
-            "normalize": self.normalize,
-            "synth": None
-            if self.synth is None
-            else {
-                "n": self.synth.n,
-                "d": self.synth.d,
-                "target_lipschitz": repr(self.synth.target_lipschitz),
-                "noise_level": repr(self.synth.noise_level),
-                "tail_fraction": repr(self.synth.tail_fraction),
-                "seed": self.synth.seed,
-            },
-            "model": {
-                "gamma": None if self.model.gamma is None else repr(self.model.gamma),
-                "lambda": repr(self.model.lam),
-                "grid_search": self.model.grid_search,
-                "folds": self.model.folds,
-                "grid_repeats": self.model.grid_repeats,
-            },
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(_canonical(self), sort_keys=True)
 
     def config_hash(self) -> str:
         return hashlib.blake2b(self.canonical().encode(), digest_size=8).hexdigest()
+
+
+def _canonical(value):
+    """JSON-ready form of a config value for hashing: floats as their repr,
+    strategies as their label, tuples as lists, nested configs as dicts of
+    their fields, with ModelConfig.lam keyed ``lambda``."""
+    if isinstance(value, StrategySpec):
+        return value.label
+    if is_dataclass(value):
+        return {
+            "lambda" if f.name == "lam" else f.name: _canonical(getattr(value, f.name))
+            for f in fields(value)
+        }
+    if isinstance(value, tuple):
+        return [_canonical(v) for v in value]
+    return repr(value) if isinstance(value, float) else value
 
 
 @dataclass(frozen=True)
@@ -359,16 +353,90 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
     raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
 
 
-def _parse_strategy(token: str) -> StrategySpec:
-    token = token.strip()
+def _parse_text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def _parse_label(section: str, key: str, raw: str) -> str | int:
+    return int(raw) if raw.lstrip("+-").isdigit() else raw
+
+
+def _parse_gamma(section: str, key: str, raw: str) -> float | None:
+    return None if raw.strip().lower() == "auto" else _parse_float(section, key, raw)
+
+
+def _parse_strategy(section: str, key: str, token: str) -> StrategySpec:
     kind, colon, arg = token.partition(":")
     if colon and kind != "fps_then_random":
-        raise ConfigError(f"[sweep] strategy {token!r}: only fps_then_random takes an argument")
-    fraction = _parse_float("sweep", "strategies", arg) if colon else None
+        raise ConfigError(f"[{section}] strategy {token!r}: only fps_then_random takes an argument")
+    fraction = _parse_float(section, key, arg) if colon else None
     try:
         return StrategySpec(kind=kind, switch_fraction=fraction)
     except DataError as exc:
-        raise ConfigError(f"[sweep] strategies: {exc}") from None
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _listed(parse):
+    """Parser of a comma-separated list whose non-empty items ``parse`` reads."""
+    return lambda section, key, raw: tuple(
+        parse(section, key, t.strip()) for t in raw.split(",") if t.strip()
+    )
+
+
+# Each section's INI keys, with the field each one sets and its parser.
+# [dataset] and [sweep] set ExperimentConfig's own fields, [synth] and
+# [model] those of its nested SynthConfig and ModelConfig. A key left out of
+# the file keeps its field's default.
+_KEYS = {
+    "dataset": {
+        "path": ("dataset_path", _parse_text),
+        "label_column": ("label_column", _parse_label),
+        "normalize": ("normalize", _parse_bool),
+    },
+    "synth": {
+        "n": ("n", _parse_int),
+        "d": ("d", _parse_int),
+        "target_lipschitz": ("target_lipschitz", _parse_float),
+        "noise_level": ("noise_level", _parse_float),
+        "tail_fraction": ("tail_fraction", _parse_float),
+        "seed": ("seed", _parse_int),
+    },
+    "sweep": {
+        "strategies": ("strategies", _listed(_parse_strategy)),
+        "budgets": ("budgets", _listed(_parse_float)),
+        "metrics": ("metrics", _listed(_parse_text)),
+        "repeats": ("repeats", _parse_int),
+        "master_seed": ("master_seed", _parse_int),
+    },
+    "model": {
+        "gamma": ("gamma", _parse_gamma),
+        "lambda": ("lam", _parse_float),
+        "grid_search": ("grid_search", _parse_bool),
+        "folds": ("folds", _parse_int),
+        "grid_repeats": ("grid_repeats", _parse_int),
+    },
+}
+
+
+def _section_fields(parser: configparser.ConfigParser, section: str) -> dict:
+    """Field values set by the keys present in ``section``."""
+    if not parser.has_section(section):
+        return {}
+    table = _KEYS[section]
+    unknown = [key for key in parser[section] if key not in table]
+    if unknown:
+        raise ConfigError(f"[{section}] unknown keys {unknown}; valid: {list(table)}")
+    return {table[key][0]: table[key][1](section, key, raw) for key, raw in parser[section].items()}
+
+
+def _build(cls, section: str, values: dict):
+    """``cls(**values)``; a field without a default that no key of
+    ``section`` set is a config error naming that key."""
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    for key, (name, _) in _KEYS[section].items():
+        if name in required and name not in values:
+            raise ConfigError(f"[{section}] {key} is required")
+    return cls(**values)
 
 
 def load_experiment_config(path: str | os.PathLike) -> ExperimentConfig:
@@ -382,76 +450,21 @@ def load_experiment_config(path: str | os.PathLike) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
 
-    if not parser.has_section("sweep"):
-        raise ConfigError("[sweep] section is required")
-    sweep = parser["sweep"]
-    for key in ("strategies", "budgets", "master_seed"):
-        if key not in sweep:
-            raise ConfigError(f"[sweep] {key} is required")
-
-    strategies = tuple(_parse_strategy(t) for t in sweep["strategies"].split(",") if t.strip())
-    budgets = tuple(
-        _parse_float("sweep", "budgets", t) for t in sweep["budgets"].split(",") if t.strip()
-    )
-    metrics_raw = sweep.get("metrics", "maxae, mae")
-    metrics = tuple(t.strip() for t in metrics_raw.split(",") if t.strip())
-    repeats = _parse_int("sweep", "repeats", sweep.get("repeats", "5"))
-    master_seed = _parse_int("sweep", "master_seed", sweep["master_seed"])
-
-    dataset_path = None
-    label_column: str | int | None = None
-    normalize = False
+    unknown = [section for section in parser.sections() if section not in _KEYS]
+    if unknown:
+        raise ConfigError(f"unknown sections {unknown}; valid: {list(_KEYS)}")
+    dataset = _section_fields(parser, "dataset")
+    if not dataset.get("dataset_path"):  # an empty path leaves the section unused
+        dataset = {}
     synth = None
-    if parser.has_section("dataset") and parser["dataset"].get("path"):
-        section = parser["dataset"]
-        dataset_path = section["path"]
-        raw_label = section.get("label_column")
-        if raw_label is not None:
-            label_column = int(raw_label) if raw_label.lstrip("+-").isdigit() else raw_label
-        normalize = _parse_bool("dataset", "normalize", section.get("normalize", "false"))
     if parser.has_section("synth"):
-        section = parser["synth"]
         try:
-            synth = SynthConfig(
-                n=_parse_int("synth", "n", section.get("n", "")),
-                d=_parse_int("synth", "d", section.get("d", "")),
-                target_lipschitz=_parse_float(
-                    "synth", "target_lipschitz", section.get("target_lipschitz", "1.0")
-                ),
-                noise_level=_parse_float("synth", "noise_level", section.get("noise_level", "0.0")),
-                tail_fraction=_parse_float(
-                    "synth", "tail_fraction", section.get("tail_fraction", "0.0")
-                ),
-                seed=_parse_int("synth", "seed", section.get("seed", "0")),
-            )
+            synth = _build(SynthConfig, "synth", _section_fields(parser, "synth"))
         except DataError as exc:
             raise ConfigError(f"[synth] {exc}") from None
-
-    model = ModelConfig()
-    if parser.has_section("model"):
-        section = parser["model"]
-        raw_gamma = section.get("gamma", "auto").strip()
-        gamma = None if raw_gamma.lower() == "auto" else _parse_float("model", "gamma", raw_gamma)
-        model = ModelConfig(
-            gamma=gamma,
-            lam=_parse_float("model", "lambda", section.get("lambda", "0.0")),
-            grid_search=_parse_bool("model", "grid_search", section.get("grid_search", "false")),
-            folds=_parse_int("model", "folds", section.get("folds", "5")),
-            grid_repeats=_parse_int("model", "grid_repeats", section.get("grid_repeats", "1")),
-        )
-
-    return ExperimentConfig(
-        strategies=strategies,
-        budgets=budgets,
-        metrics=metrics,
-        master_seed=master_seed,
-        repeats=repeats,
-        dataset_path=dataset_path,
-        label_column=label_column,
-        normalize=normalize,
-        synth=synth,
-        model=model,
-    )
+    sweep = {"metrics": ("maxae", "mae"), **_section_fields(parser, "sweep")}
+    model = ModelConfig(**_section_fields(parser, "model"))
+    return _build(ExperimentConfig, "sweep", {**sweep, **dataset, "synth": synth, "model": model})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -77,17 +77,9 @@ class ConditioningReport:
     lower_bound_params: tuple[int, float, float]
 
     def to_json(self) -> str:
-        d, gamma, c_d = self.lower_bound_params
-        return json.dumps(
-            {
-                "cond_regularized": self.cond_regularized,
-                "cond_unregularized": self.cond_unregularized,
-                "lambda_max": self.lambda_max,
-                "lambda_min": self.lambda_min,
-                "sep_distance": self.sep_distance,
-                "lower_bound_params": {"d": d, "gamma": gamma, "C_d": c_d},
-            }
-        )
+        payload = asdict(self)
+        payload["lower_bound_params"] = dict(zip(("d", "gamma", "C_d"), self.lower_bound_params))
+        return json.dumps(payload)
 
 
 def _gram(dists, rows, b: int, gamma: float) -> np.ndarray:
@@ -132,7 +124,7 @@ def gaussian_kernel_matrix(X, gamma: float) -> np.ndarray:
     """Symmetric Gaussian kernel matrix exp(-gamma * ||x_i - x_j||^2), unit diagonal."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise DataError(f"incompatible shapes {X.shape} and {X.shape}")
+        raise DataError(f"kernel input must be a 2-D matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DataError("kernel inputs contain NaN or Inf entries")
     if not (math.isfinite(gamma) and gamma > 0):
@@ -446,10 +438,14 @@ def gamma_for_half_kernel(pool) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _header(model: KernelModel) -> dict:
+    """The model file's header, which ``fillgap fit`` also prints."""
+    return {"gamma": model.gamma, "lambda": model.lam, "b": model.b, "d": model.d}
+
+
 def save_model(model: KernelModel, path: str | os.PathLike) -> None:
-    header = {"gamma": model.gamma, "lambda": model.lam, "b": model.b, "d": model.d}
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
+        fh.write(json.dumps(_header(model)).encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(model.train_features, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
@@ -462,7 +458,7 @@ def load_model(path: str | os.PathLike) -> KernelModel:
             header = json.loads(header_line.decode("utf-8"))
             b, d = int(header["b"]), int(header["d"])
             gamma, lam = float(header["gamma"]), float(header["lambda"])
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed model header in {path}: {exc}") from None
         payload = fh.read()
     expected = (b * d + b) * 8

@@ -1,8 +1,10 @@
 """Seeding utilities.
 
 All randomness in the package flows from 64-bit seeds through Philox, a
-counter-based generator, so results are reproducible regardless of the
-number of threads used by the underlying linear algebra libraries.
+counter-based generator, so the random draws do not depend on the number of
+threads used by the underlying linear algebra libraries. Results do only at
+a fixed thread count: Cholesky fits and eigen-solves from about 128 training
+rows can change in the last digits with it (see the README on --threads).
 Child seeds are derived by hashing rather than by consuming parent state,
 which keeps runs reproducible when a sweep grid is extended.
 """

@@ -109,19 +109,16 @@ class SelectionResult:
 
     @classmethod
     def from_json(cls, text: str) -> "SelectionResult":
-        payload = json.loads(text)
-        indices = np.asarray(payload["indices"], dtype=np.int64)
-        fill = np.asarray(payload.get("fill_trace", [math.nan] * indices.size))
-        sep = np.asarray(
-            [math.nan if v is None else v for v in payload.get("sep_trace", [None] * indices.size)]
-        )
-        return cls(
-            indices=indices,
-            fill_trace=fill,
-            sep_trace=sep,
-            strategy=payload["strategy"],
-            seed=int(payload["seed"]),
-        )
+        try:
+            payload = json.loads(text)
+            indices = np.asarray(payload["indices"], dtype=np.int64)
+            fill = np.asarray(payload.get("fill_trace", [math.nan] * indices.size), np.float64)
+            sep = payload.get("sep_trace", [None] * indices.size)
+            sep = np.asarray([math.nan if v is None else v for v in sep], np.float64)
+            strategy, seed = payload["strategy"], int(payload["seed"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"malformed selection JSON: {exc!r}") from None
+        return cls(indices=indices, fill_trace=fill, sep_trace=sep, strategy=strategy, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ class StrategySpec:
     @property
     def label(self) -> str:
         if self.kind == "fps_then_random":
-            return f"fps_then_random:{self.switch_fraction:g}"
+            return f"fps_then_random:{float(self.switch_fraction)!r}"
         return self.kind
 
 

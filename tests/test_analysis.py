@@ -367,4 +367,7 @@ def test_bound_report_json_fields():
 
 def test_correlation_report_json():
     report = CorrelationReport(0.5, 0.4, 10, False, "positive")
-    assert "pair_count" in report.to_json()
+    assert report.to_json() == (
+        '{"pearson": 0.5, "spearman": 0.4, "pair_count": 10, "subsampled": false, '
+        '"verdict": "positive"}'
+    )

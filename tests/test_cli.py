@@ -122,6 +122,7 @@ def test_fit_predict_eval_roundtrip(pool_csv, tmp_path, capsys):
     assert code == 0
     header = json.loads(out)
     assert header["b"] == 60 and header["d"] == 3
+    assert json.loads(model_path.read_bytes().split(b"\n")[0]) == header
 
     code, out, _ = run(capsys, "predict", "--model", model_path, "--data", pool_csv,
                        "--label-column", "y")
@@ -259,6 +260,27 @@ def test_bound_rebuilds_the_traces_of_the_selection_file(tmp_path, capsys):
     assert _run_bound(capsys, data, altered, model_path)[1] == expected
 
 
+@pytest.mark.parametrize(
+    "damage",
+    ["truncated selection", "selection without seed", "model header [1]"],
+)
+def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
+    data, sel_path, model_path = _bound_inputs(tmp_path, capsys)
+    if damage == "truncated selection":
+        sel_path.write_text(sel_path.read_text()[:40])
+    elif damage == "selection without seed":
+        payload = json.loads(sel_path.read_text())
+        del payload["seed"]
+        sel_path.write_text(json.dumps(payload))
+    else:
+        model_path.write_bytes(b"[1]\n" + model_path.read_bytes().split(b"\n", 1)[1])
+        code, _, err = run(capsys, "predict", "--model", model_path, "--data", data,
+                           "--label-column", "y")
+        assert code == 2 and err.startswith("error: malformed model header")
+    code, _, err = _run_bound(capsys, data, sel_path, model_path)
+    assert code == 2 and err.startswith("error: malformed")
+
+
 def test_bound_requires_constants(tmp_path, pool_csv, capsys):
     code, _, err = run(
         capsys, "bound", "--data", pool_csv, "--selection", "x.json",
@@ -283,6 +305,14 @@ def test_synth_writes_loadable_csv(tmp_path, capsys):
 
     ds = load_dataset(out, has_labels=True, label_column="y")
     assert ds.n == 40 and ds.d == 2
+
+
+def test_synth_defaults_are_synth_configs(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(capsys, "synth", "--n", "30", "--d", "2", "--seed", "4", "--out", out)[0] == 0
+    expected = tmp_path / "expected.csv"
+    save_dataset(synth_lipschitz(SynthConfig(n=30, d=2, seed=4)), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 EXPERIMENT_INI = """
@@ -355,8 +385,12 @@ def test_experiment_invalid_config_is_usage_error(tmp_path, capsys):
         ("strategies = fps, random", "strategies = fps, fps_then_random:1.5", "switch_fraction"),
         ("lambda = 1e-9", "lambda = 1e-9\ngrid_search = true\nfolds = 1", "folds"),
         ("lambda = 1e-9", "lambda = 1e-9\ngrid_search = true\ngrid_repeats = 0", "grid_repeats"),
+        ("lambda = 1e-9", "lamda = 1e-3", "lamda"),
+        ("repeats = 2", "repeat = 9", "repeat"),
+        ("seed = 2", "seed = 2\ntail_fracton = 0.05", "tail_fracton"),
+        ("strategies = fps, random", "strategies = fps, fps", "repeated"),
     ],
-    ids=["switch_fraction", "folds", "grid_repeats"],
+    ids=["switch_fraction", "folds", "grid_repeats", "lamda", "repeat", "tail_fracton", "twice"],
 )
 def test_experiment_config_errors_caught_by_dry_run(tmp_path, capsys, old, new, field):
     cfg = tmp_path / "exp.ini"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fillgap.dataset import Dataset, SynthConfig, save_dataset, synth_lipschitz
 from fillgap.errors import ConfigError, DataError
 from fillgap.experiment import (
+    _KEYS,
     Aggregate,
     ExperimentConfig,
     ModelConfig,
@@ -465,6 +468,72 @@ master_seed = 1
         load_experiment_config(path)
 
 
+def _table_fields(*sections):
+    return [name for section in sections for name, _ in _KEYS[section].values()]
+
+
+def test_key_table_sets_each_field_once():
+    for sections, cls, nested in (
+        (("synth",), SynthConfig, set()),
+        (("model",), ModelConfig, set()),
+        (("dataset", "sweep"), ExperimentConfig, {"synth", "model"}),
+    ):
+        names = _table_fields(*sections)
+        assert len(names) == len(set(names))
+        assert set(names) == {f.name for f in dataclasses.fields(cls)} - nested
+
+
+SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load_with_their_published_hashes(path):
+    expected = {"synthetic_tail.ini": "790c926ca93294ec", "molecular_features.ini": "a79e4d9635631e67"}
+    assert load_experiment_config(path).config_hash() == expected[path.name]
+
+
+@pytest.mark.parametrize(
+    "addition,key",
+    [
+        ("[dataset]\nnormalise = true", "normalise"),
+        ("[synth]\ntail_fracton = 0.05", "tail_fracton"),
+        ("[sweep]\nrepeat = 9", "repeat"),
+        ("[model]\nlamda = 1e-3", "lamda"),
+        ("[grid]\nfolds = 3", "grid"),
+    ],
+    ids=["dataset", "synth", "sweep", "model", "section"],
+)
+def test_unknown_key_or_section_is_config_error(tmp_path, addition, key):
+    section = addition.split("\n")[0]
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        GOOD_CONFIG.replace(section, addition) if section in GOOD_CONFIG else GOOD_CONFIG + addition
+    )
+    with pytest.raises(ConfigError, match=rf"unknown (keys|sections) \['{key}'\]; valid: \["):
+        load_experiment_config(path)
+
+
+def test_missing_keys_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[synth]\nn = 50\nd = 2\n[sweep]\nstrategies = fps\nbudgets = 0.1\nmaster_seed = 1\n")
+    cfg = load_experiment_config(path)
+    assert cfg.synth == SynthConfig(n=50, d=2)
+    assert cfg.model == ModelConfig()
+    assert (cfg.repeats, cfg.metrics, cfg.normalize) == (5, ("maxae", "mae"), False)
+    path.write_text("[synth]\nd = 2\n[sweep]\nstrategies = fps\nbudgets = 0.1\nmaster_seed = 1\n")
+    with pytest.raises(ConfigError, match=r"\[synth\] n is required"):
+        load_experiment_config(path)
+
+
+def test_strategy_label_keeps_the_switch_fraction():
+    close = (StrategySpec("fps_then_random", 0.1234561), StrategySpec("fps_then_random", 0.1234564))
+    assert close[0].label != close[1].label
+    assert StrategySpec("fps_then_random", np.float64(0.02)).label == "fps_then_random:0.02"
+    report = run_experiment(small_config(strategies=close, budgets=(0.1,), metrics=("maxae", "mae")))
+    assert len(report.aggregates) == 4
+    assert len({row.seed for row in report.rows}) == 4
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -506,3 +575,7 @@ def test_config_validation_direct():
         small_config(metrics=("nope",))
     with pytest.raises(ConfigError, match="dataset"):
         small_config(synth=None)
+    with pytest.raises(ConfigError, match=r"strategies repeated: \['fps'\]"):
+        small_config(strategies=(StrategySpec("fps"), StrategySpec("random"), StrategySpec("fps")))
+    with pytest.raises(ConfigError, match=r"metrics repeated: \['mae'\]"):
+        small_config(metrics=("mae", "maxae", "mae"))

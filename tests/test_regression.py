@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -65,6 +66,8 @@ def test_kernel_rejects_bad_inputs():
         gaussian_kernel_matrix(np.array([[np.inf]]), 1.0)
     with pytest.raises(DataError):
         gaussian_kernel_matrix(np.ones((2, 2)), 0.0)
+    with pytest.raises(DataError, match=r"must be a 2-D matrix, got shape \(3,\)"):
+        gaussian_kernel_matrix(np.ones(3), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +522,12 @@ def test_conditioning_report_fields():
     assert report.lambda_max >= report.lambda_min
     assert report.sep_distance > 0
     assert report.lower_bound_params == (3, 0.5, 1.0)
-    payload = report.to_json()
-    assert "cond_unregularized" in payload
+    payload = json.loads(report.to_json())
+    assert list(payload) == [
+        "cond_regularized", "cond_unregularized", "lambda_max", "lambda_min", "sep_distance",
+        "lower_bound_params",
+    ]
+    assert payload["lower_bound_params"] == {"d": 3, "gamma": 0.5, "C_d": 1.0}
     for lam in (math.nan, -1e-3, math.inf):
         with pytest.raises(DataError, match="lambda must be non-negative and finite"):
             conditioning_report(pool, [0, 5, 9, 17], gamma=0.5, lam=lam)
