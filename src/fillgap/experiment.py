@@ -10,19 +10,22 @@ traces, of its selection at a larger one. The sweep therefore selects once
 per (strategy, repeat) at the largest budget and slices each cell from that
 run; k-medoids++ selects per cell.
 
-The samplers' distance blocks and the cells' kernels come from one source,
-``selection._Geometry``: for pools of up to selection's dense limit (8192
-rows) it keeps a full matrix and slices it, above that it recomputes bounded
-row blocks, with the same bits either way. The samplers share one n x n
-distance matrix (8 MB at n=1000, 512 MiB at n=8192), built when facility
-location or k-medoids++ first reads it. Each selection run gets one geometry
-of squared distances from every pool row to its B selected rows (n * B * 8
-bytes: 0.8 MB at n=1000, B=100). Every cell the run serves, all budgets of a
-prefix kind's (strategy, repeat) or one k-medoids++ cell, reads its Gram
-matrix and prediction blocks from it through the readers behind
-``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
-for conditioning and the fit. Cells run repeat by repeat, so at most one such
-n x B matrix is live.
+Every distance block the sweep reads comes from one source,
+``selection._Geometry`` (the samplers' nearest-selected walk aside):
+for pools of up to selection's dense limit (8192 rows) it keeps one n x n
+matrix of squared distances and slices or gathers it, above that it
+recomputes bounded row blocks, with the same bits either way. The matrix
+(8 MB at n=1000, 512 MiB at n=8192) is built on its first read, by
+``gamma=auto``'s nearest-neighbour pass or by the first sampler or cell that
+needs it. The samplers read Euclidean blocks as its roots. Each selection run
+gathers its B selected columns once (n * B * 8 bytes: 0.8 MB at n=1000,
+B=100). Every cell the run serves, all budgets of a prefix kind's (strategy,
+repeat) or one k-medoids++ cell, reads its Gram matrix and prediction blocks
+from that gather through the readers behind ``gaussian_kernel_matrix`` and
+``krr_predict``, and builds one Gram matrix for conditioning and the fit.
+Cells run repeat by repeat, so at most one such n x B gather is live. Under
+the limit a sweep with kernel metrics therefore holds the n x n matrix even
+when only ``fps`` and ``random`` run, which read no distance block.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -131,19 +135,27 @@ class ExperimentConfig:
         return hashlib.blake2b(self.canonical().encode(), digest_size=8).hexdigest()
 
 
-def _canonical(value):
+def _canonical(value, floats: bool = False):
     """JSON-ready form of a config value for hashing: floats as their repr,
-    strategies as their label, tuples as lists, nested configs as dicts of
-    their fields, with ModelConfig.lam keyed ``lambda``."""
+    strategies as their label (with their ``start_index`` when set), tuples
+    as lists, nested configs as dicts of their fields, with ModelConfig.lam
+    keyed ``lambda``. ``floats`` marks a float-typed field, whose numbers hash
+    as floats whatever their Python type, so 2 and 2.0 hash alike."""
     if isinstance(value, StrategySpec):
-        return value.label
+        if value.start_index is None:
+            return value.label
+        return {"label": value.label, "start_index": int(value.start_index)}
     if is_dataclass(value):
         return {
-            "lambda" if f.name == "lam" else f.name: _canonical(getattr(value, f.name))
+            "lambda" if f.name == "lam" else f.name: _canonical(
+                getattr(value, f.name), floats="float" in str(f.type)
+            )
             for f in fields(value)
         }
     if isinstance(value, tuple):
-        return [_canonical(v) for v in value]
+        return [_canonical(v, floats) for v in value]
+    if floats and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = float(value)
     return repr(value) if isinstance(value, float) else value
 
 
@@ -198,7 +210,9 @@ def pool_from_config(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _resolve_model(cfg: ExperimentConfig, pool: Dataset, sizes: list[int]) -> tuple[float, float]:
+def _resolve_model(
+    cfg: ExperimentConfig, pool: Dataset, geometry: _Geometry, sizes: list[int]
+) -> tuple[float, float]:
     if cfg.model.grid_search:
         report = grid_search_cv_report(
             pool,
@@ -208,7 +222,7 @@ def _resolve_model(cfg: ExperimentConfig, pool: Dataset, sizes: list[int]) -> tu
             seed=child_seed(cfg.master_seed, "grid_search"),
         )
         return report.gamma, report.lam
-    gamma = cfg.model.gamma if cfg.model.gamma is not None else gamma_for_half_kernel(pool.features)
+    gamma = cfg.model.gamma if cfg.model.gamma is not None else gamma_for_half_kernel(geometry)
     return float(gamma), float(cfg.model.lam)
 
 
@@ -217,14 +231,14 @@ def _cell_values(
     pool: Dataset,
     result: SelectionResult,
     size: int,
-    sq_dists: _Geometry,
+    sq_dists,
     gamma: float,
     lam: float,
 ) -> dict[str, float]:
     """Metric values of one cell, trained on the first ``size`` rows of
-    ``result`` and evaluated on every other pool row. ``sq_dists`` gives the
-    squared distances to ``result``'s rows; one Gram matrix serves both
-    conditioning and the fit."""
+    ``result`` and evaluated on every other pool row. ``sq_dists(rows, cols,
+    out)`` reads the squared distances to ``result``'s rows; one Gram matrix
+    serves both conditioning and the fit."""
     idx = result.indices[:size]
     mask = np.ones(pool.n, dtype=bool)
     mask[idx] = False
@@ -239,7 +253,7 @@ def _cell_values(
     conditioning = any(m in _CONDITIONING_METRICS for m in cfg.metrics)
     predicting = any(m in _PREDICTION_METRICS for m in cfg.metrics)
     if conditioning or (predicting and mask.any()):
-        K = _gram(sq_dists.dists, idx, size, gamma)
+        K = _gram(sq_dists, idx, size, gamma)
     if conditioning:
         cond_r, cond_u, _, _ = _conditions(K, lam)
         values["cond_regularized"] = math.nan if cond_r is None else cond_r
@@ -251,7 +265,7 @@ def _cell_values(
                 weights = _solve(K, pool.labels[idx], lam)  # shifts K: conditioning reads it first
             except IllConditionedError:
                 return values
-            pred = _predict(sq_dists.dists, np.flatnonzero(mask), weights, gamma)
+            pred = _predict(sq_dists, np.flatnonzero(mask), weights, gamma)
             truth = pool.labels[mask]
             values["maxae"] = maxae(truth, pred)
             values["mae"] = mae(truth, pred)
@@ -269,9 +283,8 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     if any(m in _PREDICTION_METRICS for m in cfg.metrics):
         pool.require_labels()
     sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
-    gamma, lam = _resolve_model(cfg, pool, sizes)
-
     geometry = _Geometry(pool.features)  # validated when the dataset was built
+    gamma, lam = _resolve_model(cfg, pool, geometry, sizes)
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label
@@ -281,12 +294,10 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
         for rep, seed in enumerate(seeds):
             for col, size in enumerate(sizes):
                 if col == 0 or not prefix:
-                    # Rebinding drops the last run's squared distances before
-                    # this one's are built, so at most one n x B matrix is live.
+                    # Rebinding drops the last run's columns before this one's
+                    # are gathered, so at most one n x B matrix is live.
                     result = select(geometry, spec, max(sizes) if prefix else size, seed=seed)
-                    sq_dists = _Geometry(
-                        pool.features, cols=pool.features[result.indices], metric="sqeuclidean"
-                    )
+                    sq_dists = geometry.columns(result.indices).sq_dists
                 cells[col, rep] = _cell_values(cfg, pool, result, size, sq_dists, gamma, lam)
         for col, budget in enumerate(cfg.budgets):
             for rep, seed in enumerate(seeds):

@@ -15,7 +15,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
 from .rng import child_seed, rng_from_seed
-from .selection import _allocate, _Geometry, _row_blocks, nn_distances, separation_distance
+from .selection import _allocate, _block_buffer, _Geometry, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
 _RESIDUAL_TOL = 1e-8
@@ -108,8 +108,7 @@ def _predict(dists, rows, weights: np.ndarray, gamma: float) -> np.ndarray:
     """
     b = weights.size
     count = rows.stop if isinstance(rows, slice) else rows.size
-    blocks = list(_row_blocks(count, b, 64))
-    buf = np.empty((blocks[0][1] if blocks else 0, b))  # the first block is the largest
+    blocks, buf = _block_buffer(count, b, 64)
     out = np.empty(count)
     for lo, hi in blocks:
         kernel = buf[: hi - lo]
@@ -129,8 +128,7 @@ def gaussian_kernel_matrix(X, gamma: float) -> np.ndarray:
         raise DataError("kernel inputs contain NaN or Inf entries")
     if not (math.isfinite(gamma) and gamma > 0):
         raise DataError("gamma must be positive and finite")
-    geometry = _Geometry(X, False, metric="sqeuclidean")
-    return _gram(geometry.dists, slice(None), X.shape[0], gamma)
+    return _gram(_Geometry(X, False).sq_dists, slice(None), X.shape[0], gamma)
 
 
 def gaussian_envelope_slope(gamma: float) -> float:
@@ -192,16 +190,16 @@ def krr_predict(model: KernelModel, X) -> np.ndarray:
     weights`` bit for bit on one BLAS thread and do not change with the
     thread count; the kernel is held one bounded row block at a time (see
     _predict). A sweep's cells predict through the same _predict, reading
-    their squared distances from one _Geometry per selection run, so they get
-    the same bits as this function.
+    their squared distances from a column gather of the sweep's _Geometry
+    per selection run, so they get the same bits as this function.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DataError(f"query dimension {X.shape} does not match training dimension {model.d}")
     if not np.isfinite(X).all():  # the model's own fields are checked when it is built
         raise DataError("kernel inputs contain NaN or Inf entries")
-    geometry = _Geometry(X, False, model.train_features, "sqeuclidean")
-    return _predict(geometry.dists, slice(0, X.shape[0]), model.weights, model.gamma)
+    geometry = _Geometry(X, False, model.train_features)
+    return _predict(geometry.sq_dists, slice(0, X.shape[0]), model.weights, model.gamma)
 
 
 def krr_lipschitz_bound(model: KernelModel) -> float:
@@ -424,7 +422,8 @@ def conditioning_report(
 
 def gamma_for_half_kernel(pool) -> float:
     """Kernel width at which the median nearest-neighbour pair has kernel
-    value one half: ln(2) / median_nn_distance^2."""
+    value one half: ln(2) / median_nn_distance^2. ``pool`` is a raw pool or a
+    pool-by-pool ``selection._Geometry``, as for nn_distances."""
     dists, _ = nn_distances(pool)
     median = float(np.median(dists))
     if median <= 0:

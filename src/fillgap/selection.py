@@ -42,12 +42,13 @@ STRATEGY_KINDS = tuple(_SAMPLERS)
 # selection at a larger one, in indices and traces.
 _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
-# Up to this pool size a _Geometry keeps its full distance matrix, built on
-# first use: a sweep keeps the n x n matrix that facility location and
-# k-medoids share (8 MB at n=1000, 512 MiB at n=8192), and per selection run
-# one n x B matrix of squared distances to the B selected rows that its cells
-# slice their kernels from (never more than the n x n one). Above the limit,
-# and in a standalone kmedoidspp call, every block read is recomputed.
+# Up to this pool size a _Geometry keeps its full matrix of squared
+# distances, built on first use. A sweep keeps one n x n matrix (8 MB at
+# n=1000, 512 MiB at n=8192) that gamma=auto, facility location, k-medoids
+# and the kernels all read, and per selection run one n x B column gather of
+# it for the B selected rows, which that run's cells slice their kernels
+# from. Above the limit, and in a standalone kmedoidspp call, every block
+# read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB):
@@ -57,6 +58,10 @@ _DENSE_MATRIX_LIMIT = 8192
 # 1.2-1.4 s and 2**18 took 1.3-1.5 s; larger blocks only hold more memory.
 # Predictions round their blocks down to a multiple of 64 rows (regression._predict).
 _BLOCK_ENTRIES = 2**19
+
+# Facility location's lazy greedy rescores up to this many candidates as one
+# block: one gather and one root per block instead of per candidate.
+_RESCORE_BATCH = 8
 
 _BRUTEFORCE_LIMIT = 10**6
 
@@ -111,7 +116,13 @@ class SelectionResult:
     def from_json(cls, text: str) -> "SelectionResult":
         try:
             payload = json.loads(text)
-            indices = np.asarray(payload["indices"], dtype=np.int64)
+            indices = np.asarray(payload["indices"])
+            # Integral numbers only: a cast would read 1.7 as row 1.
+            if indices.dtype.kind not in "iuf" or not (
+                np.isfinite(indices).all() and np.array_equal(indices, np.trunc(indices))
+            ):
+                raise ValueError("indices must be integers")
+            indices = indices.astype(np.int64)
             fill = np.asarray(payload.get("fill_trace", [math.nan] * indices.size), np.float64)
             sep = payload.get("sep_trace", [None] * indices.size)
             sep = np.asarray([math.nan if v is None else v for v in sep], np.float64)
@@ -223,6 +234,13 @@ def _row_blocks(rows: int, width: int, multiple: int = 1):
         yield lo, min(lo + step, rows)
 
 
+def _block_buffer(rows: int, width: int, multiple: int = 1) -> tuple[list, np.ndarray]:
+    """The row ranges of _row_blocks, plus one buffer that holds the largest
+    block (the first) for a pass that reuses it block after block."""
+    blocks = list(_row_blocks(rows, width, multiple))
+    return blocks, np.empty((blocks[0][1] if blocks else 0, width))
+
+
 def _allocate(shape: tuple[int, int]) -> np.ndarray:
     """``np.empty(shape)``, or a DataError naming the shape and its size when
     the matrix cannot be allocated."""
@@ -237,36 +255,69 @@ def _allocate(shape: tuple[int, int]) -> np.ndarray:
 
 
 class _Geometry:
-    """The one source of pairwise distance blocks: ``cdist`` with ``metric``
-    from the rows of a validated float64 ``pool`` to the rows of ``cols`` (the
-    pool itself by default).
+    """The one source of pairwise distance blocks, from the rows of a
+    validated float64 ``pool`` to the rows of ``cols`` (the pool itself by
+    default): squared distances from ``sq_dists``, Euclidean ones from
+    ``dists``.
 
-    With ``keep_matrix`` and at most _DENSE_MATRIX_LIMIT pool rows, the full
-    matrix is built on the first ``dists`` call and every later block is
-    sliced from it; otherwise each block is recomputed with ``cdist``. Both
-    give the same bits: a ``cdist`` block equals that slice of the full matrix.
+    With ``keep_matrix`` and at most _DENSE_MATRIX_LIMIT pool rows, one matrix
+    of squared distances, ``cdist(pool, cols, "sqeuclidean")``, is built on the
+    first read; every later squared block is sliced or gathered from it, and
+    every Euclidean block is the root of that. Otherwise each block is
+    recomputed with ``cdist``. Both give the same bits: a ``cdist`` block
+    equals that slice of the full matrix, and ``np.sqrt`` of a squared block
+    equals the Euclidean ``cdist`` block (tests/test_selection.py locks both).
     """
 
-    def __init__(self, pool: np.ndarray, keep_matrix: bool = True, cols=None, metric="euclidean"):
+    def __init__(self, pool: np.ndarray, keep_matrix: bool = True, cols=None):
         self.pool = pool
         self.n = pool.shape[0]
         self.cols = pool if cols is None else cols
-        self.metric = metric
         self._keeps_matrix = keep_matrix and self.n <= _DENSE_MATRIX_LIMIT
         self._matrix: np.ndarray | None = None
+        self._source: tuple[_Geometry, np.ndarray] | None = None
+
+    def columns(self, indices: np.ndarray) -> _Geometry:
+        """The geometry from the pool to the rows ``indices`` of ``self.cols``.
+        When this one keeps its matrix, the new one's is a column gather of it,
+        made on its first read; nothing is computed again."""
+        sub = _Geometry(self.pool, self._keeps_matrix, self.cols[indices])
+        sub._source = (self, indices)
+        return sub
+
+    def _squared(self) -> np.ndarray:
+        """The kept matrix, built on first use."""
+        if self._matrix is None:
+            out = _allocate((self.n, self.cols.shape[0]))
+            if self._source is None:
+                self._matrix = cdist(self.pool, self.cols, "sqeuclidean", out=out)
+            else:
+                parent, indices = self._source
+                # The indices select rows of this pool, so they are in range;
+                # mode="raise" would gather through a second buffer.
+                self._matrix = np.take(parent._squared(), indices, axis=1, out=out, mode="clip")
+        return self._matrix
+
+    def sq_dists(self, rows, cols=slice(None), out=None) -> np.ndarray:
+        """Squared distances from the pool rows ``rows`` to the rows ``cols``
+        of ``self.cols``; each is a slice or an index array. A recomputed block
+        is written into ``out`` when given; a kept matrix's is a slice or a gather."""
+        if not self._keeps_matrix:
+            return cdist(self.pool[rows], self.cols[cols], "sqeuclidean", out=out)
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            return self._squared()[rows, cols]
+        return self._squared()[rows[:, None], cols]
 
     def dists(self, rows, cols=slice(None), out=None) -> np.ndarray:
-        """Distances from the pool rows ``rows`` to the rows ``cols`` of
-        ``self.cols``; each is a slice or an index array. A recomputed block is
-        written into ``out`` when given; a kept matrix's is a slice or a gather."""
+        """Euclidean distances, read as ``sq_dists``, always in a fresh array
+        or ``out``. The root of a gathered block is taken in place, since the
+        gather is already a fresh copy."""
         if not self._keeps_matrix:
-            return cdist(self.pool[rows], self.cols[cols], self.metric, out=out)
-        if self._matrix is None:
-            shape = (self.n, self.cols.shape[0])
-            self._matrix = cdist(self.pool, self.cols, self.metric, out=_allocate(shape))
-        if isinstance(rows, slice) or isinstance(cols, slice):
-            return self._matrix[rows, cols]
-        return self._matrix[rows[:, None], cols]
+            return cdist(self.pool[rows], self.cols[cols], out=out)
+        block = self.sq_dists(rows, cols)
+        if isinstance(rows, slice) and isinstance(cols, slice):  # a view of the kept matrix
+            return np.sqrt(block, out=out)
+        return np.sqrt(block, out=block)
 
 
 def _geometry(pool, keep_matrix: bool) -> _Geometry:
@@ -315,6 +366,10 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     """Distance from every row to its nearest other row, plus the mean.
 
     The mean is the reference level against which isolated points are judged.
+    ``pool`` is a raw pool or a pool-by-pool ``_Geometry``. A geometry that
+    keeps its matrix gives the root of each row's smallest off-diagonal
+    squared distance, read in row blocks of _BLOCK_ENTRIES; the root of the
+    minimum is the minimum of the roots, so that equals the method below.
 
     Method. Each value is the row minimum of ``cdist(pool, pool)`` with the
     diagonal excluded, bit for bit: a GEMM only finds the candidates. The
@@ -354,10 +409,13 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     Memory: one scaled copy of the pool plus a few blocks of
     _BLOCK_ENTRIES entries (4 MiB each), also when every row ties.
     """
-    pool = _as_pool(pool)
+    kept = isinstance(pool, _Geometry) and pool._keeps_matrix and pool.cols is pool.pool
+    geometry, pool = pool, _as_pool(pool)
     n, d = pool.shape
     if n < 2:
         raise DataError("nearest-neighbour distances need at least 2 rows")
+    if kept:
+        return _nn_from_matrix(geometry._squared())
     # Scaled rows as columns: a contiguous right-hand GEMM operand runs faster.
     scale_exp = int(np.frexp(np.abs(pool).max())[1])
     xt = np.ldexp(pool.T, -scale_exp, order="C")
@@ -370,8 +428,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     margins = 8 * (d + 4) * eps * (norms + norms.max()) + floor
 
     out = np.empty(n)
-    blocks = list(_row_blocks(n, n))
-    scores = np.empty((blocks[0][1], n))  # the first block is the largest
+    blocks, scores = _block_buffer(n, n)
     for lo, hi in blocks:
         rows = np.arange(hi - lo)
         g = scores[: hi - lo]
@@ -390,6 +447,22 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
         block = cdist(pool[lo:hi], pool[cols])
         block[~keep[:, cols]] = np.inf
         out[lo:hi] = block.min(axis=1)
+    return out, float(out.mean())
+
+
+def _nn_from_matrix(squared: np.ndarray) -> tuple[np.ndarray, float]:
+    """nn_distances from a kept n x n matrix of squared distances, which is
+    left as it is: each row block is copied before its diagonal is masked."""
+    n = squared.shape[0]
+    out = np.empty(n)
+    blocks, buf = _block_buffer(n, n)
+    for lo, hi in blocks:
+        block = buf[: hi - lo]
+        np.copyto(block, squared[lo:hi])
+        rows = np.arange(hi - lo)
+        block[rows, rows + lo] = np.inf
+        block.min(axis=1, out=out[lo:hi])
+    np.sqrt(out, out=out)
     return out, float(out.mean())
 
 
@@ -461,11 +534,15 @@ def facility_location(
     accelerated greedy): a candidate's last computed gain bounds its current
     one, so a step rescores only the candidates whose bound could still reach
     the best score, at one distance row (O(n)) each. When many gains tie
-    exactly, that is nearly every candidate. Pools of up to
-    _DENSE_MATRIX_LIMIT rows keep the n x n distance matrix (8 MB at n=1000,
-    512 MiB at n=8192): a standalone call builds its own, and a sweep keeps
-    one that facility location and k-medoids share. Larger pools recompute
-    each row they read.
+    exactly, that is nearly every candidate. Rescoring pops up to
+    _RESCORE_BATCH such candidates at a time and scores them as one gathered
+    block; a candidate popped only because the best had not yet fallen scores
+    strictly above the final best, so the picks are those of rescoring one at
+    a time. Pools of up to _DENSE_MATRIX_LIMIT rows keep the n x n matrix of
+    squared distances (8 MB at n=1000, 512 MiB at n=8192) and read each
+    distance row as its root: a standalone call builds its own, and a sweep
+    keeps one that every sampler and the kernels share. Larger pools
+    recompute each row they read.
     """
     geom = _geometry(pool, keep_matrix=True)
     n = geom.n
@@ -473,7 +550,7 @@ def facility_location(
     first = _first_index(n, seed, start_index)
 
     # Exact distances: the walk's norm-expansion cache cancels far from the origin.
-    min_dists = geom.dists(slice(first, first + 1))[0].copy()
+    min_dists = geom.dists(slice(first, first + 1))[0]
     if not math.isfinite(min_dists.sum()):
         raise DataError(_OVERFLOW_MESSAGE)
     # Rounding slack for the lazy bounds: no later sum of min_dists exceeds this one.
@@ -483,8 +560,10 @@ def facility_location(
     def cheapest(t, cache, chosen):
         if t == 1:
             scores = np.empty(n)
-            for lo, hi in _row_blocks(n, n):
-                scores[lo:hi] = np.minimum(geom.dists(slice(lo, hi)), min_dists).sum(axis=1)
+            blocks, buf = _block_buffer(n, n)
+            for lo, hi in blocks:
+                block = geom.dists(slice(lo, hi), out=buf[: hi - lo])
+                scores[lo:hi] = np.minimum(block, min_dists, out=block).sum(axis=1)
             scores[chosen] = np.inf
             nxt = int(np.argmin(scores))  # first min = smallest-index tie-break
             rest = np.flatnonzero(~chosen)
@@ -498,10 +577,13 @@ def facility_location(
             best = math.inf
             rescored = []
             while stale and total + stale[0][0] <= best + margin:
-                row = heapq.heappop(stale)[1]
-                score = float(np.minimum(geom.dists(slice(row, row + 1))[0], min_dists).sum())
-                rescored.append((score, row))
-                best = min(best, score)
+                rows = []
+                while stale and len(rows) < _RESCORE_BATCH and total + stale[0][0] <= best + margin:
+                    rows.append(heapq.heappop(stale)[1])
+                block = geom.dists(np.array(rows))
+                scores = np.minimum(block, min_dists, out=block).sum(axis=1).tolist()
+                rescored.extend(zip(scores, rows))
+                best = min(best, *scores)
             nxt = min(rescored)[1]  # smallest score, then smallest index
             for score, row in rescored:
                 if row != nxt:
@@ -524,9 +606,10 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
 
     Both Lloyd passes read distances in row blocks of at most _BLOCK_ENTRIES.
     A standalone call recomputes each block and holds one at a time. In a
-    sweep of n <= _DENSE_MATRIX_LIMIT rows it slices the blocks from the one
-    n x n matrix the sweep keeps and shares with facility location (8 MB at
-    n=1000, 512 MiB at n=8192).
+    sweep of n <= _DENSE_MATRIX_LIMIT rows each block is the root of a gather
+    from the one n x n matrix of squared distances the sweep keeps and shares
+    with gamma=auto, facility location and the kernels (8 MB at n=1000,
+    512 MiB at n=8192).
     """
     geom = _geometry(pool, keep_matrix=False)
     n = geom.n

@@ -262,7 +262,7 @@ def test_bound_rebuilds_the_traces_of_the_selection_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "damage",
-    ["truncated selection", "selection without seed", "model header [1]"],
+    ["truncated selection", "selection without seed", "non-integral indices", "model header [1]"],
 )
 def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
     data, sel_path, model_path = _bound_inputs(tmp_path, capsys)
@@ -271,6 +271,10 @@ def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
     elif damage == "selection without seed":
         payload = json.loads(sel_path.read_text())
         del payload["seed"]
+        sel_path.write_text(json.dumps(payload))
+    elif damage == "non-integral indices":
+        payload = json.loads(sel_path.read_text())
+        payload["indices"] = [i + 0.5 for i in payload["indices"]]
         sel_path.write_text(json.dumps(payload))
     else:
         model_path.write_bytes(b"[1]\n" + model_path.read_bytes().split(b"\n", 1)[1])

@@ -112,31 +112,22 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
 
 def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Prefix samplers select once at the largest budget; k-medoids++ per cell.
-    # Facility location and k-medoids++ share one pool-by-pool distance matrix.
-    # Each selection run computes one block of squared distances for its cells.
+    # gamma=auto, facility location, k-medoids++ and every cell's kernels read
+    # one pool-by-pool matrix of squared distances: the sweep makes that one
+    # cdist call and none per selection run.
     from fillgap import experiment, selection
     from fillgap.selection import select
 
     calls = []
-    running = []  # the kind inside select, if any
-    pairwise = []  # pool-by-pool cdist calls made by samplers, by kind
-    kernel_cdist = []  # sqeuclidean cdist calls of the sweep's kernel work, by the last kind selected
+    cdist_calls = []  # (metric, rows, columns, selections made before the call)
     cdist = selection.cdist
 
     def counting(pool, spec, budget, seed=0):
         calls.append((spec.kind, budget))
-        running.append(spec.kind)
-        try:
-            return select(pool, spec, budget, seed=seed)
-        finally:
-            running.pop()
+        return select(pool, spec, budget, seed=seed)
 
     def counting_cdist(a, b, metric="euclidean", **kwargs):
-        if metric == "sqeuclidean":
-            assert not running
-            kernel_cdist.append(calls[-1][0])
-        elif running and len(a) == len(b) == 120:
-            pairwise.append(running[-1])
+        cdist_calls.append((metric, len(a), len(b), len(calls)))
         return cdist(a, b, metric, **kwargs)
 
     monkeypatch.setattr(experiment, "select", counting)
@@ -155,14 +146,8 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     for kind in ("fps", "random", "facility_location", "fps_then_random"):
         assert [b for k, b in calls if k == kind] == [max(sizes)] * cfg.repeats
     assert sorted(b for k, b in calls if k == "kmedoidspp") == sorted(sizes * cfg.repeats)
-    # One matrix, built by the first sampler that reads it. gamma=auto's
-    # nearest-neighbour pass runs outside select and is not counted.
-    assert pairwise == ["facility_location"]
-    # One kernel block per (prefix strategy, repeat), at most two per
-    # k-medoids++ cell (a Gram matrix and one prediction block).
-    for kind in ("fps", "random", "facility_location", "fps_then_random"):
-        assert kernel_cdist.count(kind) == cfg.repeats
-    assert kernel_cdist.count("kmedoidspp") <= 2 * len(sizes) * cfg.repeats
+    # One matrix, built by gamma=auto before the first selection.
+    assert cdist_calls == [("sqeuclidean", 120, 120, 0)]
     # Recomputing every distance and kernel block instead of slicing agrees.
     with monkeypatch.context() as m:
         m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
@@ -257,13 +242,13 @@ def test_kernel_block_that_cannot_be_allocated_raises_data_error(monkeypatch):
     empty = np.empty
 
     def refusing(shape, *args, **kwargs):
-        if shape == (120, 12):  # the pool-by-selection block at budget 0.1
+        if shape == (120, 120):  # the pool-by-pool matrix the kernels gather from
             raise MemoryError("Unable to allocate")
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refusing)
-    with pytest.raises(DataError, match=r"120 x 12 float64 matrix \(.* GiB\)"):
-        run_experiment(small_config())
+    with pytest.raises(DataError, match=r"120 x 120 float64 matrix \(.* GiB\)"):
+        run_experiment(small_config(model=ModelConfig(gamma=0.5, lam=1e-8)))
 
 
 def test_metrics_without_labels_do_not_require_them():
@@ -490,6 +475,24 @@ SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*
 def test_shipped_configs_load_with_their_published_hashes(path):
     expected = {"synthetic_tail.ini": "790c926ca93294ec", "molecular_features.ini": "a79e4d9635631e67"}
     assert load_experiment_config(path).config_hash() == expected[path.name]
+
+
+def test_config_hash_includes_start_index():
+    fps = small_config(strategies=(StrategySpec("fps"),))
+    started = small_config(strategies=(StrategySpec("fps", start_index=3),))
+    assert fps.config_hash() != started.config_hash()
+    assert run_experiment(fps).rows != run_experiment(started).rows
+
+
+def test_config_hash_reads_float_fields_as_floats():
+    def cfg(lipschitz, lam, budget):
+        synth = SynthConfig(n=120, d=3, target_lipschitz=lipschitz, seed=3)
+        return small_config(synth=synth, model=ModelConfig(gamma=None, lam=lam), budgets=(0.5, budget))
+
+    assert cfg(2, 0, 1).config_hash() == cfg(2.0, 0.0, 1.0).config_hash()
+    assert cfg(2, 0, 1).config_hash() != cfg(3, 0, 1).config_hash()
+    # Integer fields keep their integer form.
+    assert '"repeats": 2' in cfg(2, 0, 1).canonical()
 
 
 @pytest.mark.parametrize(

@@ -203,20 +203,23 @@ def test_selection_kernel_matches_the_public_kernels(monkeypatch):
     expected_gram = gaussian_kernel_matrix(pool[selected[:30]], 0.7)
     model = KernelModel(pool[selected[:30]], weights, gamma=0.7, lam=0.0)
     expected_pred = krr_predict(model, pool[rows])
-    # A sweep's kept n x B matrix, then the blocks recomputed above the dense limit.
+    # A sweep's n x B column gather of its kept n x n matrix, a kept n x B
+    # matrix of its own, then the blocks recomputed above the dense limit.
     for keep in (True, False):
-        sq_dists = selection._Geometry(pool, keep, pool[selected], "sqeuclidean")
-        for block_rows in (slice(100, 300), np.arange(100, 300), rows[::7]):
-            for cols in (slice(0, 30), np.arange(5, 25)):
-                expected = expected_dists[block_rows][:, cols]
-                assert np.array_equal(sq_dists.dists(block_rows, cols), expected)
-        assert np.array_equal(regression._gram(sq_dists.dists, selected[:30], 30, 0.7), expected_gram)
-        assert np.array_equal(regression._predict(sq_dists.dists, rows, weights, 0.7), expected_pred)
-        whole = regression._predict(sq_dists.dists, slice(0, 700), weights, 0.7)
-        assert np.array_equal(whole, krr_predict(model, pool))
+        gathered = selection._Geometry(pool, keep).columns(selected)
+        for geometry in (gathered, selection._Geometry(pool, keep, pool[selected])):
+            sq_dists = geometry.sq_dists
+            for block_rows in (slice(100, 300), np.arange(100, 300), rows[::7]):
+                for cols in (slice(0, 30), np.arange(5, 25)):
+                    expected = expected_dists[block_rows][:, cols]
+                    assert np.array_equal(sq_dists(block_rows, cols), expected)
+            assert np.array_equal(regression._gram(sq_dists, selected[:30], 30, 0.7), expected_gram)
+            assert np.array_equal(regression._predict(sq_dists, rows, weights, 0.7), expected_pred)
+            whole = regression._predict(sq_dists, slice(0, 700), weights, 0.7)
+            assert np.array_equal(whole, krr_predict(model, pool))
         # The selection's own rows by slice, as gaussian_kernel_matrix reads them.
-        own = selection._Geometry(pool[selected], keep, metric="sqeuclidean")
-        assert np.array_equal(regression._gram(own.dists, slice(0, 30), 30, 0.7), expected_gram)
+        own = selection._Geometry(pool[selected], keep)
+        assert np.array_equal(regression._gram(own.sq_dists, slice(0, 30), 30, 0.7), expected_gram)
 
 
 def test_kernel_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -81,6 +82,8 @@ def test_separation_examples():
 
 
 def test_nn_distances_examples():
+    from fillgap import selection
+
     dists, mean = nn_distances(np.array([0.0, 1.0, 3.0])[:, None])
     assert dists.tolist() == [1.0, 1.0, 2.0]
     assert mean == pytest.approx(4.0 / 3.0)
@@ -88,6 +91,11 @@ def test_nn_distances_examples():
     assert dup.tolist() == [0.0, 0.0]
     with pytest.raises(DataError):
         nn_distances(np.ones((1, 2)))
+    geometry = selection._Geometry(np.zeros((2, 2)))
+    assert nn_distances(geometry)[0].tolist() == [0.0, 0.0]
+    assert (np.diagonal(geometry._matrix) == 0.0).all()  # the kept matrix is left as it was
+    with pytest.raises(DataError, match="at least 2 rows"):
+        nn_distances(selection._Geometry(np.ones((1, 2))))
 
 
 def _nn_pools():
@@ -125,19 +133,48 @@ def test_nn_distances_matches_brute_cdist(monkeypatch, rows_per_block):
 
     # Three rows per block runs many blocks and, at n not divisible by 3, a
     # ragged last one; duplicate, lattice and integer pools tie exactly, so
-    # their rows take the full candidate scan.
+    # their rows take the full candidate scan. A sweep passes its geometry,
+    # whose kept matrix gives the roots of its off-diagonal row minima.
     for name, pool in _nn_pools().items():
         if rows_per_block is not None:
             monkeypatch.setattr(selection, "_BLOCK_ENTRIES", rows_per_block * pool.shape[0])
         dist_matrix = cdist(pool, pool)
         np.fill_diagonal(dist_matrix, np.inf)
         expected = dist_matrix.min(axis=1)
-        dists, mean = nn_distances(pool)
-        assert np.array_equal(dists, expected), name
-        assert mean == float(expected.mean()), name
+        for source in (pool, selection._Geometry(pool)):
+            dists, mean = nn_distances(source)
+            assert np.array_equal(dists, expected), name
+            assert mean == float(expected.mean()), name
         median = float(np.median(expected))
         if median > 0.0:
             assert gamma_for_half_kernel(pool) == math.log(2.0) / (median * median), name
+
+
+def test_root_of_squared_distances_equals_euclidean_cdist():
+    import itertools
+
+    from scipy.spatial.distance import cdist
+
+    from fillgap import selection
+
+    # A kept matrix holds squared distances and gives Euclidean blocks as
+    # their roots; recomputed blocks come from cdist. Both must agree bit for
+    # bit, from subnormal squares to near overflow and far from the origin.
+    rng = np.random.default_rng(5)
+    dims = (1, 2, 3, 8, 16, 64, 144, 200)
+    for d, scale, offset in itertools.product(dims, (1e-160, 1e-80, 1.0, 1e80, 1e150), (0.0, 1e7)):
+        pool = rng.normal(size=(40, d)) * scale + offset
+        near = pool[rng.permutation(40)[:15]] + rng.normal(size=(15, d)) * scale * 1e-3
+        case = (d, scale, offset)
+        assert np.array_equal(np.sqrt(cdist(pool, near, "sqeuclidean")), cdist(pool, near)), case
+        kept, recomputed = selection._Geometry(pool), selection._Geometry(pool, keep_matrix=False)
+        idx = rng.permutation(40)[:12]
+        blocks = ((slice(5, 30), slice(None)), (idx, slice(None)), (slice(None), idx), (idx, idx[:5]))
+        for rows, cols in blocks:
+            assert np.array_equal(kept.sq_dists(rows, cols), recomputed.sq_dists(rows, cols)), case
+            assert np.array_equal(kept.dists(rows, cols), recomputed.dists(rows, cols)), case
+        gathered = kept.columns(idx).sq_dists(slice(None))
+        assert np.array_equal(gathered, cdist(pool, pool[idx], "sqeuclidean")), case
 
 
 def test_nn_distances_memory_stays_within_blocks():
@@ -308,6 +345,9 @@ def test_facility_location_matches_eager_greedy(monkeypatch, dense_limit, block_
         (duplicated, 12, starts),
         (tail, 40, ({"seed": TAIL_TIE_SEED},)),
     )
+    # Rescoring one candidate at a time, and in the batches the sampler uses,
+    # which also rescore candidates that cannot win.
+    batches = (1, selection._RESCORE_BATCH)
     for pool, budget, calls in cases:
         dist_matrix = cdist(pool, pool)
         for kwargs in calls:
@@ -320,11 +360,13 @@ def test_facility_location_matches_eager_greedy(monkeypatch, dense_limit, block_
                 scores = np.minimum(dist_matrix, nearest).sum(axis=1)
                 scores[expected] = np.inf
                 expected.append(int(np.argmin(scores)))  # smallest index on ties
-            result = facility_location(pool, budget, **kwargs)
-            assert result.indices.tolist() == expected
             fill, sep = selection_traces(pool, expected)
-            assert np.array_equal(result.fill_trace, fill)
-            assert np.array_equal(result.sep_trace, sep, equal_nan=True)
+            for batch in batches:
+                monkeypatch.setattr(selection, "_RESCORE_BATCH", batch)
+                result = facility_location(pool, budget, **kwargs)
+                assert result.indices.tolist() == expected, batch
+                assert np.array_equal(result.fill_trace, fill)
+                assert np.array_equal(result.sep_trace, sep, equal_nan=True)
 
 
 def test_facility_location_translation_invariant():
@@ -647,6 +689,21 @@ def test_selection_result_json_roundtrip():
     assert math.isnan(back.sep_trace[0])
     assert np.array_equal(back.sep_trace[1:], result.sep_trace[1:])
     assert back.strategy == result.strategy and back.seed == result.seed
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[1.7, 2.2], [1, 2.5], ["1", "2"], [True, False], [1, math.nan], [1, math.inf], [[1, 2]]],
+)
+def test_selection_result_json_rejects_indices_that_are_not_integers(indices):
+    text = json.dumps({"strategy": "fps", "seed": 1, "indices": indices})
+    with pytest.raises(DataError, match="malformed selection JSON|1-D"):
+        SelectionResult.from_json(text)
+
+
+def test_selection_result_json_accepts_integral_floats():
+    text = json.dumps({"strategy": "fps", "seed": 1, "indices": [3, 1.0, 4.0]})
+    assert SelectionResult.from_json(text).indices.tolist() == [3, 1, 4]
 
 
 def test_selection_result_invariants():
