@@ -213,6 +213,31 @@ def test_separation_walks_only_selected_rows_and_matches_full_walk():
     assert separation_distance(pools[0], [3, 5, 3]) == 0.0
 
 
+@pytest.mark.parametrize("name,sampler", ALL_SAMPLERS)
+def test_walk_blocks_do_not_change_results(name, sampler, monkeypatch):
+    # The walk brings row blocks current lazily; many blocks of 64 rows must
+    # give the picks and traces of one block holding the whole pool, also
+    # with exact ties (lattice) and rows at distance zero (duplicates).
+    import itertools
+
+    from fillgap import selection
+
+    rng = np.random.default_rng(29)
+    pools = (
+        rng.uniform(size=(700, 2)),
+        rng.normal(size=(6, 2))[rng.integers(0, 6, size=300)],
+        np.array(list(itertools.product(range(20), repeat=2)), dtype=np.float64),
+    )
+    for pool in pools:
+        monkeypatch.setattr(selection, "_WALK_BLOCK_ENTRIES", 2**30)
+        whole = sampler(pool, 40, 3)
+        monkeypatch.setattr(selection, "_WALK_BLOCK_ENTRIES", 128)
+        blocked = sampler(pool, 40, 3)
+        assert np.array_equal(blocked.indices, whole.indices), name
+        assert np.array_equal(blocked.fill_trace, whole.fill_trace), name
+        assert np.array_equal(blocked.sep_trace, whole.sep_trace, equal_nan=True), name
+
+
 # ---------------------------------------------------------------------------
 # FPS
 # ---------------------------------------------------------------------------
