@@ -122,6 +122,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("target_lipschitz", "noise_level", "tail_fraction"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.n < 1 or self.d < 1:
             raise DataError("n and d must be >= 1")
         for name in ("target_lipschitz", "noise_level"):

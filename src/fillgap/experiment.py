@@ -18,14 +18,16 @@ recomputes bounded row blocks, with the same bits either way. The matrix
 (8 MB at n=1000, 512 MiB at n=8192) is built on its first read, by
 ``gamma=auto``'s nearest-neighbour pass or by the first sampler or cell that
 needs it. The samplers read Euclidean blocks as its roots. Each selection run
-gathers its B selected columns once (n * B * 8 bytes: 0.8 MB at n=1000,
-B=100). Every cell the run serves, all budgets of a prefix kind's (strategy,
-repeat) or one k-medoids++ cell, reads its Gram matrix and prediction blocks
-from that gather through the readers behind ``gaussian_kernel_matrix`` and
-``krr_predict``, and builds one Gram matrix for conditioning and the fit.
-Cells run repeat by repeat, so at most one such n x B gather is live. Under
-the limit a sweep with kernel metrics therefore holds the n x n matrix even
-when only ``fps`` and ``random`` run, which read no distance block.
+keeps one n x B matrix for its B selected rows (n * B * 8 bytes: 0.8 MB at
+n=1000, B=100), gathered from the n x n matrix once that is built and
+computed with ``cdist`` before. Every cell the run serves, all budgets of a
+prefix kind's (strategy, repeat) or one k-medoids++ cell, reads its Gram
+matrix and prediction blocks from it through the readers behind
+``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
+for conditioning and the fit. Cells run repeat by repeat, so at most one
+such n x B matrix is live. ``gamma=auto`` builds the n x n matrix, so under
+the limit a sweep that runs only ``fps`` and ``random``, which read no
+distance block, holds it too; with a pinned gamma it builds none.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -78,6 +79,9 @@ class ModelConfig:
     grid_repeats: int = 1
 
     def __post_init__(self):
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "lam", float(self.lam))
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError("[model] gamma must be positive or 'auto'")
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -104,6 +108,7 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("[dataset] exactly one of path / synth must be given")
         if not self.strategies:
@@ -135,27 +140,23 @@ class ExperimentConfig:
         return hashlib.blake2b(self.canonical().encode(), digest_size=8).hexdigest()
 
 
-def _canonical(value, floats: bool = False):
+def _canonical(value):
     """JSON-ready form of a config value for hashing: floats as their repr,
     strategies as their label (with their ``start_index`` when set), tuples
     as lists, nested configs as dicts of their fields, with ModelConfig.lam
-    keyed ``lambda``. ``floats`` marks a float-typed field, whose numbers hash
-    as floats whatever their Python type, so 2 and 2.0 hash alike."""
+    keyed ``lambda``. The configs store their float fields as floats, so 2
+    and 2.0 hash alike."""
     if isinstance(value, StrategySpec):
         if value.start_index is None:
             return value.label
         return {"label": value.label, "start_index": int(value.start_index)}
     if is_dataclass(value):
         return {
-            "lambda" if f.name == "lam" else f.name: _canonical(
-                getattr(value, f.name), floats="float" in str(f.type)
-            )
+            "lambda" if f.name == "lam" else f.name: _canonical(getattr(value, f.name))
             for f in fields(value)
         }
     if isinstance(value, tuple):
-        return [_canonical(v, floats) for v in value]
-    if floats and isinstance(value, numbers.Real) and not isinstance(value, bool):
-        value = float(value)
+        return [_canonical(v) for v in value]
     return repr(value) if isinstance(value, float) else value
 
 

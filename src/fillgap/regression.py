@@ -190,8 +190,8 @@ def krr_predict(model: KernelModel, X) -> np.ndarray:
     weights`` bit for bit on one BLAS thread and do not change with the
     thread count; the kernel is held one bounded row block at a time (see
     _predict). A sweep's cells predict through the same _predict, reading
-    their squared distances from a column gather of the sweep's _Geometry
-    per selection run, so they get the same bits as this function.
+    their squared distances from one n x B matrix per selection run, kept by
+    the sweep's _Geometry, so they get the same bits as this function.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:

@@ -44,11 +44,11 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
 # Up to this pool size a _Geometry keeps its full matrix of squared
 # distances, built on first use. A sweep keeps one n x n matrix (8 MB at
-# n=1000, 512 MiB at n=8192) that gamma=auto, facility location, k-medoids
-# and the kernels all read, and per selection run one n x B column gather of
-# it for the B selected rows, which that run's cells slice their kernels
-# from. Above the limit, and in a standalone kmedoidspp call, every block
-# read is recomputed.
+# n=1000, 512 MiB at n=8192) that gamma=auto, facility location and k-medoids
+# read, and per selection run one n x B matrix for the B selected rows, which
+# that run's cells slice their kernels from: a column gather of the n x n one
+# once that is built, a cdist before. Above the limit, and in a standalone
+# kmedoidspp call, every block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB):
@@ -68,7 +68,9 @@ _BLOCK_ENTRIES = 2**19
 _WALK_BLOCK_ENTRIES = 2**17
 
 # Facility location's lazy greedy rescores up to this many candidates as one
-# block: one gather and one root per block instead of per candidate.
+# block: one gather and one root per block instead of per candidate. On
+# sweep-tail (n=1000, about 25000 rescored rows per sweep) scoring one row at a
+# time was slower in 7 of 10 benchmark pairs, by 10 % in the median.
 _RESCORE_BATCH = 8
 
 _BRUTEFORCE_LIMIT = 10**6
@@ -352,8 +354,10 @@ class _Geometry:
 
     def columns(self, indices: np.ndarray) -> _Geometry:
         """The geometry from the pool to the rows ``indices`` of ``self.cols``.
-        When this one keeps its matrix, the new one's is a column gather of it,
-        made on its first read; nothing is computed again."""
+        When this one keeps its matrix, the new one keeps a matrix too, made on
+        its first read: a column gather of this one's if that is built by
+        then, else a ``cdist``, so the n x n matrix is built only for a reader
+        that needs it."""
         sub = _Geometry(self.pool, self._keeps_matrix, self.cols[indices])
         sub._source = (self, indices)
         return sub
@@ -362,13 +366,15 @@ class _Geometry:
         """The kept matrix, built on first use."""
         if self._matrix is None:
             out = _allocate((self.n, self.cols.shape[0]))
-            if self._source is None:
+            parent, indices = self._source or (None, None)
+            if parent is None or parent._matrix is None:
+                # A parent that has not built its matrix (a sweep of fps and
+                # random with a pinned gamma) is not made to build it for this.
                 self._matrix = cdist(self.pool, self.cols, "sqeuclidean", out=out)
             else:
-                parent, indices = self._source
                 # The indices select rows of this pool, so they are in range;
                 # mode="raise" would gather through a second buffer.
-                self._matrix = np.take(parent._squared(), indices, axis=1, out=out, mode="clip")
+                self._matrix = np.take(parent._matrix, indices, axis=1, out=out, mode="clip")
         return self._matrix
 
     def sq_dists(self, rows, cols=slice(None), out=None) -> np.ndarray:

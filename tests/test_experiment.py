@@ -120,7 +120,9 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
 
     calls = []
     cdist_calls = []  # (metric, rows, columns, selections made before the call)
+    gathers = []  # (selections made before, selected rows) per n x B matrix built
     cdist = selection.cdist
+    squared = selection._Geometry._squared
 
     def counting(pool, spec, budget, seed=0):
         calls.append((spec.kind, budget))
@@ -130,8 +132,14 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
         cdist_calls.append((metric, len(a), len(b), len(calls)))
         return cdist(a, b, metric, **kwargs)
 
+    def counting_squared(self):
+        if self._matrix is None and self._source is not None:
+            gathers.append((len(calls), len(self._source[1])))
+        return squared(self)
+
     monkeypatch.setattr(experiment, "select", counting)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
+    monkeypatch.setattr(selection._Geometry, "_squared", counting_squared)
     cfg = small_config(
         strategies=tuple(
             StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")
@@ -148,12 +156,41 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     assert sorted(b for k, b in calls if k == "kmedoidspp") == sorted(sizes * cfg.repeats)
     # One matrix, built by gamma=auto before the first selection.
     assert cdist_calls == [("sqeuclidean", 120, 120, 0)]
+    # Each selection run, one per prefix (strategy, repeat) and one per
+    # k-medoids++ cell, gathers its n x B kernel block once, right after it
+    # selects, and every cell it serves slices that block.
+    assert gathers == [(i + 1, budget) for i, (_, budget) in enumerate(calls)]
     # Recomputing every distance and kernel block instead of slicing agrees.
     with monkeypatch.context() as m:
         m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
         assert rows_csv(run_experiment(cfg)) == rows_csv(report)
     # Slicing changes no row: selecting every cell at its own budget agrees.
     monkeypatch.setattr(experiment, "_PREFIX_KINDS", ())
+    assert rows_csv(run_experiment(cfg)) == rows_csv(report)
+
+
+def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
+    # With a pinned gamma, fps and random read no pool-by-pool block, so each
+    # selection run computes its n x B kernel block and no n x n matrix is built.
+    from fillgap import selection
+
+    shapes = []
+    cdist = selection.cdist
+
+    def counting_cdist(a, b, metric="euclidean", **kwargs):
+        shapes.append((metric, len(a), len(b)))
+        return cdist(a, b, metric, **kwargs)
+
+    monkeypatch.setattr(selection, "cdist", counting_cdist)
+    cfg = small_config(
+        strategies=(StrategySpec("fps"), StrategySpec("random")),
+        model=ModelConfig(gamma=2.0, lam=1e-6),
+        repeats=2,
+    )
+    report = run_experiment(cfg)
+    budget = resolve_budget(max(cfg.budgets), 120)
+    assert shapes == [("sqeuclidean", 120, budget)] * 4
+    monkeypatch.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
     assert rows_csv(run_experiment(cfg)) == rows_csv(report)
 
 
@@ -238,16 +275,29 @@ def test_failed_prefix_cells_recorded_on_both_kernel_paths(monkeypatch, limit):
             assert agg.failures == 0 and math.isfinite(agg.mean), agg
 
 
-def test_kernel_block_that_cannot_be_allocated_raises_data_error(monkeypatch):
+def _refuse_to_allocate(monkeypatch, shape):
     empty = np.empty
 
-    def refusing(shape, *args, **kwargs):
-        if shape == (120, 120):  # the pool-by-pool matrix the kernels gather from
+    def refusing(requested, *args, **kwargs):
+        if requested == shape:
             raise MemoryError("Unable to allocate")
-        return empty(shape, *args, **kwargs)
+        return empty(requested, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refusing)
+
+
+def test_kernel_block_that_cannot_be_allocated_raises_data_error(monkeypatch):
+    # gamma=auto builds the pool-by-pool matrix the kernels gather from.
+    _refuse_to_allocate(monkeypatch, (120, 120))
     with pytest.raises(DataError, match=r"120 x 120 float64 matrix \(.* GiB\)"):
+        run_experiment(small_config())
+
+
+def test_selection_block_that_cannot_be_allocated_raises_data_error(monkeypatch):
+    # With a pinned gamma fps and random build no pool-by-pool matrix; each
+    # selection run computes its own block, here the one at budget 0.1.
+    _refuse_to_allocate(monkeypatch, (120, 12))
+    with pytest.raises(DataError, match=r"120 x 12 float64 matrix \(.* GiB\)"):
         run_experiment(small_config(model=ModelConfig(gamma=0.5, lam=1e-8)))
 
 
