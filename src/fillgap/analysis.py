@@ -155,6 +155,17 @@ def _sample_pair_indices(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as float64 arrays, an n x d matrix and n finite labels."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise DataError("X must be n x d and y length n")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError("X and y must not contain NaN or Inf entries")
+    return X, y
+
+
 def _pair_distances(X, y, exact: bool, max_pairs: int, seed: int):
     """Feature and label distances over all pairs when ``exact``, otherwise
     over a seeded sample of ``max_pairs`` distinct pairs."""
@@ -174,10 +185,7 @@ def pairwise_distance_correlation(
     taken and flagged. The verdict applies the |rho| <= 0.1 negligibility
     threshold to the Pearson coefficient.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise DataError("X must be n x d and y length n")
+    X, y = _checked_xy(X, y)
     n = X.shape[0]
     if n < 3:
         raise DataError("need at least 3 points to correlate pairwise distances")
@@ -257,10 +265,7 @@ def empirical_lipschitz(
     Duplicate feature rows with differing labels are rejected (the slope is
     infinite).
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise DataError("X must be n x d and y length n")
+    X, y = _checked_xy(X, y)
     n = X.shape[0]
     if n < 2:
         raise DataError("need at least 2 points")

@@ -65,11 +65,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_pool(args, need_labels: bool):
-    from .dataset import load_dataset
+    from .dataset import load_dataset, parse_label_column
 
     label_column = getattr(args, "label_column", None)
-    if label_column is not None and label_column.lstrip("+-").isdigit():
-        label_column = int(label_column)
+    if label_column is not None:
+        label_column = parse_label_column(label_column)
     has_labels = need_labels or label_column is not None
     return load_dataset(args.data, has_labels=has_labels, label_column=label_column)
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +185,12 @@ def _looks_like_header(row: list[str]) -> bool:
         except ValueError:
             return True
     return False
+
+
+def parse_label_column(raw: str) -> str | int:
+    """A label column as written in a config file or on the command line: a
+    signed decimal integer is a 0-based column index, other text a header name."""
+    return int(raw) if re.fullmatch(r"[+-]?[0-9]+", raw) else raw
 
 
 def load_dataset(

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import mae, maxae
-from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, remove_zero_variance, synth_lipschitz
+from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse_label_column, remove_zero_variance, synth_lipschitz
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
 from .rng import child_seed
@@ -369,10 +369,6 @@ def _parse_text(section: str, key: str, raw: str) -> str:
     return raw
 
 
-def _parse_label(section: str, key: str, raw: str) -> str | int:
-    return int(raw) if raw.lstrip("+-").isdigit() else raw
-
-
 def _parse_gamma(section: str, key: str, raw: str) -> float | None:
     return None if raw.strip().lower() == "auto" else _parse_float(section, key, raw)
 
@@ -402,7 +398,7 @@ def _listed(parse):
 _KEYS = {
     "dataset": {
         "path": ("dataset_path", _parse_text),
-        "label_column": ("label_column", _parse_label),
+        "label_column": ("label_column", lambda section, key, raw: parse_label_column(raw)),
         "normalize": ("normalize", _parse_bool),
     },
     "synth": {

@@ -52,10 +52,10 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB):
-# nn_distances' GEMM scores, facility-location scoring, both k-medoids Lloyd
-# passes and the kernel values of regression's predictions. At n=20000, d=16
-# on one BLAS thread, nearest-neighbour blocks of 2**19 to 2**21 entries took
-# 1.2-1.4 s and 2**18 took 1.3-1.5 s; larger blocks only hold more memory.
+# nn_distances' GEMM scores, both k-medoids Lloyd passes and the kernel values
+# of regression's predictions. At n=20000, d=16 on one BLAS thread,
+# nearest-neighbour blocks of 2**19 to 2**21 entries took 1.2-1.4 s and 2**18
+# took 1.3-1.5 s; larger blocks only hold more memory.
 # Predictions round their blocks down to a multiple of 64 rows (regression._predict).
 _BLOCK_ENTRIES = 2**19
 
@@ -67,10 +67,11 @@ _BLOCK_ENTRIES = 2**19
 # this walk takes 2.1-2.5 s, and a whole-pool GEMV per pick took 6.4-8.0 s.
 _WALK_BLOCK_ENTRIES = 2**17
 
-# Facility location's lazy greedy rescores up to this many candidates as one
-# block: one gather and one root per block instead of per candidate. On
-# sweep-tail (n=1000, about 25000 rescored rows per sweep) scoring one row at a
-# time was slower in 7 of 10 benchmark pairs, by 10 % in the median.
+# Facility location scores up to this many candidates as one block, on its
+# first step, which scores every row, and on every lazy rescoring after it:
+# one gather and one root per block instead of per candidate. On sweep-tail
+# (n=1000, about 25000 rescored rows per sweep) scoring one row at a time was
+# slower in 7 of 10 benchmark pairs, by 10 % in the median.
 _RESCORE_BATCH = 8
 
 _BRUTEFORCE_LIMIT = 10**6
@@ -387,15 +388,15 @@ class _Geometry:
             return self._squared()[rows, cols]
         return self._squared()[rows[:, None], cols]
 
-    def dists(self, rows, cols=slice(None), out=None) -> np.ndarray:
-        """Euclidean distances, read as ``sq_dists``, always in a fresh array
-        or ``out``. The root of a gathered block is taken in place, since the
-        gather is already a fresh copy."""
+    def dists(self, rows, cols=slice(None)) -> np.ndarray:
+        """Euclidean distances, read as ``sq_dists``, always in a fresh array.
+        The root of a gathered block is taken in place, since the gather is
+        already a fresh copy."""
         if not self._keeps_matrix:
-            return cdist(self.pool[rows], self.cols[cols], out=out)
+            return cdist(self.pool[rows], self.cols[cols])
         block = self.sq_dists(rows, cols)
         if isinstance(rows, slice) and isinstance(cols, slice):  # a view of the kept matrix
-            return np.sqrt(block, out=out)
+            return np.sqrt(block)
         return np.sqrt(block, out=block)
 
 
@@ -458,10 +459,11 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     ``x_i`` the centred rows and ``N_i = |x_i|**2``, row blocks of
     _BLOCK_ENTRIES scores ``G_ij = N_j - 2 x_i.x_j``, which is
     ``|x_i - x_j|**2 - N_i``, come from one GEMM, self entries set to +inf.
-    A row keeps its winner; only rows whose second-best score lies within the
-    margin of the best also keep every column within it. Each row's distance
-    is the minimum over its own candidates, self excluded, of ``cdist`` on
-    the raw pool; a ``cdist`` sub-block equals that slice of the full matrix.
+    Each row keeps every column whose score lies within its margin of the
+    row's smallest score, and its distance is the minimum of ``cdist`` on the
+    raw pool over those columns; a ``cdist`` sub-block equals that slice of
+    the full matrix. The margin below puts the column of the true minimum in
+    that set, so the value is exact.
 
     Margin. Let ``u = eps / 2``, ``s_ij`` the exact squared distance of the
     scaled pool, and work to first order in ``u``. Centring moves each
@@ -476,17 +478,21 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     ``G_ik <= G_ia + 2 delta_i + (d + 4) eps s_ia``, where
     ``s_ia <= 2 (N_i + N_max)``. That sum is ``(4 d + 14) eps (N_i +
     N_max)``; the margin ``8 (d + 4) eps (N_i + N_max)`` adds room for the
-    second order. Underflow adds absolute errors of ``2**-1075`` per
+    second order, so column k is kept whichever column G ranks first, ties
+    included. Underflow adds absolute errors of ``2**-1075`` per
     rounding: fewer than ``2 (d + 2)`` in each GEMM score, plus the scaling
     of a pool spanning more than ``2**1022``; and ``cdist``'s ``d + 2`` on
     the raw pool, ``2**-1075`` raw each, that is ``2**(-1075 - 2 e)`` scaled.
     The floor ``16 (d + 2) (2**-1074 + 2**(-1074 - 2 e))`` covers both scores
     compared. Where it dominates, in pools whose squared distances underflow
     raw or whose spread is below ``2**-500`` of their largest entry, most
-    rows tie and scan every column: slower, still exact.
+    rows keep every column: slower, still exact. An infinite margin also
+    keeps the +inf self entry; it arises only for pools below ``2**-1000``,
+    where every raw squared distance, self included, underflows to 0.
 
     Memory: one scaled copy of the pool plus a few blocks of
-    _BLOCK_ENTRIES entries (4 MiB each), also when every row ties.
+    _BLOCK_ENTRIES entries (4 MiB each), also when every row keeps every
+    column.
     """
     kept = isinstance(pool, _Geometry) and pool._keeps_matrix and pool.cols is pool.pool
     geometry, pool = pool, _as_pool(pool)
@@ -514,14 +520,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
         np.matmul(-2.0 * xt[:, lo:hi].T, xt, out=g)
         g += norms
         g[rows, rows + lo] = np.inf
-        winner = g.argmin(axis=1)
-        limit = g[rows, winner] + margins[lo:hi]
-        g[rows, winner] = np.inf
-        tied = g.min(axis=1) <= limit
-        keep = np.zeros(g.shape, dtype=bool)
-        keep[tied] = g[tied] <= limit[tied, None]
-        keep[rows, winner] = True
-        keep[rows, rows + lo] = False
+        keep = g <= (g.min(axis=1) + margins[lo:hi])[:, None]
         cols = np.flatnonzero(keep.any(axis=0))
         block = cdist(pool[lo:hi], pool[cols])
         block[~keep[:, cols]] = np.inf
@@ -609,20 +608,20 @@ def facility_location(
     row to its nearest selected row.
 
     Each step adds the candidate of smallest computed score (smallest row
-    index among equal scores). The first step scores every candidate, O(n^2)
-    distance evaluations; after it the greedy runs lazily (Minoux's
-    accelerated greedy): a candidate's last computed gain bounds its current
-    one, so a step rescores only the candidates whose bound could still reach
-    the best score, at one distance row (O(n)) each. When many gains tie
-    exactly, that is nearly every candidate. Rescoring pops up to
-    _RESCORE_BATCH such candidates at a time and scores them as one gathered
-    block; a candidate popped only because the best had not yet fallen scores
-    strictly above the final best, so the picks are those of rescoring one at
-    a time. Pools of up to _DENSE_MATRIX_LIMIT rows keep the n x n matrix of
-    squared distances (8 MB at n=1000, 512 MiB at n=8192) and read each
-    distance row as its root: a standalone call builds its own, and a sweep
-    keeps one that every sampler and the kernels share. Larger pools
-    recompute each row they read.
+    index among equal scores). The greedy is lazy (Minoux's accelerated
+    greedy): a candidate's last computed gain bounds its current one, so a
+    step rescores only the candidates whose bound could still reach the best
+    score, at one distance row (O(n)) each. Every bound starts at -inf, so
+    the first step scores every candidate, O(n^2) distance evaluations; when
+    many gains tie exactly, later steps rescore nearly every candidate too.
+    Rescoring pops up to _RESCORE_BATCH such candidates at a time and scores
+    them as one gathered block; a candidate popped only because the best had
+    not yet fallen scores strictly above the final best, so the picks are
+    those of rescoring one at a time. Pools of up to _DENSE_MATRIX_LIMIT rows
+    keep the n x n matrix of squared distances (8 MB at n=1000, 512 MiB at
+    n=8192) and read each distance row as its root: a standalone call builds
+    its own, and a sweep keeps one that every sampler and the kernels share.
+    Larger pools recompute each row they read.
     """
     geom = _geometry(pool, keep_matrix=True)
     n = geom.n
@@ -635,40 +634,28 @@ def facility_location(
         raise DataError(_OVERFLOW_MESSAGE)
     # Rounding slack for the lazy bounds: no later sum of min_dists exceeds this one.
     margin = 64 * n * np.finfo(np.float64).eps * float(min_dists.sum())
-    stale: list[tuple[float, int]] = []  # heap of (last score - its sum(min_dists), row)
+    # Heap of (last score - its sum(min_dists), row). A bound of -inf makes the
+    # first step score every row; a list sorted by row is already a heap.
+    stale = [(-math.inf, row) for row in range(n) if row != first]
 
     def cheapest(t, walk):
-        chosen = walk.chosen
-        if t == 1:
-            scores = np.empty(n)
-            blocks, buf = _block_buffer(n, n)
-            for lo, hi in blocks:
-                block = geom.dists(slice(lo, hi), out=buf[: hi - lo])
-                scores[lo:hi] = np.minimum(block, min_dists, out=block).sum(axis=1)
-            scores[chosen] = np.inf
-            nxt = int(np.argmin(scores))  # first min = smallest-index tie-break
-            rest = np.flatnonzero(~chosen)
-            rest = rest[rest != nxt]
-            stale.extend(zip((scores[rest] - min_dists.sum()).tolist(), rest.tolist()))
-            heapq.heapify(stale)
-        else:
-            # Gains only shrink, so total + (stale score - stale total) bounds a
-            # row's score from below; rescore rows until no bound can reach the best.
-            total = float(min_dists.sum())
-            best = math.inf
-            rescored = []
-            while stale and total + stale[0][0] <= best + margin:
-                rows = []
-                while stale and len(rows) < _RESCORE_BATCH and total + stale[0][0] <= best + margin:
-                    rows.append(heapq.heappop(stale)[1])
-                block = geom.dists(np.array(rows))
-                scores = np.minimum(block, min_dists, out=block).sum(axis=1).tolist()
-                rescored.extend(zip(scores, rows))
-                best = min(best, *scores)
-            nxt = min(rescored)[1]  # smallest score, then smallest index
-            for score, row in rescored:
-                if row != nxt:
-                    heapq.heappush(stale, (score - total, row))
+        # Gains only shrink, so total + (stale score - stale total) bounds a
+        # row's score from below; rescore rows until no bound can reach the best.
+        total = float(min_dists.sum())
+        best = math.inf
+        rescored = []
+        while stale and total + stale[0][0] <= best + margin:
+            rows = []
+            while stale and len(rows) < _RESCORE_BATCH and total + stale[0][0] <= best + margin:
+                rows.append(heapq.heappop(stale)[1])
+            block = geom.dists(np.array(rows))
+            scores = np.minimum(block, min_dists, out=block).sum(axis=1).tolist()
+            rescored.extend(zip(scores, rows))
+            best = min(best, *scores)
+        nxt = min(rescored)[1]  # smallest score, then smallest index
+        for score, row in rescored:
+            if row != nxt:
+                heapq.heappush(stale, (score - total, row))
         np.minimum(min_dists, geom.dists(slice(nxt, nxt + 1))[0], out=min_dists)
         return nxt
 

@@ -127,6 +127,24 @@ def test_correlation_rejects_degenerate_geometry():
         pairwise_distance_correlation(np.ones((2, 1)), np.ones(2), max_pairs=100)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["feature", "label"])
+def test_pair_statistics_reject_non_finite_input(bad, where):
+    # Unchecked, a NaN feature would give pearson=nan with verdict "negative",
+    # and an inf label an infinite Lipschitz estimate.
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(30, 3))
+    y = x[:, 0].copy()
+    if where == "feature":
+        x[4, 0] = bad
+    else:
+        y[4] = bad
+    with pytest.raises(DataError, match="NaN or Inf"):
+        pairwise_distance_correlation(x, y, max_pairs=100)
+    with pytest.raises(DataError, match="NaN or Inf"):
+        empirical_lipschitz(x, y)
+
+
 def test_spearman_invariant_under_monotone_transform():
     rng = np.random.default_rng(8)
     a = rng.normal(size=50)

@@ -193,6 +193,41 @@ def test_nn_matches_recomputation(pool_csv, capsys):
     assert payload["mean"] == mean
 
 
+def test_label_column_index_reads_alike_on_the_command_line_and_in_a_config(tmp_path, capsys):
+    from fillgap.errors import DataError
+    from fillgap.experiment import load_experiment_config, pool_from_config
+    from fillgap.selection import nn_distances
+
+    # Labels in column 0 under a header: only the index, not a name, picks them.
+    values = np.random.default_rng(3).uniform(size=(20, 4))
+    data = tmp_path / "pool.csv"
+    np.savetxt(data, values, delimiter=",", header="t,a,b,c", comments="")
+    ini = tmp_path / "exp.ini"
+
+    def config(label):
+        ini.write_text(
+            f"[dataset]\npath = {data}\nlabel_column = {label}\nnormalize = false\n\n"
+            "[sweep]\nstrategies = fps\nbudgets = 0.5\nmaster_seed = 1\nmetrics = maxae\n\n"
+            "[model]\ngamma = 1.0\n"
+        )
+        return load_experiment_config(ini)
+
+    pool = pool_from_config(config("0"))
+    assert np.array_equal(pool.labels, values[:, 0])
+    assert np.array_equal(pool.features, values[:, 1:])
+    code, out, _ = run(capsys, "nn", "--data", data, "--label-column", "0")
+    assert code == 0
+    assert json.loads(out)["distances"] == nn_distances(pool.features)[0].tolist()
+
+    # Only a signed run of ASCII digits is an index; other text, "+-1" too, names a header.
+    for label, message in (("-1", "index -1 out of range"), ("+-1", "'\\+-1' not found")):
+        with pytest.raises(DataError, match=message) as exc:
+            pool_from_config(config(label))
+        code, _, err = run(capsys, "nn", "--data", data, "--label-column", label)
+        assert code == 2
+        assert err.strip() == f"error: {exc.value}"
+
+
 def _bound_inputs(tmp_path, capsys):
     """A synthetic pool, an FPS selection with traces and a model fitted on it."""
     code, out, _ = run(

@@ -346,19 +346,19 @@ def test_facility_location_vs_exhaustive_oracle():
     assert np.mean(ratios) < 1.5
 
 
-@pytest.mark.parametrize("dense_limit,block_entries", [(None, None), (None, 7), (0, 7)])
-def test_facility_location_matches_eager_greedy(monkeypatch, dense_limit, block_entries):
+@pytest.mark.parametrize("dense_limit", [None, 0])
+def test_facility_location_matches_eager_greedy(monkeypatch, dense_limit):
     from scipy.spatial.distance import cdist
 
     from fillgap import selection
 
-    # Patched limits run the multi-block and the recomputed-block paths.
+    # A dense limit of 0 runs the recomputed-block path.
     if dense_limit is not None:
         monkeypatch.setattr(selection, "_DENSE_MATRIX_LIMIT", dense_limit)
-    if block_entries is not None:
-        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", block_entries, raising=False)
     rng = np.random.default_rng(23)
     duplicated = rng.normal(size=(3, 2))[rng.integers(0, 3, size=12)]
+    # At most _RESCORE_BATCH rows: the first step pops every row in one batch.
+    few = rng.uniform(-1, 1, size=(selection._RESCORE_BATCH, 2))
     # Shipped tail pool: at this seed two rows of equal gain reach step 38
     # with summed scores that round apart.
     tail = synth_lipschitz(
@@ -368,6 +368,7 @@ def test_facility_location_matches_eager_greedy(monkeypatch, dense_limit, block_
     cases = (
         (rng.uniform(-1, 1, size=(30, 3)), 12, starts),
         (duplicated, 12, starts),
+        (few, selection._RESCORE_BATCH, starts),
         (tail, 40, ({"seed": TAIL_TIE_SEED},)),
     )
     # Rescoring one candidate at a time, and in the batches the sampler uses,
