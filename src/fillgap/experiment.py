@@ -15,19 +15,19 @@ Every distance block the sweep reads comes from one source,
 for pools of up to selection's dense limit (8192 rows) it keeps one n x n
 matrix of squared distances and slices or gathers it, above that it
 recomputes bounded row blocks, with the same bits either way. The matrix
-(8 MB at n=1000, 512 MiB at n=8192) is built on its first read, by
-``gamma=auto``'s nearest-neighbour pass or by the first sampler or cell that
-needs it. The samplers read Euclidean blocks as its roots. Each selection run
-keeps one n x B matrix for its B selected rows (n * B * 8 bytes: 0.8 MB at
-n=1000, B=100), gathered from the n x n matrix once that is built and
-computed with ``cdist`` before. Every cell the run serves, all budgets of a
-prefix kind's (strategy, repeat) or one k-medoids++ cell, reads its Gram
-matrix and prediction blocks from it through the readers behind
-``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
-for conditioning and the fit. Cells run repeat by repeat, so at most one
-such n x B matrix is live. ``gamma=auto`` builds the n x n matrix, so under
-the limit a sweep that runs only ``fps`` and ``random``, which read no
-distance block, holds it too; with a pinned gamma it builds none.
+(8 MB at n=1000, 512 MiB at n=8192) is built on its first read, by the first
+facility-location or k-medoids++ run; the samplers read Euclidean blocks as
+its roots. Each selection run keeps one n x B matrix for its B selected rows
+(n * B * 8 bytes: 0.8 MB at n=1000, B=100), gathered from the n x n matrix
+once that is built and computed with ``cdist`` before. Every cell the run
+serves, all budgets of a prefix kind's (strategy, repeat) or one k-medoids++
+cell, reads its Gram matrix and prediction blocks from it through the readers
+behind ``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram
+matrix for conditioning and the fit. Cells run repeat by repeat, so at most
+one such n x B matrix is live. ``gamma=auto`` runs
+``selection.nn_distances`` on the raw pool in bounded blocks, so a sweep
+whose strategies are only ``fps``, ``random`` and ``fps_then_random`` builds
+no n x n matrix.
 """
 
 from __future__ import annotations
@@ -211,9 +211,7 @@ def pool_from_config(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _resolve_model(
-    cfg: ExperimentConfig, pool: Dataset, geometry: _Geometry, sizes: list[int]
-) -> tuple[float, float]:
+def _resolve_model(cfg: ExperimentConfig, pool: Dataset, sizes: list[int]) -> tuple[float, float]:
     if cfg.model.grid_search:
         report = grid_search_cv_report(
             pool,
@@ -223,7 +221,7 @@ def _resolve_model(
             seed=child_seed(cfg.master_seed, "grid_search"),
         )
         return report.gamma, report.lam
-    gamma = cfg.model.gamma if cfg.model.gamma is not None else gamma_for_half_kernel(geometry)
+    gamma = cfg.model.gamma if cfg.model.gamma is not None else gamma_for_half_kernel(pool.features)
     return float(gamma), float(cfg.model.lam)
 
 
@@ -243,8 +241,6 @@ def _cell_values(
     idx = result.indices[:size]
     mask = np.ones(pool.n, dtype=bool)
     mask[idx] = False
-    if mask.sum() + idx.size != pool.n:
-        raise DataError("selection and evaluation sets overlap")
 
     values: dict[str, float] = {}
     if "fill_distance" in cfg.metrics:
@@ -284,8 +280,8 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     if any(m in _PREDICTION_METRICS for m in cfg.metrics):
         pool.require_labels()
     sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
+    gamma, lam = _resolve_model(cfg, pool, sizes)
     geometry = _Geometry(pool.features)  # validated when the dataset was built
-    gamma, lam = _resolve_model(cfg, pool, geometry, sizes)
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label

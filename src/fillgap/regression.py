@@ -422,13 +422,22 @@ def conditioning_report(
 
 def gamma_for_half_kernel(pool) -> float:
     """Kernel width at which the median nearest-neighbour pair has kernel
-    value one half: ln(2) / median_nn_distance^2. ``pool`` is a raw pool or a
-    pool-by-pool ``selection._Geometry``, as for nn_distances."""
+    value one half: ln(2) / median_nn_distance^2, always positive and finite."""
     dists, _ = nn_distances(pool)
     median = float(np.median(dists))
     if median <= 0:
-        raise DataError("median nearest-neighbour distance is zero; duplicate-heavy pool")
-    return math.log(2.0) / (median * median)
+        raise DataError(
+            "median nearest-neighbour distance is zero: a duplicate-heavy pool, or "
+            "squared distances that underflow float64; rescale the pool"
+        )
+    squared = median * median  # zero for a positive median below about 1e-162
+    gamma = math.log(2.0) / squared if squared > 0 else math.inf
+    if not math.isfinite(gamma):
+        raise DataError(
+            f"nearest-neighbour distances are too small (median {median:.3g}): "
+            "ln(2) / median^2 overflows float64; rescale the pool"
+        )
+    return gamma
 
 
 # ---------------------------------------------------------------------------

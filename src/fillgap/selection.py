@@ -44,11 +44,11 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
 # Up to this pool size a _Geometry keeps its full matrix of squared
 # distances, built on first use. A sweep keeps one n x n matrix (8 MB at
-# n=1000, 512 MiB at n=8192) that gamma=auto, facility location and k-medoids
-# read, and per selection run one n x B matrix for the B selected rows, which
-# that run's cells slice their kernels from: a column gather of the n x n one
-# once that is built, a cdist before. Above the limit, and in a standalone
-# kmedoidspp call, every block read is recomputed.
+# n=1000, 512 MiB at n=8192), built by the first facility-location or
+# k-medoids++ read, and per selection run one n x B matrix for the B selected
+# rows, which that run's cells slice their kernels from: a column gather of the
+# n x n one once that is built, a cdist before. Above the limit, and in a
+# standalone kmedoidspp call, every block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB):
@@ -369,8 +369,9 @@ class _Geometry:
             out = _allocate((self.n, self.cols.shape[0]))
             parent, indices = self._source or (None, None)
             if parent is None or parent._matrix is None:
-                # A parent that has not built its matrix (a sweep of fps and
-                # random with a pinned gamma) is not made to build it for this.
+                # A parent that has not built its matrix (a sweep before its
+                # first facility-location or k-medoids++ run) is not made to
+                # build it for this.
                 self._matrix = cdist(self.pool, self.cols, "sqeuclidean", out=out)
             else:
                 # The indices select rows of this pool, so they are in range;
@@ -446,10 +447,6 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     """Distance from every row to its nearest other row, plus the mean.
 
     The mean is the reference level against which isolated points are judged.
-    ``pool`` is a raw pool or a pool-by-pool ``_Geometry``. A geometry that
-    keeps its matrix gives the root of each row's smallest off-diagonal
-    squared distance, read in row blocks of _BLOCK_ENTRIES; the root of the
-    minimum is the minimum of the roots, so that equals the method below.
 
     Method. Each value is the row minimum of ``cdist(pool, pool)`` with the
     diagonal excluded, bit for bit: a GEMM only finds the candidates. The
@@ -494,13 +491,10 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     _BLOCK_ENTRIES entries (4 MiB each), also when every row keeps every
     column.
     """
-    kept = isinstance(pool, _Geometry) and pool._keeps_matrix and pool.cols is pool.pool
-    geometry, pool = pool, _as_pool(pool)
+    pool = _as_pool(pool)
     n, d = pool.shape
     if n < 2:
         raise DataError("nearest-neighbour distances need at least 2 rows")
-    if kept:
-        return _nn_from_matrix(geometry._squared())
     # Scaled rows as columns: a contiguous right-hand GEMM operand runs faster.
     scale_exp = int(np.frexp(np.abs(pool).max())[1])
     xt = np.ldexp(pool.T, -scale_exp, order="C")
@@ -525,22 +519,6 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
         block = cdist(pool[lo:hi], pool[cols])
         block[~keep[:, cols]] = np.inf
         out[lo:hi] = block.min(axis=1)
-    return out, float(out.mean())
-
-
-def _nn_from_matrix(squared: np.ndarray) -> tuple[np.ndarray, float]:
-    """nn_distances from a kept n x n matrix of squared distances, which is
-    left as it is: each row block is copied before its diagonal is masked."""
-    n = squared.shape[0]
-    out = np.empty(n)
-    blocks, buf = _block_buffer(n, n)
-    for lo, hi in blocks:
-        block = buf[: hi - lo]
-        np.copyto(block, squared[lo:hi])
-        rows = np.arange(hi - lo)
-        block[rows, rows + lo] = np.inf
-        block.min(axis=1, out=out[lo:hi])
-    np.sqrt(out, out=out)
     return out, float(out.mean())
 
 
@@ -672,12 +650,16 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     Each medoid is pinned to its own cluster during assignment, so clusters
     are never empty. Deterministic in the seed.
 
-    Both Lloyd passes read distances in row blocks of at most _BLOCK_ENTRIES.
+    Both Lloyd passes read distances in blocks of at most _BLOCK_ENTRIES.
     A standalone call recomputes each block and holds one at a time. In a
     sweep of n <= _DENSE_MATRIX_LIMIT rows each block is the root of a gather
     from the one n x n matrix of squared distances the sweep keeps and shares
-    with gamma=auto, facility location and the kernels (8 MB at n=1000,
-    512 MiB at n=8192).
+    with facility location and the kernels (8 MB at n=1000, 512 MiB at
+    n=8192). The assignment pass reads the medoids' rows of it, which equal
+    its columns bit for bit: ``(a - b)**2`` equals ``(b - a)**2``, so the
+    matrix and every ``cdist`` block are symmetric (tests/test_selection.py
+    locks this), and ``argmin`` over the medoid axis takes the first medoid on
+    ties either way.
     """
     geom = _geometry(pool, keep_matrix=False)
     n = geom.n
@@ -705,7 +687,7 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     assign = np.empty(n, dtype=np.int64)
     for _ in range(max_iters):
         for lo, hi in _row_blocks(n, budget):
-            assign[lo:hi] = geom.dists(slice(lo, hi), medoids).argmin(axis=1)
+            assign[lo:hi] = geom.dists(medoids, slice(lo, hi)).argmin(axis=0)
         assign[medoids] = np.arange(budget)
         updated = medoids.copy()
         for k in range(budget):

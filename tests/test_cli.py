@@ -461,6 +461,19 @@ def test_select_overflowing_pool_exit_code(tmp_path, capsys):
         assert out == "" and "overflow" in err, strategy
 
 
+def test_fit_gamma_auto_on_too_small_distances_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    table = np.column_stack([rng.uniform(size=(50, 3)) * 1e-160, np.arange(50.0)])
+    path = tmp_path / "tiny.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c,y", comments="")
+    code, out, err = run(
+        capsys, "fit", "--data", path, "--label-column", "y", "--gamma", "auto",
+        "--out", tmp_path / "m.bin",
+    )
+    assert code == 2 and out == ""
+    assert "nearest-neighbour distances are too small" in err
+
+
 def test_fit_too_large_for_memory_exit_code(pool_csv, tmp_path, capsys, monkeypatch):
     empty = np.empty
 

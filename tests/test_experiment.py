@@ -112,15 +112,17 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
 
 def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Prefix samplers select once at the largest budget; k-medoids++ per cell.
-    # gamma=auto, facility location, k-medoids++ and every cell's kernels read
-    # one pool-by-pool matrix of squared distances: the sweep makes that one
-    # cdist call and none per selection run.
+    # Facility location, k-medoids++ and every later cell's kernels read one
+    # pool-by-pool matrix of squared distances, built by facility location's
+    # first read; gamma=auto reads the raw pool and builds none.
     from fillgap import experiment, selection
     from fillgap.selection import select
 
     calls = []
     cdist_calls = []  # (metric, rows, columns, selections made before the call)
-    gathers = []  # (selections made before, selected rows) per n x B matrix built
+    # (selections made before, selected rows, gathered from the n x n matrix)
+    # per n x B matrix built
+    gathers = []
     cdist = selection.cdist
     squared = selection._Geometry._squared
 
@@ -134,7 +136,7 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
 
     def counting_squared(self):
         if self._matrix is None and self._source is not None:
-            gathers.append((len(calls), len(self._source[1])))
+            gathers.append((len(calls), len(self._source[1]), self._source[0]._matrix is not None))
         return squared(self)
 
     monkeypatch.setattr(experiment, "select", counting)
@@ -154,12 +156,16 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     for kind in ("fps", "random", "facility_location", "fps_then_random"):
         assert [b for k, b in calls if k == kind] == [max(sizes)] * cfg.repeats
     assert sorted(b for k, b in calls if k == "kmedoidspp") == sorted(sizes * cfg.repeats)
-    # One matrix, built by gamma=auto before the first selection.
-    assert cdist_calls == [("sqeuclidean", 120, 120, 0)]
     # Each selection run, one per prefix (strategy, repeat) and one per
-    # k-medoids++ cell, gathers its n x B kernel block once, right after it
-    # selects, and every cell it serves slices that block.
-    assert gathers == [(i + 1, budget) for i, (_, budget) in enumerate(calls)]
+    # k-medoids++ cell, builds its n x B kernel block once, right after it
+    # selects, and every cell it serves slices that block. The runs before
+    # facility location compute theirs; the n x n matrix is then computed once,
+    # and every run from facility location's first on gathers its block from it.
+    first = [k for k, _ in calls].index("facility_location")
+    assert [c for c in cdist_calls if c[0] == "sqeuclidean"] == [
+        ("sqeuclidean", 120, budget, i + 1) for i, (_, budget) in enumerate(calls[:first])
+    ] + [("sqeuclidean", 120, 120, first + 1)]
+    assert gathers == [(i + 1, budget, i >= first) for i, (_, budget) in enumerate(calls)]
     # Recomputing every distance and kernel block instead of slicing agrees.
     with monkeypatch.context() as m:
         m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
@@ -170,8 +176,11 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
 
 
 def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
-    # With a pinned gamma, fps and random read no pool-by-pool block, so each
-    # selection run computes its n x B kernel block and no n x n matrix is built.
+    # fps and random read no pool-by-pool block, and gamma=auto reads the raw
+    # pool, so each selection run computes its n x B kernel block and no n x n
+    # matrix is built, with a pinned gamma or with gamma=auto.
+    import tracemalloc
+
     from fillgap import selection
 
     shapes = []
@@ -182,16 +191,39 @@ def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
         return cdist(a, b, metric, **kwargs)
 
     monkeypatch.setattr(selection, "cdist", counting_cdist)
-    cfg = small_config(
-        strategies=(StrategySpec("fps"), StrategySpec("random")),
-        model=ModelConfig(gamma=2.0, lam=1e-6),
-        repeats=2,
-    )
-    report = run_experiment(cfg)
-    budget = resolve_budget(max(cfg.budgets), 120)
-    assert shapes == [("sqeuclidean", 120, budget)] * 4
-    monkeypatch.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
-    assert rows_csv(run_experiment(cfg)) == rows_csv(report)
+    n = 3000  # the n x n matrix alone would take 72 MB
+    big = synth_lipschitz(SynthConfig(n=n, d=8, target_lipschitz=1.5, seed=3))
+    for gamma in (2.0, None):
+        cfg = small_config(
+            strategies=(StrategySpec("fps"), StrategySpec("random")),
+            model=ModelConfig(gamma=gamma, lam=1e-6),
+            repeats=2,
+        )
+        shapes.clear()
+        report = run_experiment(cfg)
+        budget = resolve_budget(max(cfg.budgets), 120)
+        # gamma=auto's nearest-neighbour pass adds only Euclidean candidate blocks.
+        assert [s for s in shapes if s[0] == "sqeuclidean"] == [("sqeuclidean", 120, budget)] * 4
+        with monkeypatch.context() as m:
+            m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
+            assert rows_csv(run_experiment(cfg)) == rows_csv(report)
+
+        tracemalloc.start()
+        try:
+            run_experiment(dataclasses.replace(cfg, budgets=(0.01, 0.02)), pool=big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2, gamma
+
+
+def test_gamma_auto_on_too_small_distances_raises_data_error():
+    # ln 2 / median^2 overflows at scale 1e-160: the sweep must not run its
+    # kernels at gamma=inf.
+    features = np.random.default_rng(0).uniform(size=(50, 3)) * 1e-160
+    pool = Dataset(features, labels=np.arange(50.0))
+    with pytest.raises(DataError, match="too small"):
+        run_experiment(small_config(budgets=(0.1, 0.2)), pool=pool)
 
 
 def test_too_small_budget_fails_before_any_pool_work(monkeypatch):
@@ -287,10 +319,14 @@ def _refuse_to_allocate(monkeypatch, shape):
 
 
 def test_kernel_block_that_cannot_be_allocated_raises_data_error(monkeypatch):
-    # gamma=auto builds the pool-by-pool matrix the kernels gather from.
+    # Facility location builds the pool-by-pool matrix the kernels gather
+    # from. A pinned gamma: gamma=auto's score block at n=120 is 120 x 120 too.
     _refuse_to_allocate(monkeypatch, (120, 120))
+    cfg = small_config(
+        strategies=(StrategySpec("facility_location"),), model=ModelConfig(gamma=0.5, lam=1e-8)
+    )
     with pytest.raises(DataError, match=r"120 x 120 float64 matrix \(.* GiB\)"):
-        run_experiment(small_config())
+        run_experiment(cfg)
 
 
 def test_selection_block_that_cannot_be_allocated_raises_data_error(monkeypatch):

@@ -82,20 +82,13 @@ def test_separation_examples():
 
 
 def test_nn_distances_examples():
-    from fillgap import selection
-
     dists, mean = nn_distances(np.array([0.0, 1.0, 3.0])[:, None])
     assert dists.tolist() == [1.0, 1.0, 2.0]
     assert mean == pytest.approx(4.0 / 3.0)
     dup, _ = nn_distances(np.zeros((2, 2)))
     assert dup.tolist() == [0.0, 0.0]
-    with pytest.raises(DataError):
-        nn_distances(np.ones((1, 2)))
-    geometry = selection._Geometry(np.zeros((2, 2)))
-    assert nn_distances(geometry)[0].tolist() == [0.0, 0.0]
-    assert (np.diagonal(geometry._matrix) == 0.0).all()  # the kept matrix is left as it was
     with pytest.raises(DataError, match="at least 2 rows"):
-        nn_distances(selection._Geometry(np.ones((1, 2))))
+        nn_distances(np.ones((1, 2)))
 
 
 def _nn_pools():
@@ -133,21 +126,22 @@ def test_nn_distances_matches_brute_cdist(monkeypatch, rows_per_block):
 
     # Three rows per block runs many blocks and, at n not divisible by 3, a
     # ragged last one; duplicate, lattice and integer pools tie exactly, so
-    # their rows take the full candidate scan. A sweep passes its geometry,
-    # whose kept matrix gives the roots of its off-diagonal row minima.
+    # their rows take the full candidate scan.
     for name, pool in _nn_pools().items():
         if rows_per_block is not None:
             monkeypatch.setattr(selection, "_BLOCK_ENTRIES", rows_per_block * pool.shape[0])
         dist_matrix = cdist(pool, pool)
         np.fill_diagonal(dist_matrix, np.inf)
         expected = dist_matrix.min(axis=1)
-        for source in (pool, selection._Geometry(pool)):
-            dists, mean = nn_distances(source)
-            assert np.array_equal(dists, expected), name
-            assert mean == float(expected.mean()), name
+        dists, mean = nn_distances(pool)
+        assert np.array_equal(dists, expected), name
+        assert mean == float(expected.mean()), name
         median = float(np.median(expected))
-        if median > 0.0:
+        if median > 0.0 and math.isfinite(math.log(2.0) / (median * median)):
             assert gamma_for_half_kernel(pool) == math.log(2.0) / (median * median), name
+        else:
+            with pytest.raises(DataError):
+                gamma_for_half_kernel(pool)
 
 
 def test_root_of_squared_distances_equals_euclidean_cdist():
@@ -175,6 +169,34 @@ def test_root_of_squared_distances_equals_euclidean_cdist():
             assert np.array_equal(kept.dists(rows, cols), recomputed.dists(rows, cols)), case
         gathered = kept.columns(idx).sq_dists(slice(None))
         assert np.array_equal(gathered, cdist(pool, pool[idx], "sqeuclidean")), case
+
+
+def test_pairwise_squared_distances_are_bitwise_symmetric():
+    import itertools
+
+    from scipy.spatial.distance import cdist
+
+    from fillgap import selection
+
+    # k-medoids assigns pool rows to medoids from the medoids' rows of the
+    # kept matrix, or of cdist(medoids, rows) on a bare pool; those equal the
+    # columns bit for bit only if both are symmetric, as (a - b)**2 == (b - a)**2.
+    rng = np.random.default_rng(17)
+    uniform = rng.uniform(size=(1000, 4))
+    pools = {
+        "uniform": uniform,
+        "shifted": uniform * 1e-3 + 1e5,
+        "duplicates": rng.normal(size=(40, 3))[rng.integers(0, 40, size=300)],
+        "lattice": np.array(list(itertools.product(range(6), repeat=3)), dtype=np.float64),
+        "wide": rng.normal(size=(300, 1001)),
+    }
+    for name, pool in pools.items():
+        squared = selection._Geometry(pool)._squared()
+        assert np.array_equal(squared, squared.T), name
+        assert (np.diagonal(squared) == 0.0).all(), name
+        a, b = pool[::3], pool[1::2]
+        for metric in ("sqeuclidean", "euclidean"):
+            assert np.array_equal(cdist(a, b, metric), cdist(b, a, metric).T), (name, metric)
 
 
 def test_nn_distances_memory_stays_within_blocks():
