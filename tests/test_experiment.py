@@ -162,6 +162,9 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # facility location compute theirs; the n x n matrix is then computed once,
     # and every run from facility location's first on gathers its block from it.
     first = [k for k, _ in calls].index("facility_location")
+    # gamma=auto's nearest-neighbour pass, before any selection, makes the
+    # only Euclidean cdist calls.
+    assert all(c[3] == 0 for c in cdist_calls if c[0] != "sqeuclidean")
     assert [c for c in cdist_calls if c[0] == "sqeuclidean"] == [
         ("sqeuclidean", 120, budget, i + 1) for i, (_, budget) in enumerate(calls[:first])
     ] + [("sqeuclidean", 120, 120, first + 1)]
@@ -183,13 +186,22 @@ def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
 
     from fillgap import selection
 
-    shapes = []
+    from fillgap import experiment
+    from fillgap.selection import select
+
+    selections = []
+    shapes = []  # (metric, rows, columns, selections made before the call)
     cdist = selection.cdist
 
+    def counting(pool, spec, budget, seed=0):
+        selections.append(spec.kind)
+        return select(pool, spec, budget, seed=seed)
+
     def counting_cdist(a, b, metric="euclidean", **kwargs):
-        shapes.append((metric, len(a), len(b)))
+        shapes.append((metric, len(a), len(b), len(selections)))
         return cdist(a, b, metric, **kwargs)
 
+    monkeypatch.setattr(experiment, "select", counting)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
     n = 3000  # the n x n matrix alone would take 72 MB
     big = synth_lipschitz(SynthConfig(n=n, d=8, target_lipschitz=1.5, seed=3))
@@ -199,11 +211,19 @@ def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
             model=ModelConfig(gamma=gamma, lam=1e-6),
             repeats=2,
         )
+        selections.clear()
         shapes.clear()
         report = run_experiment(cfg)
         budget = resolve_budget(max(cfg.budgets), 120)
-        # gamma=auto's nearest-neighbour pass adds only Euclidean candidate blocks.
-        assert [s for s in shapes if s[0] == "sqeuclidean"] == [("sqeuclidean", 120, budget)] * 4
+        blocks = [("sqeuclidean", 120, budget, i + 1) for i in range(4)]
+        if gamma is None:
+            # gamma=auto's nearest-neighbour pass adds Euclidean candidate
+            # blocks, all before the first selection.
+            assert {s[0] for s in shapes[: -len(blocks)]} == {"euclidean"}
+            assert all(s[3] == 0 for s in shapes[: -len(blocks)])
+            assert shapes[-len(blocks) :] == blocks
+        else:
+            assert shapes == blocks
         with monkeypatch.context() as m:
             m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
             assert rows_csv(run_experiment(cfg)) == rows_csv(report)
