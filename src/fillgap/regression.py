@@ -236,27 +236,35 @@ def default_grid() -> np.ndarray:
 
 
 def _resolve_size(size, n: int) -> int:
-    if 0 < size < 1:
-        resolved = int(math.floor(size * n + 0.5))
-    else:
-        resolved = int(size)
-    if not 2 <= resolved <= n:
-        raise DataError(f"train size {size} resolves to {resolved}, outside [2, {n}]")
-    return resolved
+    resolved = math.floor(size * n + 0.5) if 0 < size < 1 else size
+    if not (float(resolved).is_integer() and 2 <= resolved <= n):
+        raise DataError(f"train size {size} gives {resolved}, not an integral count in [2, {n}]")
+    return int(resolved)
 
 
-def _cv_mae(features, labels, gamma, lam, fold_edges) -> float:
-    errors = []
-    for lo, hi in fold_edges:
-        mask = np.zeros(labels.size, dtype=bool)
-        mask[lo:hi] = True
-        try:
-            model = krr_fit(Dataset(features[~mask], labels=labels[~mask]), gamma, lam)
-        except IllConditionedError:
-            return math.inf
-        pred = krr_predict(model, features[mask])
-        errors.append(float(np.abs(pred - labels[mask]).mean()))
-    return float(np.mean(errors))
+def _cv_scores(X, y, gamma_grid, lambda_grid, folds: int) -> np.ndarray:
+    """Mean absolute CV error of each (gamma, lambda) pair over ``folds``
+    contiguous slices of the rows; inf for a pair once a fit fails, and it is
+    not fitted again. As in a sweep cell, each fold reads one squared-distance
+    block and each (gamma, fold) builds one Gram matrix, solved on a copy per
+    lambda; the scores equal those of krr_fit and krr_predict bit for bit."""
+    size = y.size
+    geometry = _Geometry(X)
+    errors = np.zeros((gamma_grid.size, lambda_grid.size, folds))
+    for k in range(folds):
+        lo, hi = k * size // folds, (k + 1) * size // folds
+        train, test = np.r_[0:lo, hi:size], np.arange(lo, hi)
+        dists = geometry.columns(train).sq_dists
+        for g, gamma in enumerate(gamma_grid):
+            K = _gram(dists, train, train.size, gamma)
+            for j in np.flatnonzero(errors[g, :, k] < math.inf):
+                try:
+                    weights = _solve(K.copy(), y[train], lambda_grid[j])
+                except IllConditionedError:
+                    errors[g, j] = math.inf
+                    continue
+                errors[g, j, k] = np.abs(_predict(dists, test, weights, gamma) - y[test]).mean()
+    return errors.mean(axis=2)
 
 
 def grid_search_cv_report(
@@ -271,17 +279,19 @@ def grid_search_cv_report(
     """Cross-validated grid search on random subsets, one winner per
     (train size, repeat) cell, averaged into a single pair.
 
-    For each cell a seeded random subset is drawn, split into ``folds``
-    contiguous folds, and every (gamma, lambda) grid pair is scored by mean
-    absolute error; ties go to the earliest grid pair.
+    Each cell draws a seeded random subset and splits it, in drawn order, into
+    ``folds`` contiguous folds, one block of squared distances each. The pair
+    with the lowest mean absolute error wins; a tie goes to the earliest pair
+    (gamma outer, lambda inner). A grid that is not a non-empty 1-D sequence of
+    positive, finite values and a non-integral count raise DataError.
     """
     labels = pool.require_labels()
     gamma_grid = default_grid() if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
     lambda_grid = default_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    if gamma_grid.size == 0 or lambda_grid.size == 0:
-        raise DataError("hyperparameter grids must be non-empty")
-    if (gamma_grid <= 0).any() or (lambda_grid <= 0).any():
-        raise DataError("grid values must be positive (the averaging is geometric)")
+    if not all(grid.ndim == 1 and grid.size for grid in (gamma_grid, lambda_grid)):
+        raise DataError("hyperparameter grids must be non-empty 1-D sequences")
+    if not all((np.isfinite(grid) & (grid > 0)).all() for grid in (gamma_grid, lambda_grid)):
+        raise DataError("grid values must be positive and finite (the averaging is geometric)")
     if folds < 2:
         raise DataError("fold count must be >= 2")
     if repeats < 1:
@@ -297,24 +307,14 @@ def grid_search_cv_report(
         for rep in range(repeats):
             rng = rng_from_seed(child_seed(seed, "grid_search", size, rep))
             subset = rng.permutation(pool.n)[:size]
-            feats, ys = pool.features[subset], labels[subset]
-            edges = [
-                (k * size // folds, (k + 1) * size // folds) for k in range(folds)
-            ]
-            best = (math.inf, None, None)
-            for gamma in gamma_grid:
-                for lam in lambda_grid:
-                    score = _cv_mae(feats, ys, float(gamma), float(lam), edges)
-                    if score < best[0]:
-                        best = (score, float(gamma), float(lam))
-            if best[1] is None:
-                raise IllConditionedError(
-                    f"every grid pair failed to fit at train size {size}"
-                )
-            winners.append((size, best[1], best[2]))
+            X, y = pool.features[subset], labels[subset]
+            scores = _cv_scores(X, y, gamma_grid, lambda_grid, folds)
+            g, j = np.unravel_index(np.argmin(scores), scores.shape)  # the first minimum
+            if scores[g, j] == math.inf:
+                raise IllConditionedError(f"every grid pair failed to fit at train size {size}")
+            winners.append((size, float(gamma_grid[g]), float(lambda_grid[j])))
 
-    gammas = np.array([w[1] for w in winners])
-    lams = np.array([w[2] for w in winners])
+    _, gammas, lams = np.array(winners).T
 
     def geomean(values: np.ndarray) -> float:
         if (values == values[0]).all():  # unanimous winner: return it exactly

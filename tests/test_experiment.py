@@ -9,6 +9,7 @@ from fillgap.dataset import Dataset, SynthConfig, save_dataset, synth_lipschitz
 from fillgap.errors import ConfigError, DataError
 from fillgap.experiment import (
     _KEYS,
+    _resolve_model,
     Aggregate,
     ExperimentConfig,
     ModelConfig,
@@ -16,12 +17,15 @@ from fillgap.experiment import (
     aggregate_runs,
     aggregates_csv,
     load_experiment_config,
+    pool_from_config,
     resolve_budget,
     rows_csv,
     run_experiment,
     summary_table,
     write_report,
 )
+from fillgap.regression import grid_search_cv_report
+from fillgap.rng import child_seed
 from fillgap.selection import StrategySpec, fps
 
 
@@ -536,6 +540,26 @@ def test_bad_model_counts_fail_at_load_time(tmp_path, setting, message):
     path.write_text(GOOD_CONFIG.replace("lambda = 1e-8", f"lambda = 1e-8\ngrid_search = true\n{setting}"))
     with pytest.raises(ConfigError, match=message):
         load_experiment_config(path)
+
+
+def test_grid_search_sweep_trains_at_the_report_pair_and_repeats(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(GOOD_CONFIG.replace("lambda = 1e-8", "lambda = 1e-8\ngrid_search = true\nfolds = 3"))
+    cfg = load_experiment_config(path)
+    pool = pool_from_config(cfg)
+    sizes = [resolve_budget(b, pool.n) for b in cfg.budgets]
+    seed = child_seed(cfg.master_seed, "grid_search")
+    report = grid_search_cv_report(pool, sizes, folds=3, seed=seed)
+    assert _resolve_model(cfg, pool, sizes) == (report.gamma, report.lam)
+    written = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        write_report(run_experiment(cfg), tmp_path / name / "rows.csv", tmp_path / name / "agg.csv")
+        written.append((tmp_path / name / "rows.csv").read_bytes())
+    assert written[0] == written[1]
+    # Every cell trains at the searched pair: pinning it gives the same rows.
+    pinned = dataclasses.replace(cfg, model=ModelConfig(gamma=report.gamma, lam=report.lam))
+    assert rows_csv(run_experiment(pinned)).encode() == written[0]
 
 
 def test_config_requires_sweep_section(tmp_path):

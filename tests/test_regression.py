@@ -10,6 +10,7 @@ from fillgap.dataset import Dataset, SynthConfig, synth_lipschitz
 from fillgap.errors import DataError, IllConditionedError
 from fillgap.regression import (
     ConditioningReport,
+    _cv_scores,
     KernelModel,
     condition_number,
     conditioning_report,
@@ -313,6 +314,29 @@ def test_grid_search_single_cell():
     assert report.gamma == 0.5 and report.lam == 1e-4
 
 
+def _reference_cv_scores(feats, ys, gamma_grid, lambda_grid, folds):
+    """Mean absolute CV error of each (gamma, lambda) pair over contiguous
+    folds, fitted and predicted through the public krr_fit and krr_predict;
+    inf for a pair from its first failing fit on."""
+    size = ys.size
+    edges = [(k * size // folds, (k + 1) * size // folds) for k in range(folds)]
+    out = np.empty((len(gamma_grid), len(lambda_grid)))
+    for i, g in enumerate(gamma_grid):
+        for j, l in enumerate(lambda_grid):
+            scores = []
+            for lo, hi in edges:
+                mask = np.zeros(size, dtype=bool)
+                mask[lo:hi] = True
+                try:
+                    m = krr_fit(Dataset(feats[~mask], labels=ys[~mask]), float(g), float(l))
+                except IllConditionedError:
+                    scores = [math.inf]
+                    break
+                scores.append(float(np.abs(krr_predict(m, feats[mask]) - ys[mask]).mean()))
+            out[i, j] = float(np.mean(scores))
+    return out
+
+
 def test_grid_search_recovers_generating_width():
     # Target drawn from a kernel expansion at a known width; the selected
     # width must match the winner of independent exhaustive scoring and land
@@ -339,27 +363,78 @@ def test_grid_search_recovers_generating_width():
 
     subset = rng_from_seed(child_seed(1, "grid_search", 60, 0)).permutation(120)[:60]
     feats, ys = pool.features[subset], pool.labels[subset]
-    edges = [(k * 60 // 5, (k + 1) * 60 // 5) for k in range(5)]
+    reference = _reference_cv_scores(feats, ys, gamma_grid, lambda_grid, 5)
+    # The scorer gives the public fit loop's scores bit for bit; here the
+    # (0.125, 1e-10) pair fails, so that includes an inf.
+    scores = _cv_scores(feats, ys, gamma_grid, lambda_grid, 5)
+    assert np.isinf(reference).any()
+    assert scores.tobytes() == reference.tobytes()
     best = (math.inf, None, None)
-    for g in gamma_grid:
-        for l in lambda_grid:
-            scores = []
-            for lo, hi in edges:
-                mask = np.zeros(60, dtype=bool)
-                mask[lo:hi] = True
-                try:
-                    m = krr_fit(Dataset(feats[~mask], labels=ys[~mask]), float(g), float(l))
-                except IllConditionedError:
-                    scores = [math.inf]
-                    break
-                scores.append(float(np.abs(krr_predict(m, feats[mask]) - ys[mask]).mean()))
-            score = float(np.mean(scores))
-            if score < best[0]:
-                best = (score, float(g), float(l))
+    for i, g in enumerate(gamma_grid):
+        for j, l in enumerate(lambda_grid):
+            if reference[i, j] < best[0]:
+                best = (reference[i, j], float(g), float(l))
     assert report.winners[0][1] == best[1]
     assert report.winners[0][2] == best[2]
     step = math.log(4.0)  # grid spacing in log space
     assert abs(math.log(report.gamma) - math.log(true_gamma)) <= step + 1e-9
+
+
+def test_grid_search_reads_one_distance_block_per_fold(monkeypatch):
+    # One subset: each fold computes one cdist block, from every subset row to
+    # the fold's training rows, which all (gamma, lambda) pairs read; no fit or
+    # prediction goes through the public model API.
+    from fillgap import regression, selection
+
+    cdist_calls = []
+    cdist = selection.cdist
+
+    def counting_cdist(a, b, metric="euclidean", **kwargs):
+        cdist_calls.append((metric, len(a), len(b)))
+        return cdist(a, b, metric, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid search went through the public model API")
+
+    monkeypatch.setattr(selection, "cdist", counting_cdist)
+    for name in ("krr_fit", "krr_predict", "Dataset", "KernelModel"):
+        monkeypatch.setattr(regression, name, refuse)
+    rng = np.random.default_rng(2)
+    pool = labelled(rng.normal(size=(40, 2)), rng.normal(size=40))
+    size, folds = 22, 4
+    grid_search_cv_report(
+        pool, [size], gamma_grid=[0.1, 1.0, 10.0], lambda_grid=[1e-8, 1e-4], folds=folds, seed=3
+    )
+    held = [(k + 1) * size // folds - k * size // folds for k in range(folds)]
+    assert cdist_calls == [("sqeuclidean", size, size - h) for h in held]
+
+
+def test_grid_search_pairs_failing_on_a_later_fold_score_inf_and_never_win():
+    # Rows 0-3 are one point, so at lambda 1e-18 a fit on rows 0-5 is singular
+    # and one on rows 6-11 is not: the first pair in grid order fits its first
+    # fold, fails on its second, scores inf as the public fit loop does, and
+    # loses. Drawn in any order, 4 copies in two folds of 6 always fail a fit.
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, size=(12, 2))
+    X[1:4] = X[0]
+    y = np.sin(X).sum(axis=1)
+    gamma_grid, lambda_grid = np.array([0.5, 2.0]), np.array([1e-18, 1e-3])
+    krr_fit(labelled(X[6:], y[6:]), 0.5, 1e-18)
+    with pytest.raises(IllConditionedError):
+        krr_fit(labelled(X[:6], y[:6]), 0.5, 1e-18)
+    scores = _cv_scores(X, y, gamma_grid, lambda_grid, 2)
+    assert scores.tobytes() == _reference_cv_scores(X, y, gamma_grid, lambda_grid, 2).tobytes()
+    assert np.isinf(scores[:, 0]).all() and np.isfinite(scores[:, 1]).all()
+    report = grid_search_cv_report(labelled(X, y), [12], gamma_grid, lambda_grid, folds=2, seed=1)
+    assert [w[2] for w in report.winners] == [1e-3]
+
+
+def test_grid_search_where_every_pair_fails_raises():
+    # Equal rows give an all-ones kernel, which a lambda below half an ULP of
+    # 1 leaves singular: every pair fails on its first fold.
+    pool = labelled(np.ones((12, 2)), np.arange(12.0))
+    with pytest.raises(IllConditionedError, match="every grid pair failed to fit at train size 12"):
+        grid_search_cv_report(pool, [12], gamma_grid=[0.5, 2.0], lambda_grid=[1e-18, 1e-17], folds=3)
 
 
 def test_grid_search_geometric_vs_arithmetic_means():
@@ -390,8 +465,16 @@ def test_grid_search_validation():
     pool = labelled(rng.normal(size=(30, 2)), rng.normal(size=30))
     with pytest.raises(DataError):
         grid_search_cv_report(pool, train_sizes=[10], gamma_grid=[], lambda_grid=[1.0])
+    for gamma_grid in (0.5, [[0.5, 1.0]]):
+        with pytest.raises(DataError, match="1-D"):
+            grid_search_cv_report(pool, train_sizes=[10], gamma_grid=gamma_grid, lambda_grid=[1.0])
     with pytest.raises(DataError):
         grid_search_cv_report(pool, train_sizes=[10], gamma_grid=[0.0, 1.0], lambda_grid=[1.0])
+    for gamma_grid, lambda_grid in (([math.inf], [1.0]), ([math.nan], [1.0]), ([1.0], [math.nan])):
+        with pytest.raises(DataError, match="finite"):
+            grid_search_cv_report(pool, [10], gamma_grid=gamma_grid, lambda_grid=lambda_grid)
+    with pytest.raises(DataError, match="integral"):  # not truncated to 12 rows
+        grid_search_cv_report(pool, train_sizes=[12.5], gamma_grid=[1.0], lambda_grid=[1.0])
 
 
 # ---------------------------------------------------------------------------
