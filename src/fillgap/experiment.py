@@ -25,7 +25,7 @@ cell, reads its Gram matrix and prediction blocks from it through the readers
 behind ``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram
 matrix for conditioning and the fit. Cells run repeat by repeat, so at most
 one such n x B matrix is live. ``gamma=auto`` runs
-``selection.nn_distances`` on the raw pool in bounded blocks, so a sweep
+``selection.nn_distances`` on the raw pool in 1 MiB tiles, so a sweep
 whose strategies are only ``fps``, ``random`` and ``fps_then_random`` builds
 no n x n matrix.
 """

@@ -51,11 +51,8 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 # standalone kmedoidspp call, every block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
-# Every row-block pass holds at most this many entries at once (4 MiB):
-# nn_distances' GEMM scores, both k-medoids Lloyd passes and the kernel values
-# of regression's predictions. At n=20000, d=16 on one BLAS thread,
-# nearest-neighbour blocks of 2**19 to 2**21 entries took 1.2-1.4 s and 2**18
-# took 1.3-1.5 s; larger blocks only hold more memory.
+# Every row-block pass holds at most this many entries at once (4 MiB): both
+# k-medoids Lloyd passes and the kernel values of regression's predictions.
 # Predictions round their blocks down to a multiple of 64 rows (regression._predict).
 _BLOCK_ENTRIES = 2**19
 
@@ -65,6 +62,7 @@ _BLOCK_ENTRIES = 2**19
 # one BLAS thread of a 2-core Xeon VM (2 MiB L2 per core): a prototype took
 # 2.6 s with blocks of 2**16 entries, 1.9 s with 2**17 and 3.7 s with 2**18;
 # this walk takes 2.1-2.5 s, and a whole-pool GEMV per pick took 6.4-8.0 s.
+# nn_distances scores square tiles of this many entries (362 rows a side).
 _WALK_BLOCK_ENTRIES = 2**17
 
 # Facility location scores up to this many candidates as one block, on its
@@ -443,6 +441,22 @@ def separation_distance(pool, selected) -> float:
     return float(selection_traces(pool[rows], order)[1][-1])
 
 
+def _tile_candidates(scores, thresholds, margins):
+    """Rows of a score tile that have candidates in it, and the union of their
+    candidate columns, as masks; lowers the rows' running ``thresholds``.
+
+    A row has candidates when the tile's smallest score for it reaches its
+    threshold, which then falls to that score plus the row's margin; its
+    candidates are the columns whose scores do not pass the new threshold.
+    Other rows keep their thresholds, which all their scores exceed.
+    """
+    low = scores.min(axis=1)
+    rows = low <= thresholds
+    np.minimum(thresholds, low + margins, out=thresholds)
+    cols = (scores[rows] <= thresholds[rows, None]).any(axis=0)
+    return rows, cols
+
+
 def nn_distances(pool) -> tuple[np.ndarray, float]:
     """Distance from every row to its nearest other row, plus the mean.
 
@@ -453,72 +467,105 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     pool is scaled by the power of two ``2**-e`` that brings ``max|pool|``
     below 1, which is exact and keeps the mean from overflowing, then
     centred, so norms keep the digits a far-off pool would cancel. With
-    ``x_i`` the centred rows and ``N_i = |x_i|**2``, row blocks of
-    _BLOCK_ENTRIES scores ``G_ij = N_j - 2 x_i.x_j``, which is
-    ``|x_i - x_j|**2 - N_i``, come from one GEMM, self entries set to +inf.
-    Each row keeps every column whose score lies within its margin of the
-    row's smallest score, and its distance is the minimum of ``cdist`` on the
-    raw pool over those columns; a ``cdist`` sub-block equals that slice of
-    the full matrix. The margin below puts the column of the true minimum in
-    that set, so the value is exact.
+    ``x_i`` the centred rows and ``N_i = |x_i|**2``, the upper triangle of
+    the score matrix is cut into square tiles of about _WALK_BLOCK_ENTRIES
+    entries (1 MiB, 362 rows a side), small enough to stay in a core's
+    cache. Each tile's scores ``T_ij = N_i + N_j - 2 x_i.x_j``, estimates of
+    ``|x_i - x_j|**2``, come from one GEMM of the augmented rows
+    ``[x_i, N_i, 1]`` by ``[-2 x_j, 1, N_j]``; self entries are set to +inf.
+    Tiles run band by band, the diagonal first, so rows near each other in
+    the pool's order meet early. An off-diagonal tile is reduced along its
+    rows, for its row block, and along its columns, for its column block.
+    Every row keeps a running threshold, its smallest score so far plus its
+    margin; it has candidates in a tile only when the tile's minimum for it
+    reaches that threshold, and they are the columns whose scores do not
+    pass the lowered one (_tile_candidates). Thresholds only fall, so each
+    stays at or above the final one, which the score of the row's true
+    nearest column does not pass (see Margin): that column is a candidate in
+    its tile. A tile with candidates takes one ``cdist`` on the raw pool,
+    from the rows with candidates on either side to the union of their
+    candidate columns, self pairs excluded, and its row and column minima
+    are folded into the output; a ``cdist`` sub-block equals that slice of
+    the full matrix, which is bitwise symmetric. Each value is then the
+    minimum of ``cdist`` over a set of other rows that holds the nearest one,
+    so neither tile order nor BLAS thread count changes a bit.
 
     Margin. Let ``u = eps / 2``, ``s_ij`` the exact squared distance of the
     scaled pool, and work to first order in ``u``. Centring moves each
-    ``x_ik`` by at most ``u |x_ik|``, so ``|x_i - x_j|**2`` is within
-    ``2 eps (N_i + N_j)`` of ``s_ij``. A length-d dot product, in any
-    summation order and so at any BLAS thread count, is off by at most
-    ``d u |x_i| |x_j| <= d u (N_i + N_j) / 2``; with the norm and the final
-    addition, ``G_ij`` is within ``delta_i = (d + 3) eps (N_i + N_max)`` of
-    ``s_ij - N_i``. ``cdist`` rounds a squared distance by at most
-    ``(d + 4) u`` relative, so if its minimum is at column k and G's at
-    column a, then ``s_ik <= s_ia + (d + 4) eps s_ia`` and
-    ``G_ik <= G_ia + 2 delta_i + (d + 4) eps s_ia``, where
-    ``s_ia <= 2 (N_i + N_max)``. That sum is ``(4 d + 14) eps (N_i +
+    ``x_ik`` by at most ``u |x_ik|`` (an error in a column's mean shifts
+    every row alike), so ``|x_i - x_j|**2`` is within ``2 eps (N_i + N_j)``
+    of ``s_ij``. Each ``N_i`` is off by at most ``d u N_i``. The augmented
+    dot product has ``d + 2`` terms whose magnitudes sum to at most
+    ``2 (N_i + N_j)``; in any summation order, and so at any BLAS thread
+    count, it is off by at most ``(d + 2) u 2 (N_i + N_j)``. So ``T_ij``,
+    from whichever tile and side, is within ``delta_i = (3 d / 2 + 4) eps
+    (N_i + N_max)`` of ``s_ij``. ``cdist`` rounds a squared distance by at
+    most ``(d + 4) u`` relative, so if its minimum is at column k and the
+    row's smallest score at column a, then ``s_ik <= s_ia + (d + 4) eps
+    s_ia`` and ``T_ik <= T_ia + 2 delta_i + (d + 4) eps s_ia``, where
+    ``s_ia <= 2 (N_i + N_max)``. That sum is ``(5 d + 16) eps (N_i +
     N_max)``; the margin ``8 (d + 4) eps (N_i + N_max)`` adds room for the
-    second order, so column k is kept whichever column G ranks first, ties
-    included. Underflow adds absolute errors of ``2**-1075`` per
-    rounding: fewer than ``2 (d + 2)`` in each GEMM score, plus the scaling
-    of a pool spanning more than ``2**1022``; and ``cdist``'s ``d + 2`` on
-    the raw pool, ``2**-1075`` raw each, that is ``2**(-1075 - 2 e)`` scaled.
-    The floor ``16 (d + 2) (2**-1074 + 2**(-1074 - 2 e))`` covers both scores
+    second order, so column k is kept whichever column the scores rank
+    first, ties included. Underflow adds absolute errors of ``2**-1075`` per
+    rounding: fewer than ``3 (d + 2)`` in each score (the products of the
+    dot product and of both norms), plus the scaling of a pool spanning
+    more than ``2**1022``; and ``cdist``'s ``d + 2`` on the raw pool,
+    ``2**-1075`` raw each, that is ``2**(-1075 - 2 e)`` scaled. The floor
+    ``16 (d + 2) (2**-1074 + 2**(-1074 - 2 e))`` covers both scores
     compared. Where it dominates, in pools whose squared distances underflow
     raw or whose spread is below ``2**-500`` of their largest entry, most
-    rows keep every column: slower, still exact. An infinite margin also
-    keeps the +inf self entry; it arises only for pools below ``2**-1000``,
-    where every raw squared distance, self included, underflows to 0.
+    rows keep every column: slower, still exact. The margin is infinite only
+    for pools below ``2**-1000``; every column is then a candidate.
 
-    Memory: one scaled copy of the pool plus a few blocks of
-    _BLOCK_ENTRIES entries (4 MiB each), also when every row keeps every
-    column.
+    Memory: the two augmented copies of the pool, ``n x (d + 2)`` each, and
+    a few tiles of 1 MiB, also when every row ties with every other.
     """
     pool = _as_pool(pool)
     n, d = pool.shape
     if n < 2:
         raise DataError("nearest-neighbour distances need at least 2 rows")
-    # Scaled rows as columns: a contiguous right-hand GEMM operand runs faster.
     scale_exp = int(np.frexp(np.abs(pool).max())[1])
-    xt = np.ldexp(pool.T, -scale_exp, order="C")
-    xt -= xt.mean(axis=1, keepdims=True)
-    norms = np.einsum("ij,ij->j", xt, xt)
+    left = np.empty((n, d + 2))  # rows [x_i, N_i, 1]
+    x, norms = left[:, :d], left[:, d]
+    np.ldexp(pool, -scale_exp, out=x)
+    x -= x.mean(axis=0)
+    np.einsum("ij,ij->i", x, x, out=norms)
+    left[:, d + 1] = 1.0
+    right = np.empty((n, d + 2))  # rows [-2 x_j, 1, N_j]
+    np.multiply(x, -2.0, out=right[:, :d])
+    right[:, d] = 1.0
+    right[:, d + 1] = norms
     eps = np.finfo(np.float64).eps
     # Clamped: a floor of 2**1023 already keeps every column.
     raw_floor = math.ldexp(1.0, min(-1074 - 2 * scale_exp, 1023))
     floor = 16 * (d + 2) * (math.ldexp(1.0, -1074) + raw_floor)
     margins = 8 * (d + 4) * eps * (norms + norms.max()) + floor
 
-    out = np.empty(n)
-    blocks, scores = _block_buffer(n, n)
-    for lo, hi in blocks:
-        rows = np.arange(hi - lo)
-        g = scores[: hi - lo]
-        np.matmul(-2.0 * xt[:, lo:hi].T, xt, out=g)
-        g += norms
-        g[rows, rows + lo] = np.inf
-        keep = g <= (g.min(axis=1) + margins[lo:hi])[:, None]
-        cols = np.flatnonzero(keep.any(axis=0))
-        block = cdist(pool[lo:hi], pool[cols])
-        block[~keep[:, cols]] = np.inf
-        out[lo:hi] = block.min(axis=1)
+    out = np.full(n, np.inf)
+    thresholds = np.full(n, np.inf)
+    side = math.isqrt(_WALK_BLOCK_ENTRIES)
+    starts = range(0, n, side)
+    buffer = np.empty(min(side, n) ** 2)
+    for band in range(len(starts)):
+        for lo_i, lo_j in zip(starts, starts[band:]):
+            i, j = slice(lo_i, lo_i + side), slice(lo_j, lo_j + side)
+            h, w = left[i].shape[0], left[j].shape[0]
+            scores = np.matmul(left[i], right[j].T, out=buffer[: h * w].reshape(h, w))
+            if band == 0:
+                np.fill_diagonal(scores, np.inf)
+            rows, cols = _tile_candidates(scores, thresholds[i], margins[i])
+            if band > 0:
+                more_cols, more_rows = _tile_candidates(scores.T, thresholds[j], margins[j])
+                rows |= more_rows
+                cols |= more_cols
+            if not rows.any():
+                continue
+            block = cdist(pool[i][rows], pool[j][cols])
+            if band == 0:
+                block[np.flatnonzero(rows)[:, None] == np.flatnonzero(cols)] = np.inf
+            out_i, out_j = out[i], out[j]
+            out_i[rows] = np.minimum(out_i[rows], block.min(axis=1))
+            out_j[cols] = np.minimum(out_j[cols], block.min(axis=0))
     return out, float(out.mean())
 
 

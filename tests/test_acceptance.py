@@ -301,7 +301,7 @@ for result in (
 ):
     sys.stdout.write(result.to_json() + "\\n")
 
-# Many GEMM blocks of nearest-neighbour candidates, each split across threads.
+# Many GEMM tiles of nearest-neighbour scores, at every thread count.
 wide = synth_lipschitz(SynthConfig(n=3000, d=16, target_lipschitz=2.0,
                                    tail_fraction=0.01, seed=9)).features
 sys.stdout.write(nn_distances(wide)[0].tobytes().hex() + "\\n")

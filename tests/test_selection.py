@@ -106,6 +106,13 @@ def _nn_pools():
         "uniform144": rng.uniform(size=(200, 144)),
         "duplicates": rng.normal(size=(30, 3))[rng.integers(0, 30, size=400)],
         "lattice": np.array(list(itertools.product(range(7), repeat=3)), dtype=np.float64),
+        # Exact ties that cross tiles.
+        "lattice_2d": np.array(list(itertools.product(range(15), repeat=2)), dtype=np.float64),
+        # Ties between an earlier and a later row, and (growing gaps) a unique
+        # nearest row just before each row: at a tile's first row only the
+        # column reduction of the tile before finds it.
+        "lattice_1d_reversed": np.arange(200.0)[::-1, None],
+        "growing_gaps": np.arange(200.0)[:, None] ** 2,
         "small_integers": rng.integers(-3, 4, size=(400, 5)).astype(np.float64),
         "all_equal": np.full((50, 2), 3.0),
     }
@@ -117,19 +124,19 @@ def _nn_pools():
     return pools
 
 
-@pytest.mark.parametrize("rows_per_block", [None, 3])
-def test_nn_distances_matches_brute_cdist(monkeypatch, rows_per_block):
+@pytest.mark.parametrize("tile_rows", [None, 3, 7])
+def test_nn_distances_matches_brute_cdist(monkeypatch, tile_rows):
     from scipy.spatial.distance import cdist
 
     from fillgap import selection
     from fillgap.regression import gamma_for_half_kernel
 
-    # Three rows per block runs many blocks and, at n not divisible by 3, a
-    # ragged last one; duplicate, lattice and integer pools tie exactly, so
-    # their rows take the full candidate scan.
+    # Tiles of 3 and 7 rows run many bands and, at n not divisible by the
+    # side, ragged last tiles; duplicate, lattice and integer pools tie
+    # exactly, so their rows keep many candidates across tiles.
+    if tile_rows is not None:
+        monkeypatch.setattr(selection, "_WALK_BLOCK_ENTRIES", tile_rows**2)
     for name, pool in _nn_pools().items():
-        if rows_per_block is not None:
-            monkeypatch.setattr(selection, "_BLOCK_ENTRIES", rows_per_block * pool.shape[0])
         dist_matrix = cdist(pool, pool)
         np.fill_diagonal(dist_matrix, np.inf)
         expected = dist_matrix.min(axis=1)
@@ -204,17 +211,20 @@ def test_nn_distances_memory_stays_within_blocks():
 
     from fillgap import selection
 
-    n, d = 20000, 16
-    pool = np.random.default_rng(0).uniform(size=(n, d))
-    tracemalloc.start()
-    try:
-        nn_distances(pool)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The scaled copy of the pool plus a few score blocks of 2**19 entries
-    # (4 MiB each); the whole n x n matrix would take 3.2 GB.
-    assert peak < 8 * n * d + 4 * 8 * selection._BLOCK_ENTRIES
+    # The two augmented copies of the pool (n x (d + 2) each), four per-row
+    # arrays (margins, thresholds, the output and one temporary) and a few
+    # square tiles of _WALK_BLOCK_ENTRIES entries (1 MiB each): O(n d) at
+    # both sizes, where the whole n x n matrix would take 3.2 GB at n=20000.
+    d = 16
+    for n in (5000, 20000):
+        pool = np.random.default_rng(0).uniform(size=(n, d))
+        tracemalloc.start()
+        try:
+            nn_distances(pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (2 * (d + 2) + 4) + 4 * 8 * selection._WALK_BLOCK_ENTRIES, n
 
 
 def test_separation_walks_only_selected_rows_and_matches_full_walk():
