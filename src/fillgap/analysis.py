@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import pdist
-from scipy.stats import rankdata
 
 from .dataset import Dataset
 from .errors import DataError
@@ -109,12 +108,21 @@ def mae(y_true, y_pred) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pearson(a, b) -> float:
-    """Pearson correlation of two equal-length sequences."""
+def _checked_sequences(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as float64 arrays: two equal-length 1-D sequences of at
+    least two finite values."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise DataError("pearson needs two equal-length sequences of >= 2 values")
+        raise DataError("correlation needs two equal-length 1-D sequences of >= 2 values")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("sequences must not contain NaN or Inf entries")
+    return a, b
+
+
+def pearson(a, b) -> float:
+    """Pearson correlation of two equal-length sequences of finite values."""
+    a, b = _checked_sequences(a, b)
     if (a == a[0]).all():
         raise DataError("first sequence has zero variance; correlation undefined")
     if (b == b[0]).all():
@@ -126,12 +134,26 @@ def pearson(a, b) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``v``; a run of tied values shares the average of its
+    ranks. Every rank is a half-integer, so the bits equal those of
+    ``scipy.stats.rankdata(v, method="average")``, which uses the same formula."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.cumsum(new)  # 1-based index of each sorted value's run
+    count = np.append(np.flatnonzero(new), v.size)  # run k spans [count[k-1], count[k])
+    ranks = np.empty(v.size)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
+
+
 def spearman(a, b) -> float:
-    """Spearman correlation: Pearson on average-ranked values (ties get
-    average ranks)."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    return pearson(rankdata(a, method="average"), rankdata(b, method="average"))
+    """Spearman correlation: Pearson on the ranks of two equal-length
+    sequences of finite values. Tied values get the average of their ranks;
+    NaN or Inf entries raise ``DataError``."""
+    a, b = _checked_sequences(a, b)
+    return pearson(_average_ranks(a), _average_ranks(b))
 
 
 def _pair_offsets(n: int) -> np.ndarray:

@@ -15,19 +15,19 @@ Every distance block the sweep reads comes from one source,
 for pools of up to selection's dense limit (8192 rows) it keeps one n x n
 matrix of squared distances and slices or gathers it, above that it
 recomputes bounded row blocks, with the same bits either way. The matrix
-(8 MB at n=1000, 512 MiB at n=8192) is built on its first read, by the first
-facility-location or k-medoids++ run; the samplers read Euclidean blocks as
-its roots. Each selection run keeps one n x B matrix for its B selected rows
-(n * B * 8 bytes: 0.8 MB at n=1000, B=100), gathered from the n x n matrix
-once that is built and computed with ``cdist`` before. Every cell the run
-serves, all budgets of a prefix kind's (strategy, repeat) or one k-medoids++
-cell, reads its Gram matrix and prediction blocks from it through the readers
-behind ``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram
-matrix for conditioning and the fit. Cells run repeat by repeat, so at most
-one such n x B matrix is live. ``gamma=auto`` runs
-``selection.nn_distances`` on the raw pool in 1 MiB tiles, so a sweep
-whose strategies are only ``fps``, ``random`` and ``fps_then_random`` builds
-no n x n matrix.
+(8 MB at n=1000, 512 MiB at n=8192) is built before the first selection run
+when a facility-location or k-medoids++ strategy is listed, since that
+strategy reads it anyway; the samplers read Euclidean blocks as its roots.
+Each selection run keeps one n x B matrix for its B selected rows (n * B * 8
+bytes: 0.8 MB at n=1000, B=100), gathered from the n x n matrix when that is
+built and computed with ``cdist`` otherwise. Every cell the run serves, all
+budgets of a prefix kind's (strategy, repeat) or one k-medoids++ cell, reads
+its Gram matrix and prediction blocks from it through the readers behind
+``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix for
+conditioning and the fit. Cells run repeat by repeat, so at most one such
+n x B matrix is live. ``gamma=auto`` runs ``selection.nn_distances`` on the
+raw pool in 1 MiB tiles, so a sweep whose strategies are only ``fps``,
+``random`` and ``fps_then_random`` builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
 from .rng import child_seed
-from .selection import _PREFIX_KINDS, SelectionResult, StrategySpec, _Geometry, select
+from .selection import _MATRIX_KINDS, _PREFIX_KINDS, SelectionResult, StrategySpec, _Geometry, select
 
 METRICS = (
     "maxae",
@@ -282,6 +282,10 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
     gamma, lam = _resolve_model(cfg, pool, sizes)
     geometry = _Geometry(pool.features)  # validated when the dataset was built
+    if geometry._keeps_matrix and any(spec.kind in _MATRIX_KINDS for spec in cfg.strategies):
+        # A facility-location or k-medoids++ run reads the n x n matrix anyway;
+        # built first, it serves the kernel blocks of the runs before that one.
+        geometry._squared()
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label

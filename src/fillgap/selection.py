@@ -42,13 +42,17 @@ STRATEGY_KINDS = tuple(_SAMPLERS)
 # selection at a larger one, in indices and traces.
 _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
+# Kinds that read a shared geometry's pool-by-pool distances.
+_MATRIX_KINDS = ("facility_location", "kmedoidspp")
+
 # Up to this pool size a _Geometry keeps its full matrix of squared
-# distances, built on first use. A sweep keeps one n x n matrix (8 MB at
-# n=1000, 512 MiB at n=8192), built by the first facility-location or
-# k-medoids++ read, and per selection run one n x B matrix for the B selected
-# rows, which that run's cells slice their kernels from: a column gather of the
-# n x n one once that is built, a cdist before. Above the limit, and in a
-# standalone kmedoidspp call, every block read is recomputed.
+# distances, built on first use. A sweep whose strategies include a
+# _MATRIX_KINDS sampler keeps one n x n matrix (8 MB at n=1000, 512 MiB at
+# n=8192), built before its first selection run, and per selection run one
+# n x B matrix for the B selected rows, which that run's cells slice their
+# kernels from: a column gather of the n x n one when that is built, a cdist
+# otherwise. Above the limit, and in a standalone kmedoidspp call, every block
+# read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB): both

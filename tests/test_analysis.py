@@ -155,6 +155,99 @@ def test_spearman_invariant_under_monotone_transform():
     assert spearman(2 * a + 5, b) == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0, -1.0, 2.5, 7.0, 0.5],  # no ties
+        [4.0] * 6,  # all tied
+        [2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 5.0, 5.0],  # runs of ties
+        [0.0, -0.0, 1.0, -0.0, -1.0],  # -0.0 equals 0.0
+        [1.5],  # a single value
+        [-1e300, -1e-300, -5e150, -1e300, -2.0, -1e-300],  # large negative spread
+    ],
+    ids=["no-ties", "all-tied", "tie-runs", "signed-zero", "single", "negative-spread"],
+)
+def test_average_ranks_match_scipy_bit_for_bit(values):
+    from scipy.stats import rankdata
+
+    from fillgap.analysis import _average_ranks
+
+    v = np.array(values)
+    assert _average_ranks(v).tobytes() == rankdata(v, method="average").tobytes()
+
+
+def test_average_ranks_match_scipy_on_random_input():
+    from scipy.stats import rankdata
+
+    from fillgap.analysis import _average_ranks
+
+    rng = np.random.default_rng(19)
+    for size in (2, 3, 50, 1001):
+        for v in (rng.normal(size=size), rng.integers(-4, 4, size=size).astype(np.float64)):
+            assert _average_ranks(v).tobytes() == rankdata(v, method="average").tobytes()
+
+
+@pytest.mark.parametrize("max_pairs", [10**6, 700], ids=["exact", "subsampled"])
+def test_correlation_report_equals_scipy_ranked_report(monkeypatch, max_pairs):
+    # Ranking with scipy.stats.rankdata, as the correlation did before it
+    # ranked with numpy, gives the same report bit for bit on both paths.
+    from scipy.stats import rankdata
+
+    from fillgap import analysis
+
+    x = np.random.default_rng(4).uniform(size=(90, 3))
+    y = np.round(x[:, 0] * 4)  # rounded labels: many tied label distances
+    report = pairwise_distance_correlation(x, y, max_pairs=max_pairs, seed=2)
+    assert report.subsampled == (max_pairs < 90 * 89 // 2)
+    monkeypatch.setattr(analysis, "_average_ranks", lambda v: rankdata(v, method="average"))
+    assert pairwise_distance_correlation(x, y, max_pairs=max_pairs, seed=2) == report
+
+
+@pytest.mark.parametrize("statistic", [pearson, spearman])
+@pytest.mark.parametrize(
+    "a,b,message",
+    [
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "equal-length 1-D sequences"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "equal-length 1-D sequences"),
+        ([1.0], [2.0], "equal-length 1-D sequences"),
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 4.0], "NaN or Inf"),
+        ([1.0, math.inf, 3.0], [1.0, 2.0, 4.0], "NaN or Inf"),
+        ([1.0, 2.0, 3.0], [1.0, -math.inf, 4.0], "NaN or Inf"),
+    ],
+    ids=["2-d", "unequal", "single", "nan", "inf", "negative-inf"],
+)
+def test_correlations_reject_malformed_input(statistic, a, b, message):
+    # Ranking would flatten 2-D input and put NaN last; the tier-1 warning
+    # filter turns the Inf arithmetic of an unchecked pearson into an error.
+    with pytest.raises(DataError, match=message):
+        statistic(a, b)
+
+
+def test_no_module_imports_scipy_stats():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fillgap
+
+    # A fresh process: this one may have loaded scipy.stats for the tests.
+    script = (
+        "import importlib, pkgutil, sys, fillgap\n"
+        "for module in pkgutil.iter_modules(fillgap.__path__):\n"
+        "    if module.name != '__main__':\n"
+        "        importlib.import_module('fillgap.' + module.name)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fillgap.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    modules = proc.stdout.decode().split()
+    assert "fillgap.analysis" in modules and "fillgap.experiment" in modules
+    assert [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+
+
 @settings(max_examples=40)
 @given(
     arrays(np.float64, 12, elements=st.floats(-100, 100, allow_nan=False)),
@@ -365,6 +458,32 @@ def test_bound_check_requires_matching_model():
     other = _fit_on(ds, np.arange(8), gamma=1.0)
     with pytest.raises(DataError, match="selected rows"):
         bound_check(ds, selection, other, lip_target=1.0, eps=0.0)
+
+
+def test_bound_check_memory_stays_within_blocks():
+    import tracemalloc
+
+    from fillgap import selection
+
+    d, b = 16, 500
+    for n in (5000, 20000):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(n, d))
+        pool = Dataset(x, labels=np.sin(x.sum(axis=1)))
+        picked = fps(x, b, seed=1)
+        idx = picked.indices
+        model = krr_fit(Dataset(x[idx], labels=pool.labels[idx]), 2.0, 1e-6)
+        tracemalloc.start()
+        try:
+            bound_check(pool, picked, model, lip_target=1.0, eps=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Six per-row arrays (the predictions, the mask, the unselected labels
+        # and predictions, their difference and its absolute value), the
+        # gathered b x d training rows and one prediction block: O(n + b d) at
+        # both sizes, where the n x b kernel would take 80 MB at n=20000.
+        assert peak < 8 * n * 6 + 8 * b * d + 8 * selection._BLOCK_ENTRIES, n
 
 
 def test_bound_report_json_fields():

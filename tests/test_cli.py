@@ -542,6 +542,27 @@ def test_threads_flag_overrides_inherited_variables(monkeypatch):
     assert all(os.environ[var] == "1" for var in _THREAD_ENV_VARS)
 
 
+def test_cli_import_loads_no_numerical_library():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fillgap
+
+    # A fresh process, since this one has numpy loaded: --threads must reach
+    # the BLAS environment variables before numpy or scipy reads them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fillgap.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fillgap.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    modules = proc.stdout.decode().split()
+    assert "fillgap.cli" in modules
+    assert [m for m in modules if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
 def test_usage_error_leaves_no_partial_output(pool_csv, tmp_path, capsys):
     out_path = tmp_path / "never.json"
     for bad in (

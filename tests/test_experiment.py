@@ -116,9 +116,10 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
 
 def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Prefix samplers select once at the largest budget; k-medoids++ per cell.
-    # Facility location, k-medoids++ and every later cell's kernels read one
-    # pool-by-pool matrix of squared distances, built by facility location's
-    # first read; gamma=auto reads the raw pool and builds none.
+    # Facility location, k-medoids++ and every cell's kernels read one
+    # pool-by-pool matrix of squared distances, built before the first
+    # selection because the strategies list a reader of it; gamma=auto reads
+    # the raw pool and builds none.
     from fillgap import experiment, selection
     from fillgap.selection import select
 
@@ -162,17 +163,14 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     assert sorted(b for k, b in calls if k == "kmedoidspp") == sorted(sizes * cfg.repeats)
     # Each selection run, one per prefix (strategy, repeat) and one per
     # k-medoids++ cell, builds its n x B kernel block once, right after it
-    # selects, and every cell it serves slices that block. The runs before
-    # facility location compute theirs; the n x n matrix is then computed once,
-    # and every run from facility location's first on gathers its block from it.
-    first = [k for k, _ in calls].index("facility_location")
+    # selects, and every cell it serves slices that block. The n x n matrix is
+    # computed once, before the first selection, and every run, the fps and
+    # random runs listed before facility location too, gathers its block from it.
     # gamma=auto's nearest-neighbour pass, before any selection, makes the
     # only Euclidean cdist calls.
     assert all(c[3] == 0 for c in cdist_calls if c[0] != "sqeuclidean")
-    assert [c for c in cdist_calls if c[0] == "sqeuclidean"] == [
-        ("sqeuclidean", 120, budget, i + 1) for i, (_, budget) in enumerate(calls[:first])
-    ] + [("sqeuclidean", 120, 120, first + 1)]
-    assert gathers == [(i + 1, budget, i >= first) for i, (_, budget) in enumerate(calls)]
+    assert [c for c in cdist_calls if c[0] == "sqeuclidean"] == [("sqeuclidean", 120, 120, 0)]
+    assert gathers == [(i + 1, budget, True) for i, (_, budget) in enumerate(calls)]
     # Recomputing every distance and kernel block instead of slicing agrees.
     with monkeypatch.context() as m:
         m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)

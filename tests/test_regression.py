@@ -143,6 +143,28 @@ def test_predict_memory_stays_within_blocks():
     assert peak < 8 * n + 2 * 8 * selection._BLOCK_ENTRIES
 
 
+def test_conditioning_report_memory_stays_within_blocks():
+    import tracemalloc
+
+    from fillgap import selection
+
+    d, b = 16, 500
+    for n in (5000, 20000):
+        pool = np.random.default_rng(0).uniform(size=(n, d))
+        selected = np.random.default_rng(1).choice(n, size=b, replace=False)
+        tracemalloc.start()
+        try:
+            conditioning_report(pool, selected, gamma=2.0, lam=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Four b x b arrays (K, |K|, K - K.T and the eigen-solve's copy) and the
+        # separation walk's block over the b selected rows: no per-row array of
+        # the float64 pool, the same bound at both sizes, where the n x b kernel
+        # would take 80 MB at n=20000.
+        assert peak < 4 * 8 * b * b + 8 * selection._WALK_BLOCK_ENTRIES, n
+
+
 _PREDICT_EXACT_SCRIPT = """
 import sys
 import numpy as np
