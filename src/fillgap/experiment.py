@@ -14,19 +14,21 @@ Every distance block the sweep reads comes from one source,
 ``selection._Geometry`` (the samplers' nearest-selected walk aside):
 for pools of up to selection's dense limit (8192 rows) it keeps one n x n
 matrix of squared distances and slices or gathers it, above that it
-recomputes bounded row blocks, with the same bits either way. The matrix
-(8 MB at n=1000, 512 MiB at n=8192) is built before the first selection run
-when a facility-location or k-medoids++ strategy is listed, since that
-strategy reads it anyway; the samplers read Euclidean blocks as its roots.
-Each selection run keeps one n x B matrix for its B selected rows (n * B * 8
-bytes: 0.8 MB at n=1000, B=100), gathered from the n x n matrix when that is
-built and computed with ``cdist`` otherwise. Every cell the run serves, all
-budgets of a prefix kind's (strategy, repeat) or one k-medoids++ cell, reads
-its Gram matrix and prediction blocks from it through the readers behind
-``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix for
-conditioning and the fit. Cells run repeat by repeat, so at most one such
-n x B matrix is live. ``gamma=auto`` runs ``selection.nn_distances`` on the
-raw pool in 1 MiB tiles, so a sweep whose strategies are only ``fps``,
+recomputes bounded row blocks, with the same bits either way. The sweep
+keeps the matrix (8 MB at n=1000, 512 MiB at n=8192) when a
+facility-location or k-medoids++ strategy is listed, since that strategy
+reads it anyway, and builds it with its geometry, after ``gamma=auto`` and
+before the first selection run; the samplers read Euclidean blocks as its
+roots. When the metrics need kernels, each selection run keeps one n x B
+matrix for its B selected rows (n * B * 8 bytes: 0.8 MB at n=1000, B=100),
+gathered from the n x n matrix when the sweep keeps it and computed with
+``cdist`` otherwise. Every cell the run serves, all budgets of a prefix
+kind's (strategy, repeat) or one k-medoids++ cell, reads its Gram matrix and
+prediction blocks from it through the readers behind
+``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
+for conditioning and the fit. Cells run repeat by repeat, so at most one
+such n x B matrix is live. ``gamma=auto`` runs ``selection.nn_distances`` on
+the raw pool in 1 MiB tiles, so a sweep whose strategies are only ``fps``,
 ``random`` and ``fps_then_random`` builds no n x n matrix.
 """
 
@@ -281,11 +283,12 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
         pool.require_labels()
     sizes = [resolve_budget(budget, pool.n) for budget in cfg.budgets]
     gamma, lam = _resolve_model(cfg, pool, sizes)
-    geometry = _Geometry(pool.features)  # validated when the dataset was built
-    if geometry._keeps_matrix and any(spec.kind in _MATRIX_KINDS for spec in cfg.strategies):
-        # A facility-location or k-medoids++ run reads the n x n matrix anyway;
-        # built first, it serves the kernel blocks of the runs before that one.
-        geometry._squared()
+    # Made after gamma=auto's tiles are freed. A facility-location or
+    # k-medoids++ run reads the n x n matrix anyway; built first, it also
+    # serves the kernel blocks of the runs before that one.
+    keep = any(spec.kind in _MATRIX_KINDS for spec in cfg.strategies)
+    geometry = _Geometry(pool.features, keep)  # validated when the dataset was built
+    kernels = any(m in _PREDICTION_METRICS + _CONDITIONING_METRICS for m in cfg.metrics)
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label
@@ -295,10 +298,12 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
         for rep, seed in enumerate(seeds):
             for col, size in enumerate(sizes):
                 if col == 0 or not prefix:
-                    # Rebinding drops the last run's columns before this one's
-                    # are gathered, so at most one n x B matrix is live.
+                    # Drops the last run's columns before this one's are
+                    # built, so at most one n x B matrix is live.
+                    sq_dists = None
                     result = select(geometry, spec, max(sizes) if prefix else size, seed=seed)
-                    sq_dists = geometry.columns(result.indices).sq_dists
+                    if kernels:
+                        sq_dists = geometry.columns(result.indices).sq_dists
                 cells[col, rep] = _cell_values(cfg, pool, result, size, sq_dists, gamma, lam)
         for col, budget in enumerate(cfg.budgets):
             for rep, seed in enumerate(seeds):
@@ -375,8 +380,6 @@ def _parse_gamma(section: str, key: str, raw: str) -> float | None:
 
 def _parse_strategy(section: str, key: str, token: str) -> StrategySpec:
     kind, colon, arg = token.partition(":")
-    if colon and kind != "fps_then_random":
-        raise ConfigError(f"[{section}] strategy {token!r}: only fps_then_random takes an argument")
     fraction = _parse_float(section, key, arg) if colon else None
     try:
         return StrategySpec(kind=kind, switch_fraction=fraction)

@@ -15,7 +15,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
 from .rng import child_seed, rng_from_seed
-from .selection import _allocate, _block_buffer, _Geometry, nn_distances, separation_distance
+from .selection import _allocate, _Geometry, _row_blocks, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
 _RESIDUAL_TOL = 1e-8
@@ -40,7 +40,11 @@ class KernelModel:
     def __post_init__(self):
         feats = np.ascontiguousarray(self.train_features, dtype=np.float64)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if feats.ndim != 2 or weights.ndim != 1 or weights.shape[0] != feats.shape[0]:
+        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
+            raise DataError(
+                f"a model needs at least one training row and column, got shape {feats.shape}"
+            )
+        if weights.ndim != 1 or weights.shape[0] != feats.shape[0]:
             raise DataError("weights must have one entry per training row")
         if not (np.isfinite(feats).all() and np.isfinite(weights).all()):
             raise DataError("model contains non-finite values")
@@ -108,7 +112,8 @@ def _predict(dists, rows, weights: np.ndarray, gamma: float) -> np.ndarray:
     """
     b = weights.size
     count = rows.stop if isinstance(rows, slice) else rows.size
-    blocks, buf = _block_buffer(count, b, 64)
+    blocks = list(_row_blocks(count, b, 64))
+    buf = np.empty((blocks[0][1] if blocks else 0, b))  # the largest block, the first
     out = np.empty(count)
     for lo, hi in blocks:
         kernel = buf[: hi - lo]
@@ -249,7 +254,7 @@ def _cv_scores(X, y, gamma_grid, lambda_grid, folds: int) -> np.ndarray:
     block and each (gamma, fold) builds one Gram matrix, solved on a copy per
     lambda; the scores equal those of krr_fit and krr_predict bit for bit."""
     size = y.size
-    geometry = _Geometry(X)
+    geometry = _Geometry(X, keep_matrix=False)
     errors = np.zeros((gamma_grid.size, lambda_grid.size, folds))
     for k in range(folds):
         lo, hi = k * size // folds, (k + 1) * size // folds
@@ -345,9 +350,12 @@ def condition_number(K) -> tuple[float | None, float, float]:
     K = np.ascontiguousarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DataError(f"matrix must be square, got shape {K.shape}")
-    scale = float(np.abs(K).max())
-    if float(np.abs(K - K.T).max()) > 1e-12 * max(scale, 1.0):
-        raise DataError("matrix is not symmetric within tolerance")
+    # A Gram matrix from _gram is bitwise symmetric, so only outside input
+    # pays the tolerance check's b x b temporaries.
+    if not np.array_equal(K, K.T):
+        scale = float(np.abs(K).max())
+        if float(np.abs(K - K.T).max()) > 1e-12 * max(scale, 1.0):
+            raise DataError("matrix is not symmetric within tolerance")
     eigenvalues = np.linalg.eigvalsh(K)
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     return _ratio(lam_max, lam_min, K.shape[0]), lam_max, lam_min
@@ -466,6 +474,8 @@ def load_model(path: str | os.PathLike) -> KernelModel:
             header = json.loads(header_line.decode("utf-8"))
             b, d = int(header["b"]), int(header["d"])
             gamma, lam = float(header["gamma"]), float(header["lambda"])
+            if b < 1 or d < 1:
+                raise ValueError(f"b and d must be >= 1, got b={b}, d={d}")
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed model header in {path}: {exc}") from None
         payload = fh.read()

@@ -45,14 +45,13 @@ _PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 # Kinds that read a shared geometry's pool-by-pool distances.
 _MATRIX_KINDS = ("facility_location", "kmedoidspp")
 
-# Up to this pool size a _Geometry keeps its full matrix of squared
-# distances, built on first use. A sweep whose strategies include a
-# _MATRIX_KINDS sampler keeps one n x n matrix (8 MB at n=1000, 512 MiB at
-# n=8192), built before its first selection run, and per selection run one
-# n x B matrix for the B selected rows, which that run's cells slice their
-# kernels from: a column gather of the n x n one when that is built, a cdist
-# otherwise. Above the limit, and in a standalone kmedoidspp call, every block
-# read is recomputed.
+# Up to this pool size a _Geometry that keeps its matrix of squared distances
+# builds it when it is made. A sweep whose strategies include a _MATRIX_KINDS
+# sampler keeps one n x n matrix (8 MB at n=1000, 512 MiB at n=8192), and per
+# selection run one n x B matrix for the B selected rows, which that run's
+# cells slice their kernels from: a column gather of the n x n one when the
+# sweep keeps it, a cdist otherwise. Above the limit, and in a standalone
+# kmedoidspp call, every block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
 # Every row-block pass holds at most this many entries at once (4 MiB): both
@@ -312,13 +311,6 @@ def _row_blocks(rows: int, width: int, multiple: int = 1):
         yield lo, min(lo + step, rows)
 
 
-def _block_buffer(rows: int, width: int, multiple: int = 1) -> tuple[list, np.ndarray]:
-    """The row ranges of _row_blocks, plus one buffer that holds the largest
-    block (the first) for a pass that reuses it block after block."""
-    blocks = list(_row_blocks(rows, width, multiple))
-    return blocks, np.empty((blocks[0][1] if blocks else 0, width))
-
-
 def _allocate(shape: tuple[int, int]) -> np.ndarray:
     """``np.empty(shape)``, or a DataError naming the shape and its size when
     the matrix cannot be allocated."""
@@ -336,76 +328,56 @@ class _Geometry:
     """The one source of pairwise distance blocks, from the rows of a
     validated float64 ``pool`` to the rows of ``cols`` (the pool itself by
     default): squared distances from ``sq_dists``, Euclidean ones from
-    ``dists``.
+    ``dists``, always their roots.
 
-    With ``keep_matrix`` and at most _DENSE_MATRIX_LIMIT pool rows, one matrix
-    of squared distances, ``cdist(pool, cols, "sqeuclidean")``, is built on the
-    first read; every later squared block is sliced or gathered from it, and
-    every Euclidean block is the root of that. Otherwise each block is
-    recomputed with ``cdist``. Both give the same bits: a ``cdist`` block
-    equals that slice of the full matrix, and ``np.sqrt`` of a squared block
-    equals the Euclidean ``cdist`` block (tests/test_selection.py locks both).
+    A geometry keeps ``matrix`` when one is given. Otherwise, with
+    ``keep_matrix`` and at most _DENSE_MATRIX_LIMIT pool rows, it builds
+    ``cdist(pool, cols, "sqeuclidean")`` when it is made and keeps that. Every
+    block of a kept matrix is sliced or gathered from it; without one, each
+    block is recomputed with ``cdist``. Both give the same bits: a ``cdist``
+    block equals that slice of the full matrix, and ``np.sqrt`` of a squared
+    block equals the Euclidean ``cdist`` block (tests/test_selection.py locks
+    both).
     """
 
-    def __init__(self, pool: np.ndarray, keep_matrix: bool = True, cols=None):
+    def __init__(self, pool: np.ndarray, keep_matrix: bool = True, cols=None, matrix=None):
         self.pool = pool
         self.n = pool.shape[0]
         self.cols = pool if cols is None else cols
-        self._keeps_matrix = keep_matrix and self.n <= _DENSE_MATRIX_LIMIT
-        self._matrix: np.ndarray | None = None
-        self._source: tuple[_Geometry, np.ndarray] | None = None
+        if matrix is None and keep_matrix and self.n <= _DENSE_MATRIX_LIMIT:
+            out = _allocate((self.n, self.cols.shape[0]))
+            matrix = cdist(self.pool, self.cols, "sqeuclidean", out=out)
+        self._matrix = matrix
 
     def columns(self, indices: np.ndarray) -> _Geometry:
         """The geometry from the pool to the rows ``indices`` of ``self.cols``.
-        When this one keeps its matrix, the new one keeps a matrix too, made on
-        its first read: a column gather of this one's if that is built by
-        then, else a ``cdist``, so the n x n matrix is built only for a reader
-        that needs it."""
-        sub = _Geometry(self.pool, self._keeps_matrix, self.cols[indices])
-        sub._source = (self, indices)
-        return sub
-
-    def _squared(self) -> np.ndarray:
-        """The kept matrix, built on first use."""
-        if self._matrix is None:
-            out = _allocate((self.n, self.cols.shape[0]))
-            parent, indices = self._source or (None, None)
-            if parent is None or parent._matrix is None:
-                # A parent that has not built its matrix (a sweep before its
-                # first facility-location or k-medoids++ run) is not made to
-                # build it for this.
-                self._matrix = cdist(self.pool, self.cols, "sqeuclidean", out=out)
-            else:
-                # The indices select rows of this pool, so they are in range;
-                # mode="raise" would gather through a second buffer.
-                self._matrix = np.take(parent._matrix, indices, axis=1, out=out, mode="clip")
-        return self._matrix
+        Up to the dense limit it keeps its n x B matrix: a column gather of
+        this one's kept matrix, else a ``cdist``."""
+        matrix = None
+        if self._matrix is not None:
+            # The indices select rows of this pool, so they are in range;
+            # mode="raise" would gather through a second buffer.
+            out = _allocate((self.n, len(indices)))
+            matrix = np.take(self._matrix, indices, axis=1, out=out, mode="clip")
+        return _Geometry(self.pool, True, self.cols[indices], matrix)
 
     def sq_dists(self, rows, cols=slice(None), out=None) -> np.ndarray:
         """Squared distances from the pool rows ``rows`` to the rows ``cols``
         of ``self.cols``; each is a slice or an index array. A recomputed block
         is written into ``out`` when given; a kept matrix's is a slice or a gather."""
-        if not self._keeps_matrix:
+        if self._matrix is None:
             return cdist(self.pool[rows], self.cols[cols], "sqeuclidean", out=out)
         if isinstance(rows, slice) or isinstance(cols, slice):
-            return self._squared()[rows, cols]
-        return self._squared()[rows[:, None], cols]
+            return self._matrix[rows, cols]
+        return self._matrix[rows[:, None], cols]
 
     def dists(self, rows, cols=slice(None)) -> np.ndarray:
-        """Euclidean distances, read as ``sq_dists``, always in a fresh array.
-        The root of a gathered block is taken in place, since the gather is
-        already a fresh copy."""
-        if not self._keeps_matrix:
-            return cdist(self.pool[rows], self.cols[cols])
+        """Euclidean distances, the roots of ``sq_dists``, always in a fresh
+        array: taken in place unless the block is a view of the kept matrix."""
         block = self.sq_dists(rows, cols)
-        if isinstance(rows, slice) and isinstance(cols, slice):  # a view of the kept matrix
+        if self._matrix is not None and isinstance(rows, slice) and isinstance(cols, slice):
             return np.sqrt(block)
         return np.sqrt(block, out=block)
-
-
-def _geometry(pool, keep_matrix: bool) -> _Geometry:
-    """The caller's shared geometry, or a new one around a raw pool."""
-    return pool if isinstance(pool, _Geometry) else _Geometry(_as_pool(pool), keep_matrix)
 
 
 def _check_selected(pool: np.ndarray, selected) -> np.ndarray:
@@ -649,13 +621,14 @@ def facility_location(
     those of rescoring one at a time. Pools of up to _DENSE_MATRIX_LIMIT rows
     keep the n x n matrix of squared distances (8 MB at n=1000, 512 MiB at
     n=8192) and read each distance row as its root: a standalone call builds
-    its own, and a sweep keeps one that every sampler and the kernels share.
-    Larger pools recompute each row they read.
+    its own once its arguments are checked, and a sweep keeps one that every
+    sampler and the kernels share. Larger pools recompute each row they read.
     """
-    geom = _geometry(pool, keep_matrix=True)
-    n = geom.n
+    points = _as_pool(pool)
+    n = points.shape[0]
     budget = _check_budget(n, budget)
     first = _first_index(n, seed, start_index)
+    geom = pool if isinstance(pool, _Geometry) else _Geometry(points)
 
     # Exact distances: the walk's norm-expansion cache cancels far from the origin.
     min_dists = geom.dists(slice(first, first + 1))[0]
@@ -688,7 +661,7 @@ def facility_location(
         np.minimum(min_dists, geom.dists(slice(nxt, nxt + 1))[0], out=min_dists)
         return nxt
 
-    indices, fill, sep = _walk(geom.pool, first, budget, cheapest)
+    indices, fill, sep = _walk(points, first, budget, cheapest)
     return SelectionResult(indices, fill, sep, strategy="facility_location", seed=int(seed))
 
 
@@ -702,21 +675,23 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     are never empty. Deterministic in the seed.
 
     Both Lloyd passes read distances in blocks of at most _BLOCK_ENTRIES.
-    A standalone call recomputes each block and holds one at a time. In a
-    sweep of n <= _DENSE_MATRIX_LIMIT rows each block is the root of a gather
-    from the one n x n matrix of squared distances the sweep keeps and shares
-    with facility location and the kernels (8 MB at n=1000, 512 MiB at
-    n=8192). The assignment pass reads the medoids' rows of it, which equal
-    its columns bit for bit: ``(a - b)**2`` equals ``(b - a)**2``, so the
-    matrix and every ``cdist`` block are symmetric (tests/test_selection.py
-    locks this), and ``argmin`` over the medoid axis takes the first medoid on
-    ties either way.
+    A standalone call keeps no matrix: it recomputes each block and holds one
+    at a time. In a sweep of n <= _DENSE_MATRIX_LIMIT rows each block is the
+    root of a gather from the one n x n matrix of squared distances the sweep
+    builds with its geometry and shares with facility location and the
+    kernels (8 MB at n=1000, 512 MiB at n=8192). The assignment pass reads
+    the medoids' rows of it, which equal its columns bit for bit:
+    ``(a - b)**2`` equals ``(b - a)**2``, so the matrix and every ``cdist``
+    block are symmetric (tests/test_selection.py locks this), and ``argmin``
+    over the medoid axis takes the first medoid on ties either way. Its
+    arguments are checked before any geometry is made.
     """
-    geom = _geometry(pool, keep_matrix=False)
-    n = geom.n
+    points = _as_pool(pool)
+    n = points.shape[0]
     budget = _check_budget(n, budget)
     if max_iters < 0:
         raise DataError("max_iters must be >= 0")
+    geom = pool if isinstance(pool, _Geometry) else _Geometry(points, keep_matrix=False)
     rng = rng_from_seed(seed)
 
     def d2_draw(t, walk):
@@ -733,7 +708,7 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
             nxt = int(np.flatnonzero(~chosen)[0])
         return nxt
 
-    medoids = _walk(geom.pool, int(rng.integers(n)), budget, d2_draw)[0]
+    medoids = _walk(points, int(rng.integers(n)), budget, d2_draw)[0]
 
     assign = np.empty(n, dtype=np.int64)
     for _ in range(max_iters):
@@ -751,7 +726,7 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
             break
         medoids = updated
 
-    fill, sep = selection_traces(geom.pool, medoids)
+    fill, sep = selection_traces(points, medoids)
     return SelectionResult(medoids, fill, sep, strategy="kmedoidspp", seed=int(seed))
 
 
@@ -771,8 +746,7 @@ def fps_then_random(
     pool = _as_pool(pool)
     n = pool.shape[0]
     budget = _check_budget(n, budget)
-    if not 0.0 < switch_fraction < 1.0:
-        raise DataError("switch_fraction must be in (0, 1)")
+    StrategySpec("fps_then_random", switch_fraction)  # checks the fraction
     n_switch = min(budget, math.ceil(switch_fraction * n))
     tail_rng = rng_from_seed(child_seed(seed, "fps_then_random", "post-switch"))
     tail = None

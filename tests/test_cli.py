@@ -304,7 +304,14 @@ def test_bound_rebuilds_the_traces_of_the_selection_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "damage",
-    ["truncated selection", "selection without seed", "non-integral indices", "model header [1]"],
+    [
+        "truncated selection",
+        "selection without seed",
+        "non-integral indices",
+        "model header [1]",
+        "model header b=-1, d=-1",
+        "model header b=0, d=2",
+    ],
 )
 def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
     data, sel_path, model_path = _bound_inputs(tmp_path, capsys)
@@ -319,7 +326,13 @@ def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
         payload["indices"] = [i + 0.5 for i in payload["indices"]]
         sel_path.write_text(json.dumps(payload))
     else:
-        model_path.write_bytes(b"[1]\n" + model_path.read_bytes().split(b"\n", 1)[1])
+        # A header of no rows or columns has an empty payload of the size it implies.
+        header, payload = {
+            "model header [1]": (b"[1]", model_path.read_bytes().split(b"\n", 1)[1]),
+            "model header b=-1, d=-1": (b'{"gamma": 1.0, "lambda": 0.0, "b": -1, "d": -1}', b""),
+            "model header b=0, d=2": (b'{"gamma": 1.0, "lambda": 0.0, "b": 0, "d": 2}', b""),
+        }[damage]
+        model_path.write_bytes(header + b"\n" + payload)
         code, _, err = run(capsys, "predict", "--model", model_path, "--data", data,
                            "--label-column", "y")
         assert code == 2 and err.startswith("error: malformed model header")

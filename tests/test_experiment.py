@@ -129,7 +129,7 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # per n x B matrix built
     gathers = []
     cdist = selection.cdist
-    squared = selection._Geometry._squared
+    columns = selection._Geometry.columns
 
     def counting(pool, spec, budget, seed=0):
         calls.append((spec.kind, budget))
@@ -139,14 +139,13 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
         cdist_calls.append((metric, len(a), len(b), len(calls)))
         return cdist(a, b, metric, **kwargs)
 
-    def counting_squared(self):
-        if self._matrix is None and self._source is not None:
-            gathers.append((len(calls), len(self._source[1]), self._source[0]._matrix is not None))
-        return squared(self)
+    def counting_columns(self, indices):
+        gathers.append((len(calls), len(indices), self._matrix is not None))
+        return columns(self, indices)
 
     monkeypatch.setattr(experiment, "select", counting)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
-    monkeypatch.setattr(selection._Geometry, "_squared", counting_squared)
+    monkeypatch.setattr(selection._Geometry, "columns", counting_columns)
     cfg = small_config(
         strategies=tuple(
             StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")
@@ -504,6 +503,7 @@ lambda = 1e-9
     [
         ("strategies = warp", "strategies"),
         ("strategies = fps_then_random:1.5", r"\[sweep\] strategies: switch_fraction must be in \(0, 1\)"),
+        ("strategies = fps:0.5", r"\[sweep\] strategies: switch_fraction is only valid for fps_then_random"),
         ("budgets = 0.5, 0.2", "budgets"),
         ("budgets = 0.0, 0.5", "budgets"),
         ("repeats = zero", "repeats"),

@@ -158,11 +158,12 @@ def test_conditioning_report_memory_stays_within_blocks():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Four b x b arrays (K, |K|, K - K.T and the eigen-solve's copy) and the
-        # separation walk's block over the b selected rows: no per-row array of
-        # the float64 pool, the same bound at both sizes, where the n x b kernel
-        # would take 80 MB at n=20000.
-        assert peak < 4 * 8 * b * b + 8 * selection._WALK_BLOCK_ENTRIES, n
+        # Two b x b arrays (K and the eigen-solve's copy; K is bitwise
+        # symmetric, so the tolerance check's temporaries are never made) and
+        # the separation walk's block over the b selected rows: no per-row
+        # array of the float64 pool, the same bound at both sizes, where the
+        # n x b kernel would take 80 MB at n=20000.
+        assert peak < 2 * 8 * b * b + 8 * selection._WALK_BLOCK_ENTRIES, n
 
 
 _PREDICT_EXACT_SCRIPT = """
@@ -263,6 +264,9 @@ def test_kernel_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):
 def test_model_validation():
     with pytest.raises(DataError):
         KernelModel(np.zeros((3, 2)), np.zeros(2), gamma=1.0, lam=0.0)
+    for shape in ((0, 2), (2, 0)):
+        with pytest.raises(DataError, match="at least one training row and column"):
+            KernelModel(np.zeros(shape), np.zeros(shape[0]), gamma=1.0, lam=0.0)
     with pytest.raises(DataError):
         KernelModel(np.zeros((2, 2)), np.zeros(2), gamma=-1.0, lam=0.0)
 

@@ -198,7 +198,7 @@ def test_pairwise_squared_distances_are_bitwise_symmetric():
         "wide": rng.normal(size=(300, 1001)),
     }
     for name, pool in pools.items():
-        squared = selection._Geometry(pool)._squared()
+        squared = selection._Geometry(pool)._matrix
         assert np.array_equal(squared, squared.T), name
         assert (np.diagonal(squared) == 0.0).all(), name
         a, b = pool[::3], pool[1::2]
@@ -499,20 +499,68 @@ def test_kmedoidspp_memory_stays_within_blocks(monkeypatch):
 
     from fillgap import selection
 
-    n = 3000
-    pool = np.random.default_rng(0).uniform(size=(n, 4))
-    expected = kmedoidspp(pool, 2, seed=1)
-    monkeypatch.setattr(selection, "_BLOCK_ENTRIES", 10_000, raising=False)
-    tracemalloc.start()
-    try:
-        result = kmedoidspp(pool, 2, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(result.indices, expected.indices)
-    # One cluster holds at least n/2 rows, so its full cost matrix would take
-    # (n/2)^2 * 8 bytes = 18 MB.
-    assert peak < 2 * 2**20
+    block = 10_000
+    for n in (3000, 6000):
+        pool = np.random.default_rng(0).uniform(size=(n, 4))
+        expected = kmedoidspp(pool, 2, seed=1)
+        with monkeypatch.context() as m:
+            m.setattr(selection, "_BLOCK_ENTRIES", block)
+            tracemalloc.start()
+            try:
+                result = kmedoidspp(pool, 2, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(result.indices, expected.indices)
+        # Eight per-row arrays (the walk's, the assignment and the costs) and
+        # a few blocks of ``block`` entries. One cluster holds at least n/2
+        # rows, so its full cost matrix would take (n/2)^2 * 8 bytes: 18 MB
+        # at n=3000, 72 MB at n=6000.
+        assert peak < 8 * 8 * n + 4 * 8 * block, n
+
+
+def test_standalone_walk_samplers_memory_stays_within_blocks():
+    import tracemalloc
+
+    from fillgap import selection
+
+    # Eight per-row arrays (the walk's distances, norms and marks, the
+    # permutations of random and fps_then_random) and the walk's block of
+    # _WALK_BLOCK_ENTRIES entries: O(n) where the n x n matrix would take
+    # 3.2 GB at n=20000.
+    d, b = 16, 500
+    for n in (5000, 20000):
+        pool = np.random.default_rng(0).uniform(size=(n, d))
+        for run in (
+            lambda: fps(pool, b, seed=1),
+            lambda: random_select(pool, b, seed=1),
+            lambda: fps_then_random(pool, b, 0.02, seed=1),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 8 * n + 8 * selection._WALK_BLOCK_ENTRIES, n
+
+
+def test_facility_location_memory_is_its_matrix_plus_per_row_state():
+    import tracemalloc
+
+    # The n x n matrix of squared distances, built when its geometry is made;
+    # per row two entries of the lazy heap, each a tuple, a float and an int
+    # (under 128 bytes: the first step holds every row's old and new bound at
+    # once); and 16 per-row float64 arrays for the walk and the running minima.
+    for n in (1000, 2000):
+        pool = np.random.default_rng(0).uniform(size=(n, 8))
+        tracemalloc.start()
+        try:
+            facility_location(pool, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + n * (2 * 128 + 16 * 8), n
 
 
 def test_sampler_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):
@@ -527,6 +575,24 @@ def test_sampler_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):
     monkeypatch.setattr(np, "empty", refusing)
     with pytest.raises(DataError, match=r"300 x 300 float64 matrix \(0.000671 GiB\)"):
         facility_location(pool, 5, seed=0)
+
+
+def test_facility_location_checks_arguments_before_building_its_matrix(monkeypatch):
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (300, 300):
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    # A bad argument is reported as itself, not as the n x n matrix it would
+    # have built.
+    pool = np.random.default_rng(0).uniform(size=(300, 2))
+    monkeypatch.setattr(np, "empty", refusing)
+    with pytest.raises(DataError, match="budget must satisfy"):
+        facility_location(pool, 0, seed=0)
+    with pytest.raises(DataError, match="start_index 300 out of range"):
+        facility_location(pool, 5, seed=0, start_index=300)
 
 
 @pytest.mark.parametrize("block_entries", [None, 7])
