@@ -16,9 +16,9 @@ from .regression import KernelModel, krr_lipschitz_bound, krr_predict
 from .rng import rng_from_seed
 from .selection import SelectionResult
 
-# Pair counts above these limits fall back to seeded subsampling.
+# Pair counts above these limits fall back to seeded subsampling. All pairs
+# of up to 3162 rows fit under the first, of up to 2000 under the second.
 _CORRELATION_MAX_PAIRS = 5_000_000
-_LIPSCHITZ_EXACT_ROWS = 2000
 _LIPSCHITZ_MAX_PAIRS = 2_000_000
 
 # |coefficient| at or below this is a negligible correlation.
@@ -188,12 +188,14 @@ def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _pair_distances(X, y, exact: bool, max_pairs: int, seed: int):
-    """Feature and label distances over all pairs when ``exact``, otherwise
-    over a seeded sample of ``max_pairs`` distinct pairs."""
-    if exact:
+def _pair_distances(X, y, max_pairs: int, seed: int):
+    """Feature and label distances over all n-choose-2 pairs when they fit
+    under ``max_pairs``, otherwise over a seeded sample of ``max_pairs``
+    distinct pairs."""
+    n = X.shape[0]
+    if n * (n - 1) // 2 <= max_pairs:
         return pdist(X), pdist(y[:, None])
-    i, j = _sample_pair_indices(X.shape[0], max_pairs, rng_from_seed(seed))
+    i, j = _sample_pair_indices(n, max_pairs, rng_from_seed(seed))
     return np.linalg.norm(X[i] - X[j], axis=1), np.abs(y[i] - y[j])
 
 
@@ -213,10 +215,8 @@ def pairwise_distance_correlation(
         raise DataError("need at least 3 points to correlate pairwise distances")
     if max_pairs < 2:
         raise DataError("max_pairs must be >= 2")
-    total = n * (n - 1) // 2
-    subsampled = total > max_pairs
-    count = max_pairs if subsampled else total
-    feature_d, label_d = _pair_distances(X, y, not subsampled, max_pairs, seed)
+    feature_d, label_d = _pair_distances(X, y, max_pairs, seed)
+    subsampled = feature_d.size < n * (n - 1) // 2
     if (feature_d == feature_d[0]).all():
         raise DataError(
             "all feature distances are identical; pairwise correlation undefined"
@@ -234,7 +234,7 @@ def pairwise_distance_correlation(
     return CorrelationReport(
         pearson=rho_p,
         spearman=rho_s,
-        pair_count=int(count),
+        pair_count=feature_d.size,
         subsampled=subsampled,
         verdict=verdict,
     )
@@ -276,22 +276,21 @@ def error_bound(
     )
 
 
-def empirical_lipschitz(
-    X, y, exact_limit: int = _LIPSCHITZ_EXACT_ROWS, max_pairs: int = _LIPSCHITZ_MAX_PAIRS,
-    seed: int = 0,
-) -> float:
+def empirical_lipschitz(X, y, max_pairs: int = _LIPSCHITZ_MAX_PAIRS, seed: int = 0) -> float:
     """Largest label slope |y_i - y_j| / ||x_i - x_j|| over point pairs.
 
-    Exact over all pairs up to ``exact_limit`` rows; above that a seeded pair
-    subsample is used and the result is a lower estimate of the true maximum.
-    Duplicate feature rows with differing labels are rejected (the slope is
-    infinite).
+    Exact over all n-choose-2 pairs when they fit under ``max_pairs``, as in
+    ``pairwise_distance_correlation``; otherwise over a seeded sample of
+    ``max_pairs`` distinct pairs, and the result is a lower estimate of the
+    true maximum. Duplicate feature rows with differing labels are rejected
+    (the slope is infinite).
     """
     X, y = _checked_xy(X, y)
-    n = X.shape[0]
-    if n < 2:
+    if X.shape[0] < 2:
         raise DataError("need at least 2 points")
-    feature_d, label_d = _pair_distances(X, y, n <= exact_limit, max_pairs, seed)
+    if max_pairs < 1:
+        raise DataError("max_pairs must be >= 1")
+    feature_d, label_d = _pair_distances(X, y, max_pairs, seed)
     zero = feature_d == 0.0
     if (label_d[zero] > 0.0).any():
         raise DataError("duplicate feature rows with differing labels: infinite slope")

@@ -102,7 +102,7 @@ def _predict(dists, rows, weights: np.ndarray, gamma: float) -> np.ndarray:
     or ``slice(0, count)``.
 
     The kernel is written in the row blocks of selection._row_blocks, into one
-    reused buffer of at most 4 MiB, or of 64 rows when b exceeds 8192, so the
+    reused buffer of at most 1 MiB, or of 64 rows when b exceeds 2048, so the
     extra memory is the output plus one block however many rows are asked
     for. Each block holds a multiple of 64 rows: OpenBLAS's matrix-vector
     product sums such a block as it sums those rows inside one unblocked
@@ -340,6 +340,16 @@ def grid_search_cv_report(
 # ---------------------------------------------------------------------------
 
 
+def _square_matrix(K) -> np.ndarray:
+    """``K`` as a float64 array: a non-empty square matrix of finite values."""
+    K = np.ascontiguousarray(K, dtype=np.float64)
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
+        raise DataError(f"matrix must be square and non-empty, got shape {K.shape}")
+    if not np.isfinite(K).all():
+        raise DataError("matrix contains NaN or Inf entries")
+    return K
+
+
 def condition_number(K) -> tuple[float | None, float, float]:
     """Eigenvalue-based condition number of a symmetric matrix.
 
@@ -347,9 +357,7 @@ def condition_number(K) -> tuple[float | None, float, float]:
     eigenvalue is non-positive within round-off, i.e. the matrix is
     numerically singular.
     """
-    K = np.ascontiguousarray(K, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise DataError(f"matrix must be square, got shape {K.shape}")
+    K = _square_matrix(K)
     # A Gram matrix from _gram is bitwise symmetric, so only outside input
     # pays the tolerance check's b x b temporaries.
     if not np.array_equal(K, K.T):
@@ -386,24 +394,27 @@ def eigen_bounds(
     underflows to zero in double precision once ``40.71 d^2 / (sep^2 gamma)``
     passes ~709. The dimensional constant ``c_d`` is not pinned down here;
     only the shape of the bound is meaningful, with c_d = 1 by default.
+    It is computed from its logarithm, so it underflows to 0.0 rather than
+    raising; one that is not a finite float64 raises DataError.
     """
-    K = np.ascontiguousarray(K, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise DataError(f"matrix must be square, got shape {K.shape}")
+    K = _square_matrix(K)
     if not (math.isfinite(sep) and sep > 0):
         raise DataError("separation distance must be positive")
     if not (math.isfinite(gamma) and gamma > 0):
         raise DataError("gamma must be positive and finite")
-    if d < 1 or c_d <= 0:
-        raise DataError("dimension must be >= 1 and C_d positive")
+    if d < 1 or not (math.isfinite(c_d) and c_d > 0):
+        raise DataError("dimension must be >= 1 and C_d positive and finite")
     upper = K.shape[0] * float(np.abs(K).max())
-    lower = (
-        c_d
-        * (2.0 * gamma) ** (-d / 2.0)
-        * math.exp(-40.71 * d * d / (sep * sep * gamma))
-        * sep ** (-float(d))
+    log_lower = (
+        math.log(c_d)
+        - d / 2.0 * math.log(2.0 * gamma)
+        - 40.71 * d * d / gamma / sep / sep
+        - d * math.log(sep)
     )
-    return upper, lower
+    # NaN fails too: inf - inf at an absurd d.
+    if not log_lower <= math.log(np.finfo(np.float64).max):
+        raise DataError(f"eigenvalue lower bound exp({log_lower:.6g}) is not a finite float64")
+    return upper, math.exp(log_lower)
 
 
 def conditioning_report(

@@ -54,19 +54,16 @@ _MATRIX_KINDS = ("facility_location", "kmedoidspp")
 # kmedoidspp call, every block read is recomputed.
 _DENSE_MATRIX_LIMIT = 8192
 
-# Every row-block pass holds at most this many entries at once (4 MiB): both
+# Every row-block pass holds at most this many entries at once (1 MiB): the
+# nearest-selected walk, nn_distances' square tiles (362 rows a side), both
 # k-medoids Lloyd passes and the kernel values of regression's predictions.
-# Predictions round their blocks down to a multiple of 64 rows (regression._predict).
-_BLOCK_ENTRIES = 2**19
-
-# The nearest-selected walk keeps its pool in row blocks of this many entries
-# (1 MiB), small enough to stay in a core's cache while a block applies every
-# row selected since it was last read. FPS of 1000 from 100000 rows at d=64 on
+# Blocks this small stay in a core's cache while the walk applies every row
+# selected since a block was last read. FPS of 1000 from 100000 rows at d=64 on
 # one BLAS thread of a 2-core Xeon VM (2 MiB L2 per core): a prototype took
 # 2.6 s with blocks of 2**16 entries, 1.9 s with 2**17 and 3.7 s with 2**18;
 # this walk takes 2.1-2.5 s, and a whole-pool GEMV per pick took 6.4-8.0 s.
-# nn_distances scores square tiles of this many entries (362 rows a side).
-_WALK_BLOCK_ENTRIES = 2**17
+# The walk and predictions round their blocks down to a multiple of 64 rows.
+_BLOCK_ENTRIES = 2**17
 
 # Facility location scores up to this many candidates as one block, on its
 # first step, which scores every row, and on every lazy rescoring after it:
@@ -196,7 +193,7 @@ def _as_pool(pool) -> np.ndarray:
 
 class _Walk:
     """Every pool row's squared distance to its nearest selected row, kept
-    lazily in row blocks of _WALK_BLOCK_ENTRIES entries.
+    lazily in the row blocks of _row_blocks(n, d, 64).
 
     A block applies the rows selected since its last update only when it is
     read, one GEMV of the block per pending row, while it sits in cache. Each
@@ -217,19 +214,19 @@ class _Walk:
         self.selected = [first]
         self.chosen[first] = True
         # Multiples of 64 rows keep each block's rows where a whole-pool GEMV puts them.
-        self.rows = max(64, _WALK_BLOCK_ENTRIES // d // 64 * 64)
-        n_blocks = -(-n // self.rows)
+        self.blocks = list(_row_blocks(n, d, 64))
+        self.rows = self.blocks[0][1]  # the rows of every block but the last
+        n_blocks = len(self.blocks)
         self.applied = [0] * n_blocks  # selected rows each block holds
         self.bound = [math.inf] * n_blocks  # each block's largest value when last current
         self.top = [0] * n_blocks  # the smallest row holding it
-        self._d2 = np.empty(min(self.rows, n))
+        self._d2 = np.empty(self.rows)
         self.far = first
 
     def _current(self, b: int) -> None:
         if self.applied[b] == len(self.selected):
             return
-        lo = b * self.rows
-        hi = min(lo + self.rows, self.pool.shape[0])
+        lo, hi = self.blocks[b]
         block, near, norms = self.pool[lo:hi], self.sq_near[lo:hi], self.norms_sq[lo:hi]
         d2 = self._d2[: hi - lo]
         for row in self.selected[self.applied[b] :]:
@@ -444,7 +441,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     below 1, which is exact and keeps the mean from overflowing, then
     centred, so norms keep the digits a far-off pool would cancel. With
     ``x_i`` the centred rows and ``N_i = |x_i|**2``, the upper triangle of
-    the score matrix is cut into square tiles of about _WALK_BLOCK_ENTRIES
+    the score matrix is cut into square tiles of about _BLOCK_ENTRIES
     entries (1 MiB, 362 rows a side), small enough to stay in a core's
     cache. Each tile's scores ``T_ij = N_i + N_j - 2 x_i.x_j``, estimates of
     ``|x_i - x_j|**2``, come from one GEMM of the augmented rows
@@ -519,7 +516,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
 
     out = np.full(n, np.inf)
     thresholds = np.full(n, np.inf)
-    side = math.isqrt(_WALK_BLOCK_ENTRIES)
+    side = math.isqrt(_BLOCK_ENTRIES)
     starts = range(0, n, side)
     buffer = np.empty(min(side, n) ** 2)
     for band in range(len(starts)):
@@ -674,7 +671,8 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     Each medoid is pinned to its own cluster during assignment, so clusters
     are never empty. Deterministic in the seed.
 
-    Both Lloyd passes read distances in blocks of at most _BLOCK_ENTRIES.
+    Both Lloyd passes read distances in blocks of at most _BLOCK_ENTRIES
+    (1 MiB), or of one row when a row holds more.
     A standalone call keeps no matrix: it recomputes each block and holds one
     at a time. In a sweep of n <= _DENSE_MATRIX_LIMIT rows each block is the
     root of a gather from the one n x n matrix of squared distances the sweep

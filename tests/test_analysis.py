@@ -330,8 +330,22 @@ def test_empirical_lipschitz_subsampled_is_lower_estimate():
     x = rng.normal(size=(120, 2))
     y = 3.0 * x[:, 0]
     exact = empirical_lipschitz(x, y)
-    sampled = empirical_lipschitz(x, y, exact_limit=50, max_pairs=2000, seed=1)
+    sampled = empirical_lipschitz(x, y, max_pairs=2000, seed=1)
     assert sampled <= exact + 1e-12
+
+
+def test_empirical_lipschitz_is_exact_when_all_pairs_fit():
+    from scipy.spatial.distance import pdist
+
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(100, 3))
+    y = np.sin(x).sum(axis=1)
+    slopes = pdist(y[:, None]) / pdist(x)
+    # 4950 pairs fit under 10**6: all are used, none is drawn twice.
+    assert empirical_lipschitz(x, y, max_pairs=10**6) == slopes.max()
+    assert empirical_lipschitz(x, y, max_pairs=4950) == slopes.max()
+    with pytest.raises(DataError, match="max_pairs"):
+        empirical_lipschitz(x, y, max_pairs=0)
 
 
 # ---------------------------------------------------------------------------

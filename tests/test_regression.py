@@ -137,7 +137,7 @@ def test_predict_memory_stays_within_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The output plus two kernel blocks (8.2 MB, under 16 MiB); the whole
+    # The output plus two kernel blocks (2.0 MB, under 3 MiB); the whole
     # n x b kernel matrix would take 160 MB, and cdist, scaling and exp held
     # two of them at once.
     assert peak < 8 * n + 2 * 8 * selection._BLOCK_ENTRIES
@@ -163,7 +163,7 @@ def test_conditioning_report_memory_stays_within_blocks():
         # the separation walk's block over the b selected rows: no per-row
         # array of the float64 pool, the same bound at both sizes, where the
         # n x b kernel would take 80 MB at n=20000.
-        assert peak < 2 * 8 * b * b + 8 * selection._WALK_BLOCK_ENTRIES, n
+        assert peak < 2 * 8 * b * b + 8 * selection._BLOCK_ENTRIES, n
 
 
 _PREDICT_EXACT_SCRIPT = """
@@ -538,6 +538,19 @@ def test_condition_number_rejects_asymmetric():
         condition_number(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "K, match",
+    [
+        (np.zeros((0, 0)), "non-empty"),
+        ([[math.nan]], "NaN"),
+        ([[1.0, math.inf], [math.inf, 1.0]], "NaN"),
+    ],
+)
+def test_condition_number_rejects_empty_and_non_finite(K, match):
+    with pytest.raises(DataError, match=match):
+        condition_number(K)
+
+
 def test_regularization_never_worsens_conditioning():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -624,6 +637,16 @@ def test_eigen_bounds_lower_increases_with_separation():
 def test_eigen_bounds_rejects_bad_sep():
     with pytest.raises(DataError):
         eigen_bounds(np.eye(3), sep=0.0, gamma=1.0, d=2)
+    # A bound below the smallest float64 is 0.0, even where sep**-d or
+    # sep * sep alone would overflow or underflow.
+    for sep, gamma, d in ((1e-160, 1.0, 2), (1e-200, 1.0, 2), (1.0, 1e-300, 200)):
+        assert eigen_bounds(np.eye(3), sep=sep, gamma=gamma, d=d) == (3.0, 0.0)
+    with pytest.raises(DataError, match="not a finite float64"):
+        eigen_bounds(np.eye(3), sep=1.0, gamma=1e-300, d=10**306)
+    with pytest.raises(DataError, match="non-empty"):
+        eigen_bounds(np.zeros((0, 0)), 0.1, 1.0, 2)
+    with pytest.raises(DataError, match="NaN"):
+        eigen_bounds([[math.nan]], 0.1, 1.0, 2)
 
 
 def test_conditioning_report_fields():

@@ -135,7 +135,7 @@ def test_nn_distances_matches_brute_cdist(monkeypatch, tile_rows):
     # side, ragged last tiles; duplicate, lattice and integer pools tie
     # exactly, so their rows keep many candidates across tiles.
     if tile_rows is not None:
-        monkeypatch.setattr(selection, "_WALK_BLOCK_ENTRIES", tile_rows**2)
+        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", tile_rows**2)
     for name, pool in _nn_pools().items():
         dist_matrix = cdist(pool, pool)
         np.fill_diagonal(dist_matrix, np.inf)
@@ -213,7 +213,7 @@ def test_nn_distances_memory_stays_within_blocks():
 
     # The two augmented copies of the pool (n x (d + 2) each), four per-row
     # arrays (margins, thresholds, the output and one temporary) and a few
-    # square tiles of _WALK_BLOCK_ENTRIES entries (1 MiB each): O(n d) at
+    # square tiles of _BLOCK_ENTRIES entries (1 MiB each): O(n d) at
     # both sizes, where the whole n x n matrix would take 3.2 GB at n=20000.
     d = 16
     for n in (5000, 20000):
@@ -224,7 +224,7 @@ def test_nn_distances_memory_stays_within_blocks():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * (2 * (d + 2) + 4) + 4 * 8 * selection._WALK_BLOCK_ENTRIES, n
+        assert peak < 8 * n * (2 * (d + 2) + 4) + 4 * 8 * selection._BLOCK_ENTRIES, n
 
 
 def test_separation_walks_only_selected_rows_and_matches_full_walk():
@@ -261,9 +261,9 @@ def test_walk_blocks_do_not_change_results(name, sampler, monkeypatch):
         np.array(list(itertools.product(range(20), repeat=2)), dtype=np.float64),
     )
     for pool in pools:
-        monkeypatch.setattr(selection, "_WALK_BLOCK_ENTRIES", 2**30)
+        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", 2**30)
         whole = sampler(pool, 40, 3)
-        monkeypatch.setattr(selection, "_WALK_BLOCK_ENTRIES", 128)
+        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", 128)
         blocked = sampler(pool, 40, 3)
         assert np.array_equal(blocked.indices, whole.indices), name
         assert np.array_equal(blocked.fill_trace, whole.fill_trace), name
@@ -526,7 +526,7 @@ def test_standalone_walk_samplers_memory_stays_within_blocks():
 
     # Eight per-row arrays (the walk's distances, norms and marks, the
     # permutations of random and fps_then_random) and the walk's block of
-    # _WALK_BLOCK_ENTRIES entries: O(n) where the n x n matrix would take
+    # _BLOCK_ENTRIES entries: O(n) where the n x n matrix would take
     # 3.2 GB at n=20000.
     d, b = 16, 500
     for n in (5000, 20000):
@@ -542,7 +542,7 @@ def test_standalone_walk_samplers_memory_stays_within_blocks():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * 8 * n + 8 * selection._WALK_BLOCK_ENTRIES, n
+            assert peak < 8 * 8 * n + 8 * selection._BLOCK_ENTRIES, n
 
 
 def test_facility_location_memory_is_its_matrix_plus_per_row_state():
