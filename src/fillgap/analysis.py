@@ -68,7 +68,8 @@ class BoundReport:
         return self.bound_value - self.observed_maxae
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        """The fields in order, then ``slack``: what ``fillgap bound`` prints."""
+        return json.dumps({**asdict(self), "slack": self.slack})
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +163,28 @@ def _pair_offsets(n: int) -> np.ndarray:
     return i * (n - 1) - (i * (i - 1)) // 2
 
 
-def _sample_pair_indices(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """k distinct pairs (i, j), i < j, uniform over all n-choose-2 pairs."""
-    total = n * (n - 1) // 2
+def _distinct_draws(total: int, k: int, rng) -> np.ndarray:
+    """k distinct integers, uniform over the k-subsets of [0, total)."""
     collected = np.empty(0, dtype=np.int64)
     while collected.size < k:
         draw = rng.integers(0, total, size=2 * (k - collected.size) + 16, dtype=np.int64)
         collected = np.unique(np.concatenate([collected, draw]))
-    chosen = collected[rng.permutation(collected.size)[:k]]
-    chosen.sort()
+    return collected[rng.permutation(collected.size)[:k]]
+
+
+def _sample_pair_indices(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """k distinct pairs (i, j), i < j, uniform over all n-choose-2 pairs.
+
+    Drawing until k are distinct slows without bound as k nears the total (a
+    coupon collector's tail), so past half the pairs the total - k pairs to
+    leave out are drawn instead; the pairs kept then number under 2k."""
+    total = n * (n - 1) // 2
+    if 2 * k <= total:
+        chosen = np.sort(_distinct_draws(total, k, rng))
+    else:
+        keep = np.ones(total, dtype=bool)
+        keep[_distinct_draws(total, total - k, rng)] = False
+        chosen = np.flatnonzero(keep)
     offsets = _pair_offsets(n)
     i = np.searchsorted(offsets, chosen, side="right") - 1
     j = chosen - offsets[i] + i + 1

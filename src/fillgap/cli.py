@@ -16,7 +16,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
+
+from .errors import ConfigError, DataError, FillgapError
 
 _THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -57,19 +59,15 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         print(text)
     else:
-        tmp = f"{out_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-        os.replace(tmp, out_path)
+        from .experiment import _atomic_write
+
+        _atomic_write(out_path, text + "\n")
 
 
 def _load_pool(args, need_labels: bool):
     from .dataset import load_dataset, parse_label_column
 
-    label_column = getattr(args, "label_column", None)
-    if label_column is not None:
-        label_column = parse_label_column(label_column)
+    label_column = None if args.label_column is None else parse_label_column(args.label_column)
     has_labels = need_labels or label_column is not None
     return load_dataset(args.data, has_labels=has_labels, label_column=label_column)
 
@@ -96,7 +94,6 @@ def _resolve_cli_budget(raw: str, n: int) -> int:
 
 
 def _cmd_select(args) -> int:
-    from .errors import DataError
     from .selection import StrategySpec, select
 
     try:
@@ -129,23 +126,24 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
+def _predictions(args, need_labels: bool):
     from .regression import krr_predict, load_model
 
     model = load_model(args.model)
-    pool = _load_pool(args, need_labels=False)
-    pred = krr_predict(model, pool.features)
+    pool = _load_pool(args, need_labels)
+    return pool, krr_predict(model, pool.features)
+
+
+def _cmd_predict(args) -> int:
+    _, pred = _predictions(args, need_labels=False)
     _emit(json.dumps([float(v) for v in pred]), args.out)
     return 0
 
 
 def _cmd_eval(args) -> int:
     from .analysis import mae, maxae
-    from .regression import krr_predict, load_model
 
-    model = load_model(args.model)
-    pool = _load_pool(args, need_labels=True)
-    pred = krr_predict(model, pool.features)
+    pool, pred = _predictions(args, need_labels=True)
     y = pool.require_labels()
     _emit(json.dumps({"maxae": maxae(y, pred), "mae": mae(y, pred)}), args.out)
     return 0
@@ -193,7 +191,7 @@ def _cmd_bound(args) -> int:
         eps=constants["eps"],
         lip_label_arg=constants.get("lip_label_arg", 1.0),
     )
-    _emit(json.dumps({**asdict(report), "slack": report.slack}), args.out)
+    _emit(report.to_json(), args.out)
     return 0
 
 
@@ -288,43 +286,38 @@ def build_parser() -> _Parser:
     parser.add_argument("--threads", type=int, default=None, help="bound library thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("select", help="run a sampler over a pool CSV")
-    p.add_argument("--data", required=True)
+    # Options shared by subcommands, declared once as parent parsers.
+    data = _Parser(add_help=False)
+    data.add_argument("--data", required=True)
+    data.add_argument("--label-column", default=None, help="the label column to drop")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=None)
+
+    def command(name, handler, summary, parents=(data, out)) -> _Parser:
+        p = sub.add_parser(name, parents=list(parents), help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("select", _cmd_select, "run a sampler over a pool CSV")
     p.add_argument("--strategy", required=True, help="sampler; unknown names list the valid ones")
     p.add_argument("--budget", required=True, help="count (>= 1) or fraction in (0, 1)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start-index", type=int, default=None)
     p.add_argument("--switch", type=float, default=None, help="fps_then_random switch fraction")
     p.add_argument("--trace", action="store_true", help="include fill/sep traces in the JSON")
-    p.add_argument("--label-column", default=None, help="drop this column before selecting")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_select)
 
-    p = sub.add_parser("fit", help="train kernel ridge regression on a labelled CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None)
+    p = command("fit", _cmd_fit, "train kernel ridge regression on a labelled CSV", [data])
     p.add_argument("--gamma", default="auto", help="kernel width, or 'auto'")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--out", required=True, help="model file to write")
-    p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("predict", help="predict labels for a CSV with a saved model")
+    p = command("predict", _cmd_predict, "predict labels for a CSV with a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_predict)
 
-    p = sub.add_parser("eval", help="maximum/mean absolute error of a model on labelled data")
+    p = command("eval", _cmd_eval, "maximum/mean absolute error of a model on labelled data")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("bound", help="evaluate the fill-distance error bound for a selection")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None)
+    p = command("bound", _cmd_bound, "evaluate the fill-distance error bound for a selection")
     p.add_argument("--selection", required=True, help="selection JSON file")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument(
@@ -332,24 +325,14 @@ def build_parser() -> _Parser:
         required=True,
         help="comma list: lip_target=<f>,eps=<f>[,lip_label_arg=<f>]",
     )
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("corr", help="feature/label pairwise distance correlation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None)
+    p = command("corr", _cmd_corr, "feature/label pairwise distance correlation")
     p.add_argument("--max-pairs", type=int, default=5_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_corr)
 
-    p = sub.add_parser("nn", help="nearest-neighbour distances of a pool")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_nn)
+    command("nn", _cmd_nn, "nearest-neighbour distances of a pool")
 
-    p = sub.add_parser("synth", help="generate a synthetic labelled dataset CSV")
+    p = command("synth", _cmd_synth, "generate a synthetic labelled dataset CSV", [])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lipschitz", dest="target_lipschitz", type=float, default=argparse.SUPPRESS)
@@ -357,29 +340,19 @@ def build_parser() -> _Parser:
     p.add_argument("--tail-fraction", type=float, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("experiment", help="run a sweep from an INI config")
+    p = command("experiment", _cmd_experiment, "run a sweep from an INI config", [])
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--dry-run", action="store_true")
-    p.set_defaults(handler=_cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _apply_thread_limit(args.threads)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    from .errors import ConfigError, FillgapError
-
-    try:
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -387,10 +360,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FillgapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FillgapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -200,7 +200,7 @@ def resolve_budget(budget: float, n: int) -> int:
     """Turn a fraction of the pool into a subset size (half-up rounding)."""
     if budget * n < 2.0:
         raise DataError(f"budget {budget} on {n} rows yields fewer than 2 points")
-    return max(2, int(math.floor(budget * n + 0.5)))
+    return int(math.floor(budget * n + 0.5))
 
 
 def pool_from_config(cfg: ExperimentConfig) -> Dataset:

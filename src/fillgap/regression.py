@@ -15,7 +15,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
 from .rng import child_seed, rng_from_seed
-from .selection import _allocate, _Geometry, _row_blocks, nn_distances, separation_distance
+from .selection import _allocate, _Geometry, _integral, _row_blocks, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
 _RESIDUAL_TOL = 1e-8
@@ -483,7 +483,7 @@ def load_model(path: str | os.PathLike) -> KernelModel:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-            b, d = int(header["b"]), int(header["d"])
+            b, d = _integral(header["b"]), _integral(header["d"])
             gamma, lam = float(header["gamma"]), float(header["lambda"])
             if b < 1 or d < 1:
                 raise ValueError(f"b and d must be >= 1, got b={b}, d={d}")

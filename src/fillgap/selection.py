@@ -12,6 +12,7 @@ import heapq
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,7 @@ class SelectionResult:
             fill = np.asarray(payload.get("fill_trace", [math.nan] * indices.size), np.float64)
             sep = payload.get("sep_trace", [None] * indices.size)
             sep = np.asarray([math.nan if v is None else v for v in sep], np.float64)
-            strategy, seed = payload["strategy"], int(payload["seed"])
+            strategy, seed = payload["strategy"], _integral(payload["seed"])
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed selection JSON: {exc!r}") from None
         return cls(indices=indices, fill_trace=fill, sep_trace=sep, strategy=strategy, seed=seed)
@@ -547,11 +548,28 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(n: int, budget: int) -> int:
-    budget = int(budget)
-    if not 1 <= budget <= n:
+def _integral(value) -> int:
+    """``value`` as an int when it is an integral number: 5, 5.0 or
+    np.int64(5), and an int of any size unchanged. A fraction, NaN, inf, a
+    bool or a string raises ValueError."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{value!r} is not an integral number")
+
+
+def _pool_and_budget(pool, budget) -> tuple[np.ndarray, int, int]:
+    """The validated pool of a bare pool or a _Geometry, its row count, and
+    the budget as an int; it must be an integral count in [1, n]."""
+    points = _as_pool(pool)
+    n = points.shape[0]
+    try:
+        count = _integral(budget)
+    except ValueError:
+        count = 0  # not a count: reported as out of range
+    if not 1 <= count <= n:
         raise DataError(f"budget must satisfy 1 <= b <= {n}, got {budget}")
-    return budget
+    return points, n, count
 
 
 def _first_index(n: int, seed: int, start_index: int | None) -> int:
@@ -581,9 +599,7 @@ def fps(pool, budget: int, seed: int = 0, start_index: int | None = None) -> Sel
     extra memory; the walk (_Walk) updates it lazily in row blocks, so most
     blocks take their pending rows in one pass over cached data.
     """
-    pool = _as_pool(pool)
-    n = pool.shape[0]
-    budget = _check_budget(n, budget)
+    pool, n, budget = _pool_and_budget(pool, budget)
     first = _first_index(n, seed, start_index)
     indices, fill, sep = _walk(pool, first, budget, _farthest)
     return SelectionResult(indices, fill, sep, strategy="fps", seed=int(seed))
@@ -591,9 +607,7 @@ def fps(pool, budget: int, seed: int = 0, start_index: int | None = None) -> Sel
 
 def random_select(pool, budget: int, seed: int = 0) -> SelectionResult:
     """Uniform sampling without replacement, deterministic in the seed."""
-    pool = _as_pool(pool)
-    n = pool.shape[0]
-    budget = _check_budget(n, budget)
+    pool, n, budget = _pool_and_budget(pool, budget)
     indices = rng_from_seed(seed).permutation(n)[:budget].astype(np.int64)
     fill, sep = selection_traces(pool, indices)
     return SelectionResult(indices, fill, sep, strategy="random", seed=int(seed))
@@ -621,9 +635,7 @@ def facility_location(
     its own once its arguments are checked, and a sweep keeps one that every
     sampler and the kernels share. Larger pools recompute each row they read.
     """
-    points = _as_pool(pool)
-    n = points.shape[0]
-    budget = _check_budget(n, budget)
+    points, n, budget = _pool_and_budget(pool, budget)
     first = _first_index(n, seed, start_index)
     geom = pool if isinstance(pool, _Geometry) else _Geometry(points)
 
@@ -684,9 +696,7 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     over the medoid axis takes the first medoid on ties either way. Its
     arguments are checked before any geometry is made.
     """
-    points = _as_pool(pool)
-    n = points.shape[0]
-    budget = _check_budget(n, budget)
+    points, n, budget = _pool_and_budget(pool, budget)
     if max_iters < 0:
         raise DataError("max_iters must be >= 0")
     geom = pool if isinstance(pool, _Geometry) else _Geometry(points, keep_matrix=False)
@@ -741,9 +751,7 @@ def fps_then_random(
     When the budget does not exceed the switch point this is exactly ``fps``
     with the same seed.
     """
-    pool = _as_pool(pool)
-    n = pool.shape[0]
-    budget = _check_budget(n, budget)
+    pool, n, budget = _pool_and_budget(pool, budget)
     StrategySpec("fps_then_random", switch_fraction)  # checks the fraction
     n_switch = min(budget, math.ceil(switch_fraction * n))
     tail_rng = rng_from_seed(child_seed(seed, "fps_then_random", "post-switch"))
@@ -783,9 +791,7 @@ def _check_bruteforce(n: int, budget: int) -> None:
 def kcenter_bruteforce(pool, budget: int) -> tuple[float, np.ndarray]:
     """Exact minimum fill distance over all budget-subsets, with the first
     lexicographic witness. Guarded to C(n, b) <= 1e6 subsets."""
-    pool = _as_pool(pool)
-    n = pool.shape[0]
-    budget = _check_budget(n, budget)
+    pool, n, budget = _pool_and_budget(pool, budget)
     _check_bruteforce(n, budget)
     dist_matrix = cdist(pool, pool)
     best = math.inf
@@ -801,9 +807,7 @@ def kcenter_bruteforce(pool, budget: int) -> tuple[float, np.ndarray]:
 def maxsep_bruteforce(pool, budget: int) -> tuple[float, np.ndarray]:
     """Exact maximum separation distance over all budget-subsets, with the
     first lexicographic witness. Guarded to C(n, b) <= 1e6 subsets."""
-    pool = _as_pool(pool)
-    n = pool.shape[0]
-    budget = _check_budget(n, budget)
+    pool, n, budget = _pool_and_budget(pool, budget)
     if budget < 2:
         raise DataError("separation distance needs at least 2 selected rows")
     _check_bruteforce(n, budget)

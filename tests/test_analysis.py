@@ -334,6 +334,39 @@ def test_empirical_lipschitz_subsampled_is_lower_estimate():
     assert sampled <= exact + 1e-12
 
 
+@pytest.mark.parametrize("which", ["correlation", "lipschitz"])
+def test_sampling_all_pairs_but_one_takes_bounded_time(monkeypatch, which):
+    import time
+
+    from fillgap import analysis
+
+    # 300 rows have 44850 pairs. Drawing until 44849 are distinct is a coupon
+    # collector's tail: the correlation took 67.7 s so, and 0.98 s at 44000.
+    n, k = 300, 44849
+    rng = np.random.default_rng(2)
+    x = rng.uniform(size=(n, 3))
+    y = np.sin(3.0 * x).sum(axis=1)
+    exact = empirical_lipschitz(x, y)
+    drawn = []
+    sample = analysis._sample_pair_indices
+
+    def recorded(*args):
+        drawn.append(sample(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(analysis, "_sample_pair_indices", recorded)
+    start = time.perf_counter()
+    if which == "correlation":
+        report = pairwise_distance_correlation(x, y, max_pairs=k, seed=3)
+        assert report.pair_count == k and report.subsampled
+    else:
+        assert empirical_lipschitz(x, y, max_pairs=k, seed=3) <= exact
+    assert time.perf_counter() - start < 1.0
+    (i, j), = drawn
+    assert i.size == k and (i < j).all() and (j < n).all()
+    assert np.unique(i * n + j).size == k
+
+
 def test_empirical_lipschitz_is_exact_when_all_pairs_fit():
     from scipy.spatial.distance import pdist
 

@@ -308,9 +308,11 @@ def test_bound_rebuilds_the_traces_of_the_selection_file(tmp_path, capsys):
         "truncated selection",
         "selection without seed",
         "non-integral indices",
+        "non-integral seed",
         "model header [1]",
         "model header b=-1, d=-1",
         "model header b=0, d=2",
+        "model header b=2.9, d=3",
     ],
 )
 def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
@@ -325,12 +327,21 @@ def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
         payload = json.loads(sel_path.read_text())
         payload["indices"] = [i + 0.5 for i in payload["indices"]]
         sel_path.write_text(json.dumps(payload))
+    elif damage == "non-integral seed":
+        payload = json.loads(sel_path.read_text())
+        payload["seed"] += 0.9  # a cast would read seed 4
+        sel_path.write_text(json.dumps(payload))
     else:
         # A header of no rows or columns has an empty payload of the size it implies.
         header, payload = {
             "model header [1]": (b"[1]", model_path.read_bytes().split(b"\n", 1)[1]),
             "model header b=-1, d=-1": (b'{"gamma": 1.0, "lambda": 0.0, "b": -1, "d": -1}', b""),
             "model header b=0, d=2": (b'{"gamma": 1.0, "lambda": 0.0, "b": 0, "d": 2}', b""),
+            # The payload of b=2 rows, which a cast of 2.9 would load.
+            "model header b=2.9, d=3": (
+                b'{"gamma": 1.0, "lambda": 0.0, "b": 2.9, "d": 3}',
+                model_path.read_bytes().split(b"\n", 1)[1][: (2 * 3 + 2) * 8],
+            ),
         }[damage]
         model_path.write_bytes(header + b"\n" + payload)
         code, _, err = run(capsys, "predict", "--model", model_path, "--data", data,

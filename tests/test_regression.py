@@ -127,20 +127,49 @@ def test_predict_memory_stays_within_blocks():
 
     from fillgap import selection
 
-    n, d, b = 20000, 16, 1000
-    rng = np.random.default_rng(0)
-    queries = rng.uniform(size=(n, d))
-    model = KernelModel(queries[:b], rng.normal(size=b), gamma=2.0, lam=0.0)
-    tracemalloc.start()
-    try:
-        krr_predict(model, queries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The output plus two kernel blocks (2.0 MB, under 3 MiB); the whole
-    # n x b kernel matrix would take 160 MB, and cdist, scaling and exp held
-    # two of them at once.
-    assert peak < 8 * n + 2 * 8 * selection._BLOCK_ENTRIES
+    d, b = 16, 1000
+    for n in (5000, 20000):
+        rng = np.random.default_rng(0)
+        queries = rng.uniform(size=(n, d))
+        model = KernelModel(queries[:b], rng.normal(size=b), gamma=2.0, lam=0.0)
+        tracemalloc.start()
+        try:
+            krr_predict(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The output plus two kernel blocks (2.0 MB, under 3 MiB); the whole
+        # n x b kernel matrix would take 160 MB at n=20000, and cdist, scaling
+        # and exp held two of them at once.
+        assert peak < 8 * n + 2 * 8 * selection._BLOCK_ENTRIES, n
+
+
+def test_sweep_gram_and_fit_memory_is_two_gram_matrices():
+    import tracemalloc
+
+    from fillgap.regression import _gram, _solve
+    from fillgap.selection import _Geometry
+
+    # A sweep cell builds its Gram matrix from the n x b squared distances
+    # its selection run keeps, then solves in place; both are built first.
+    n = 2000
+    pool = np.random.default_rng(0).uniform(size=(n, 8))
+    labels = np.sin(3.0 * pool).sum(axis=1)
+    geometry = _Geometry(pool)
+    for b in (250, 500):
+        idx = np.random.default_rng(1).choice(n, size=b, replace=False)
+        sq_dists = geometry.columns(idx).sq_dists
+        y = labels[idx]
+        tracemalloc.start()
+        try:
+            _solve(_gram(sq_dists, idx, b, 2.0), y, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # K and one more b x b array (the gathered squared distances while K
+        # is built, the Cholesky factor while it solves), and eight b-vectors
+        # (the weights, the residual and their temporaries).
+        assert peak < 2 * 8 * b * b + 8 * 8 * b, b
 
 
 def test_conditioning_report_memory_stays_within_blocks():

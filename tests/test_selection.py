@@ -298,6 +298,38 @@ def test_fps_budget_validation():
         fps(LINE5, 2, start_index=9)
 
 
+ORACLES = [
+    ("kcenter_bruteforce", kcenter_bruteforce),
+    ("maxsep_bruteforce", maxsep_bruteforce),
+]
+
+
+@pytest.mark.parametrize("budget", [2.7, 2.5, math.nan, math.inf, True, "3"])
+@pytest.mark.parametrize("name,run", ALL_SAMPLERS + [
+    (name, lambda pool, b, seed, oracle=oracle: oracle(pool, b)) for name, oracle in ORACLES
+])
+def test_every_sampler_rejects_a_budget_that_is_not_an_integral_count(name, run, budget):
+    # A cast would select 2 rows for 2.7 and raise ValueError or
+    # OverflowError for NaN or inf.
+    with pytest.raises(DataError, match=r"budget must satisfy 1 <= b <= 6"):
+        run(LINE6, budget, 1)
+
+
+@pytest.mark.parametrize("budget", [3.0, np.int64(3), np.uint8(3)])
+@pytest.mark.parametrize("name,run", ALL_SAMPLERS)
+def test_every_sampler_takes_an_integral_budget_of_any_numeric_type(name, run, budget):
+    expected = run(LINE6, 3, 1)
+    result = run(LINE6, budget, 1)
+    assert np.array_equal(result.indices, expected.indices)
+    assert np.array_equal(result.fill_trace, expected.fill_trace)
+    assert np.array_equal(result.sep_trace, expected.sep_trace, equal_nan=True)
+
+
+def test_oracles_take_an_integral_float_budget():
+    assert kcenter_bruteforce(LINE6, 2.0)[1].tolist() == kcenter_bruteforce(LINE6, 2)[1].tolist()
+    assert maxsep_bruteforce(LINE6, 3.0)[1].tolist() == maxsep_bruteforce(LINE6, 3)[1].tolist()
+
+
 def test_fps_two_approximation_on_small_instances():
     for seed in range(50):
         pool = random_instance(seed)
@@ -561,6 +593,44 @@ def test_facility_location_memory_is_its_matrix_plus_per_row_state():
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n + n * (2 * 128 + 16 * 8), n
+
+
+def test_samplers_in_a_sweep_hold_no_more_than_their_per_row_state():
+    import tracemalloc
+
+    from fillgap import selection
+
+    # A sweep's samplers share one _Geometry whose n x n matrix is built
+    # before they run, so each run's peak is measured above that matrix.
+    b = 100
+    for n in (1000, 2000):
+        pool = np.random.default_rng(0).uniform(size=(n, 8))
+        geometry = selection._Geometry(pool)
+        bounds = {
+            # Eight per-row arrays (the walk's distances, norms and marks, the
+            # permutations of random and fps_then_random) and the walk's block
+            # of at most _BLOCK_ENTRIES entries.
+            "fps": 8 * 8 * n + 8 * selection._BLOCK_ENTRIES,
+            "random": 8 * 8 * n + 8 * selection._BLOCK_ENTRIES,
+            "fps_then_random": 8 * 8 * n + 8 * selection._BLOCK_ENTRIES,
+            # Per row two entries of the lazy heap of under 128 bytes each
+            # and 16 float64 arrays (the walk, the running minima and the
+            # rescored blocks of _RESCORE_BATCH rows); no matrix of its own.
+            "facility_location": n * (2 * 128 + 16 * 8),
+            # Eight per-row arrays (the walk's, the assignment and the costs),
+            # one gathered block of at most _BLOCK_ENTRIES and argmin's
+            # contiguous copy of it along the medoid axis.
+            "kmedoidspp": 8 * 8 * n + 2 * 8 * selection._BLOCK_ENTRIES,
+        }
+        for kind, bound in bounds.items():
+            spec = StrategySpec(kind, switch_fraction=0.02 if kind == "fps_then_random" else None)
+            tracemalloc.start()
+            try:
+                select(geometry, spec, b, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (kind, n, peak)
 
 
 def test_sampler_matrix_that_cannot_be_allocated_raises_data_error(monkeypatch):
@@ -828,6 +898,22 @@ def test_selection_result_json_rejects_indices_that_are_not_integers(indices):
 def test_selection_result_json_accepts_integral_floats():
     text = json.dumps({"strategy": "fps", "seed": 1, "indices": [3, 1.0, 4.0]})
     assert SelectionResult.from_json(text).indices.tolist() == [3, 1, 4]
+
+
+@pytest.mark.parametrize("seed", [7.9, "7", True, None, math.nan, math.inf, [7]])
+def test_selection_result_json_rejects_a_seed_that_is_not_an_integer(seed):
+    # A cast would read 7.9 as seed 7.
+    text = json.dumps({"strategy": "fps", "seed": seed, "indices": [3, 1]})
+    with pytest.raises(DataError, match="malformed selection JSON"):
+        SelectionResult.from_json(text)
+
+
+@pytest.mark.parametrize("seed", [7, 7.0, 13910599620879966349])
+def test_selection_result_json_reads_integral_seeds_exactly(seed):
+    # Seeds past 2**53 are not rounded through a float.
+    text = json.dumps({"strategy": "fps", "seed": seed, "indices": [3, 1]})
+    loaded = SelectionResult.from_json(text).seed
+    assert loaded == int(seed) and type(loaded) is int
 
 
 def test_selection_result_invariants():
