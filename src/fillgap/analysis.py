@@ -13,7 +13,7 @@ from scipy.spatial.distance import pdist
 from .dataset import Dataset
 from .errors import DataError
 from .regression import KernelModel, krr_lipschitz_bound, krr_predict
-from .rng import rng_from_seed
+from .rng import _count, _indices, rng_from_seed
 from .selection import SelectionResult
 
 # Pair counts above these limits fall back to seeded subsampling. All pairs
@@ -227,8 +227,7 @@ def pairwise_distance_correlation(
     n = X.shape[0]
     if n < 3:
         raise DataError("need at least 3 points to correlate pairwise distances")
-    if max_pairs < 2:
-        raise DataError("max_pairs must be >= 2")
+    max_pairs = _count(max_pairs, "max_pairs", 2)
     feature_d, label_d = _pair_distances(X, y, max_pairs, seed)
     subsampled = feature_d.size < n * (n - 1) // 2
     if (feature_d == feature_d[0]).all():
@@ -302,8 +301,7 @@ def empirical_lipschitz(X, y, max_pairs: int = _LIPSCHITZ_MAX_PAIRS, seed: int =
     X, y = _checked_xy(X, y)
     if X.shape[0] < 2:
         raise DataError("need at least 2 points")
-    if max_pairs < 1:
-        raise DataError("max_pairs must be >= 1")
+    max_pairs = _count(max_pairs, "max_pairs", 1)
     feature_d, label_d = _pair_distances(X, y, max_pairs, seed)
     zero = feature_d == 0.0
     if (label_d[zero] > 0.0).any():
@@ -342,9 +340,7 @@ def bound_check(
     ``selection_traces(pool.features, selection.indices)``.
     """
     y = pool.require_labels()
-    idx = selection.indices
-    if (idx >= pool.n).any():
-        raise DataError("selection indices out of range for the pool")
+    idx = _indices(selection.indices, pool.n)
     if model.train_features.shape != (idx.size, pool.d) or not np.array_equal(
         model.train_features, pool.features[idx]
     ):

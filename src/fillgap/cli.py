@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from .errors import ConfigError, DataError, FillgapError
 
@@ -110,17 +110,15 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .experiment import parse_gamma
     from .regression import _header, gamma_for_half_kernel, krr_fit, save_model
 
     pool = _load_pool(args, need_labels=True)
-    if args.gamma == "auto":
-        gamma = gamma_for_half_kernel(pool.features)
-    else:
-        try:
-            gamma = float(args.gamma)
-        except ValueError:
-            raise _UsageError(f"--gamma must be a number or 'auto', got {args.gamma!r}") from None
-    model = krr_fit(pool, gamma, args.lam)
+    try:
+        gamma = parse_gamma(args.gamma)
+    except ValueError:
+        raise _UsageError(f"--gamma must be a number or 'auto', got {args.gamma!r}") from None
+    model = krr_fit(pool, gamma_for_half_kernel(pool.features) if gamma is None else gamma, args.lam)
     save_model(model, args.out)
     print(json.dumps(_header(model)))
     return 0
@@ -222,23 +220,10 @@ def _cmd_synth(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(SynthConfig) if f.name in args}
     ds, info = synth_with_info(SynthConfig(**given))
     save_dataset(ds, args.out)
-    print(
-        json.dumps(
-            {
-                "n": ds.n,
-                "d": ds.d,
-                "lipschitz": info.lipschitz,
-                "noise_amplitude": info.noise_amplitude,
-                "intercept": info.intercept,
-                "weights": [float(w) for w in info.weights],
-                "n_tail": info.n_tail,
-                "bulk_median_nn": None
-                if math.isnan(info.bulk_median_nn)
-                else info.bulk_median_nn,
-                "seed": info.seed,
-            }
-        )
-    )
+    report = {"n": ds.n, "d": ds.d, **asdict(info), "weights": info.weights.tolist()}
+    if math.isnan(info.bulk_median_nn):
+        report["bulk_median_nn"] = None
+    print(json.dumps(report))
     return 0
 
 

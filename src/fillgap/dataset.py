@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import rng_from_seed
+from .rng import _count, _integral, rng_from_seed
 from .selection import nn_distances
 
 # Nuclear charges for the supported element symbols.
@@ -125,8 +125,9 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("target_lipschitz", "noise_level", "tail_fraction"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.n < 1 or self.d < 1:
-            raise DataError("n and d must be >= 1")
+        for name in ("n", "d"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", _integral(self.seed, "seed"))
         for name in ("target_lipschitz", "noise_level"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -147,10 +148,10 @@ class SynthInfo:
     ``noise_amplitude / 2``.
     """
 
-    weights: np.ndarray
-    intercept: float
     lipschitz: float
     noise_amplitude: float
+    intercept: float
+    weights: np.ndarray
     n_tail: int
     bulk_median_nn: float
     seed: int
@@ -268,16 +269,11 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
     names = list(ds.feature_names) if ds.feature_names is not None else [
         f"x{i}" for i in range(ds.d)
     ]
+    table = ds.features if ds.labels is None else np.column_stack([ds.features, ds.labels])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if ds.labels is not None:
-            writer.writerow(names + ["y"])
-            for row, y in zip(ds.features, ds.labels):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
-        else:
-            writer.writerow(names)
-            for row in ds.features:
-                writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(names if ds.labels is None else names + ["y"])
+        writer.writerows([repr(v) for v in row.tolist()] for row in table)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +336,7 @@ def coulomb_matrix(mol: Molecule, max_atoms: int) -> np.ndarray:
     ``z_i * z_j / ||r_i - r_j||`` off it. Atoms are kept in input order; no
     canonical reordering is applied, so pre-sort if a canonical form matters.
     """
-    if max_atoms < 1:
-        raise DataError("max_atoms must be >= 1")
+    max_atoms = _count(max_atoms, "max_atoms", 1)
     m = mol.m
     if m > max_atoms:
         raise DataError(f"molecule has {m} atoms, exceeding max_atoms={max_atoms}")

@@ -50,7 +50,7 @@ from .analysis import mae, maxae
 from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse_label_column, remove_zero_variance, synth_lipschitz
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
-from .rng import child_seed
+from .rng import _count, _integral, child_seed
 from .selection import _MATRIX_KINDS, _PREFIX_KINDS, SelectionResult, StrategySpec, _Geometry, select
 
 METRICS = (
@@ -88,10 +88,8 @@ class ModelConfig:
             raise ConfigError("[model] gamma must be positive or 'auto'")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError("[model] lambda must be non-negative")
-        if self.folds < 2:
-            raise ConfigError("[model] folds must be >= 2")
-        if self.grid_repeats < 1:
-            raise ConfigError("[model] grid_repeats must be >= 1")
+        for name, lo in (("folds", 2), ("grid_repeats", 1)):
+            object.__setattr__(self, name, _checked("model", _count, getattr(self, name), name, lo))
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
+        object.__setattr__(self, "master_seed", _checked("sweep", _integral, self.master_seed, "master_seed"))
+        object.__setattr__(self, "repeats", _checked("sweep", _count, self.repeats, "repeats", 1))
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("[dataset] exactly one of path / synth must be given")
         if not self.strategies:
@@ -122,8 +122,6 @@ class ExperimentConfig:
                 raise ConfigError("[sweep] budgets must be strictly increasing")
         if not all(0.0 < b <= 1.0 for b in self.budgets):
             raise ConfigError("[sweep] budgets must be fractions in (0, 1]")
-        if self.repeats < 1:
-            raise ConfigError("[sweep] repeats must be >= 1")
         if not self.metrics:
             raise ConfigError("[sweep] metrics must be non-empty")
         unknown = [m for m in self.metrics if m not in METRICS]
@@ -142,6 +140,14 @@ class ExperimentConfig:
         return hashlib.blake2b(self.canonical().encode(), digest_size=8).hexdigest()
 
 
+def _checked(section: str, check, *args):
+    """``check(*args)``, its DataError raised as a ConfigError of ``section``."""
+    try:
+        return check(*args)
+    except DataError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _canonical(value):
     """JSON-ready form of a config value for hashing: floats as their repr,
     strategies as their label (with their ``start_index`` when set), tuples
@@ -151,7 +157,7 @@ def _canonical(value):
     if isinstance(value, StrategySpec):
         if value.start_index is None:
             return value.label
-        return {"label": value.label, "start_index": int(value.start_index)}
+        return {"label": value.label, "start_index": value.start_index}
     if is_dataclass(value):
         return {
             "lambda" if f.name == "lam" else f.name: _canonical(getattr(value, f.name))
@@ -374,8 +380,18 @@ def _parse_text(section: str, key: str, raw: str) -> str:
     return raw
 
 
+def parse_gamma(raw: str) -> float | None:
+    """A kernel width as written in a config file or on the command line:
+    "auto", in any case and with surrounding spaces, is None (the width
+    gamma_for_half_kernel picks); other text is a float, or ValueError."""
+    return None if raw.strip().lower() == "auto" else float(raw)
+
+
 def _parse_gamma(section: str, key: str, raw: str) -> float | None:
-    return None if raw.strip().lower() == "auto" else _parse_float(section, key, raw)
+    try:
+        return parse_gamma(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be a number or 'auto', got {raw!r}") from None
 
 
 def _parse_strategy(section: str, key: str, token: str) -> StrategySpec:
@@ -469,10 +485,7 @@ def load_experiment_config(path: str | os.PathLike) -> ExperimentConfig:
         dataset = {}
     synth = None
     if parser.has_section("synth"):
-        try:
-            synth = _build(SynthConfig, "synth", _section_fields(parser, "synth"))
-        except DataError as exc:
-            raise ConfigError(f"[synth] {exc}") from None
+        synth = _checked("synth", _build, SynthConfig, "synth", _section_fields(parser, "synth"))
     sweep = {"metrics": ("maxae", "mae"), **_section_fields(parser, "sweep")}
     model = ModelConfig(**_section_fields(parser, "model"))
     return _build(ExperimentConfig, "sweep", {**sweep, **dataset, "synth": synth, "model": model})

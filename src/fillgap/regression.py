@@ -14,8 +14,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
-from .rng import child_seed, rng_from_seed
-from .selection import _allocate, _Geometry, _integral, _row_blocks, nn_distances, separation_distance
+from .rng import _count, _indices, child_seed, rng_from_seed
+from .selection import _allocate, _as_pool, _Geometry, _row_blocks, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
 _RESIDUAL_TOL = 1e-8
@@ -241,10 +241,7 @@ def default_grid() -> np.ndarray:
 
 
 def _resolve_size(size, n: int) -> int:
-    resolved = math.floor(size * n + 0.5) if 0 < size < 1 else size
-    if not (float(resolved).is_integer() and 2 <= resolved <= n):
-        raise DataError(f"train size {size} gives {resolved}, not an integral count in [2, {n}]")
-    return int(resolved)
+    return _count(math.floor(size * n + 0.5) if 0 < size < 1 else size, "train size", 2, n)
 
 
 def _cv_scores(X, y, gamma_grid, lambda_grid, folds: int) -> np.ndarray:
@@ -297,10 +294,7 @@ def grid_search_cv_report(
         raise DataError("hyperparameter grids must be non-empty 1-D sequences")
     if not all((np.isfinite(grid) & (grid > 0)).all() for grid in (gamma_grid, lambda_grid)):
         raise DataError("grid values must be positive and finite (the averaging is geometric)")
-    if folds < 2:
-        raise DataError("fold count must be >= 2")
-    if repeats < 1:
-        raise DataError("repeats must be >= 1")
+    folds, repeats = _count(folds, "folds", 2), _count(repeats, "repeats", 1)
     sizes = [_resolve_size(s, pool.n) for s in train_sizes]
     if not sizes:
         raise DataError("train_sizes must be non-empty")
@@ -402,8 +396,9 @@ def eigen_bounds(
         raise DataError("separation distance must be positive")
     if not (math.isfinite(gamma) and gamma > 0):
         raise DataError("gamma must be positive and finite")
-    if d < 1 or not (math.isfinite(c_d) and c_d > 0):
-        raise DataError("dimension must be >= 1 and C_d positive and finite")
+    d = _count(d, "d", 1)
+    if not (math.isfinite(c_d) and c_d > 0):
+        raise DataError("C_d must be positive and finite")
     upper = K.shape[0] * float(np.abs(K).max())
     log_lower = (
         math.log(c_d)
@@ -425,9 +420,10 @@ def conditioning_report(
     eigen-solve of K, since K + lam * I has K's eigenvalues shifted by lam."""
     if not (math.isfinite(lam) and lam >= 0):
         raise DataError("lambda must be non-negative and finite")
-    pool = np.ascontiguousarray(pool, dtype=np.float64)
+    pool = _as_pool(pool)
+    selected = _indices(selected, pool.shape[0])
     sep = separation_distance(pool, selected)
-    K = gaussian_kernel_matrix(pool[np.asarray(selected, dtype=np.int64)], gamma)
+    K = gaussian_kernel_matrix(pool[selected], gamma)
     cond_r, cond_u, lam_max, lam_min = _conditions(K, lam)
     return ConditioningReport(
         cond_regularized=cond_r,
@@ -483,11 +479,9 @@ def load_model(path: str | os.PathLike) -> KernelModel:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-            b, d = _integral(header["b"]), _integral(header["d"])
+            b, d = _count(header["b"], "b", 1), _count(header["d"], "d", 1)
             gamma, lam = float(header["gamma"]), float(header["lambda"])
-            if b < 1 or d < 1:
-                raise ValueError(f"b and d must be >= 1, got b={b}, d={d}")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (DataError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed model header in {path}: {exc}") from None
         payload = fh.read()
     expected = (b * d + b) * 8

@@ -1,4 +1,4 @@
-"""Seeding utilities.
+"""Seeding utilities, and the integer rule for seeds, counts and row indices.
 
 All randomness in the package flows from 64-bit seeds through Philox, a
 counter-based generator, so the random draws do not depend on the number of
@@ -12,15 +12,56 @@ which keeps runs reproducible when a sweep grid is extended.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 
 import numpy as np
+
+from .errors import DataError
 
 _SEED_MASK = (1 << 64) - 1
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int when it is an integral number: 5, 5.0 or
+    np.int64(5), and an int of any size unchanged. A fraction, NaN, inf, a
+    bool or a string raises DataError naming ``name``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise DataError(f"{name} must be integral, got {value!r}")
+
+
+def _count(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an integral int in [lo, hi]; DataError naming ``name``,
+    the value and the range otherwise."""
+    count = _integral(value, name)
+    if hi == math.inf and count < lo:
+        raise DataError(f"{name} must be >= {lo}, got {value!r}")
+    if not lo <= count <= hi:
+        raise DataError(f"{name} {value!r} out of range [{lo}, {hi}]")
+    return count
+
+
+def _indices(values, n: int = 2**63) -> np.ndarray:
+    """``values`` as a non-empty 1-D int64 array of row indices in [0, n). An
+    integer array takes no float copy; a float one must be finite and
+    integral; bool, string and object arrays raise DataError."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size < 1:
+        raise DataError("selected indices must be a non-empty 1-D sequence")
+    if arr.dtype.kind not in "iuf" or (
+        arr.dtype.kind == "f" and not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all())
+    ):
+        raise DataError(f"selected indices must be finite integral numbers, got {arr.dtype} values")
+    if arr.min() < 0 or arr.max() >= n:
+        raise DataError(f"selected index out of range [0, {n})")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Return a Philox-backed generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
+    return np.random.Generator(np.random.Philox(key=_integral(seed, "seed") & _SEED_MASK))
 
 
 def child_seed(master_seed: int, *parts: object) -> int:
@@ -30,7 +71,7 @@ def child_seed(master_seed: int, *parts: object) -> int:
     repr so the derivation does not depend on formatting choices elsewhere.
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(master_seed) & _SEED_MASK).encode())
+    h.update(str(_integral(master_seed, "seed") & _SEED_MASK).encode())
     for part in parts:
         h.update(b"|")
         h.update(repr(part).encode())

@@ -12,14 +12,13 @@ import heapq
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import child_seed, rng_from_seed
+from .rng import _count, _indices, _integral, child_seed, rng_from_seed
 
 # Strategy kind -> its sampler, called as (pool, spec, budget, seed). Sampler
 # names are looked up at call time, so a wrapped sampler is the one that runs.
@@ -96,20 +95,17 @@ class SelectionResult:
     seed: int
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
+        idx = _indices(self.indices)
         fill = np.ascontiguousarray(self.fill_trace, dtype=np.float64)
         sep = np.ascontiguousarray(self.sep_trace, dtype=np.float64)
-        if idx.ndim != 1 or idx.size < 1:
-            raise DataError("indices must be a non-empty 1-D sequence")
         if np.unique(idx).size != idx.size:
             raise DataError("selected indices must be distinct")
-        if (idx < 0).any():
-            raise DataError("selected indices must be non-negative")
         if fill.shape != idx.shape or sep.shape != idx.shape:
             raise DataError("traces must have one entry per selection step")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "fill_trace", fill)
         object.__setattr__(self, "sep_trace", sep)
+        object.__setattr__(self, "seed", _integral(self.seed, "seed"))
 
     def to_json(self, include_traces: bool = True) -> str:
         payload: dict = {
@@ -126,20 +122,13 @@ class SelectionResult:
     def from_json(cls, text: str) -> "SelectionResult":
         try:
             payload = json.loads(text)
-            indices = np.asarray(payload["indices"])
-            # Integral numbers only: a cast would read 1.7 as row 1.
-            if indices.dtype.kind not in "iuf" or not (
-                np.isfinite(indices).all() and np.array_equal(indices, np.trunc(indices))
-            ):
-                raise ValueError("indices must be integers")
-            indices = indices.astype(np.int64)
-            fill = np.asarray(payload.get("fill_trace", [math.nan] * indices.size), np.float64)
-            sep = payload.get("sep_trace", [None] * indices.size)
+            indices = payload["indices"]
+            fill = np.asarray(payload.get("fill_trace", [math.nan] * len(indices)), np.float64)
+            sep = payload.get("sep_trace", [None] * len(indices))
             sep = np.asarray([math.nan if v is None else v for v in sep], np.float64)
-            strategy, seed = payload["strategy"], _integral(payload["seed"])
-        except (ValueError, KeyError, TypeError) as exc:
+            return cls(indices, fill, sep, strategy=payload["strategy"], seed=payload["seed"])
+        except (DataError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed selection JSON: {exc!r}") from None
-        return cls(indices=indices, fill_trace=fill, sep_trace=sep, strategy=strategy, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -162,6 +151,8 @@ class StrategySpec:
             raise DataError("switch_fraction is only valid for fps_then_random")
         if self.start_index is not None and self.kind in ("random", "kmedoidspp"):
             raise DataError(f"start_index is not valid for {self.kind}")
+        if self.start_index is not None:
+            object.__setattr__(self, "start_index", _integral(self.start_index, "start_index"))
 
     @property
     def label(self) -> str:
@@ -378,19 +369,10 @@ class _Geometry:
         return np.sqrt(block, out=block)
 
 
-def _check_selected(pool: np.ndarray, selected) -> np.ndarray:
-    idx = np.ascontiguousarray(selected, dtype=np.int64)
-    if idx.ndim != 1 or idx.size < 1:
-        raise DataError("selected must be a non-empty index sequence")
-    if (idx < 0).any() or (idx >= pool.shape[0]).any():
-        raise DataError("selected index out of range")
-    return idx
-
-
 def selection_traces(pool, indices) -> tuple[np.ndarray, np.ndarray]:
     """Recompute per-step fill and separation traces for an ordered selection."""
     pool = _as_pool(pool)
-    idx = _check_selected(pool, indices)
+    idx = _indices(indices, pool.shape[0])
     _, fill, sep = _walk(pool, int(idx[0]), idx.size, lambda t, walk: idx[t])
     return fill, sep
 
@@ -408,7 +390,7 @@ def separation_distance(pool, selected) -> float:
     equals the last separation entry of a walk over the whole pool.
     """
     pool = _as_pool(pool)
-    idx = _check_selected(pool, selected)
+    idx = _indices(selected, pool.shape[0])
     if idx.size < 2:
         raise DataError("separation distance needs at least 2 selected rows")
     rows, order = np.unique(idx, return_inverse=True)  # a repeated index is at distance 0
@@ -548,36 +530,20 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _integral(value) -> int:
-    """``value`` as an int when it is an integral number: 5, 5.0 or
-    np.int64(5), and an int of any size unchanged. A fraction, NaN, inf, a
-    bool or a string raises ValueError."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise ValueError(f"{value!r} is not an integral number")
-
-
 def _pool_and_budget(pool, budget) -> tuple[np.ndarray, int, int]:
     """The validated pool of a bare pool or a _Geometry, its row count, and
     the budget as an int; it must be an integral count in [1, n]."""
     points = _as_pool(pool)
     n = points.shape[0]
     try:
-        count = _integral(budget)
-    except ValueError:
-        count = 0  # not a count: reported as out of range
-    if not 1 <= count <= n:
-        raise DataError(f"budget must satisfy 1 <= b <= {n}, got {budget}")
-    return points, n, count
+        return points, n, _count(budget, "budget", 1, n)
+    except DataError:
+        raise DataError(f"budget must satisfy 1 <= b <= {n}, got {budget}") from None
 
 
 def _first_index(n: int, seed: int, start_index: int | None) -> int:
     if start_index is not None:
-        start_index = int(start_index)
-        if not 0 <= start_index < n:
-            raise DataError(f"start_index {start_index} out of range for {n} rows")
-        return start_index
+        return _count(start_index, "start_index", 0, n - 1)
     return int(rng_from_seed(seed).integers(n))
 
 
@@ -602,7 +568,7 @@ def fps(pool, budget: int, seed: int = 0, start_index: int | None = None) -> Sel
     pool, n, budget = _pool_and_budget(pool, budget)
     first = _first_index(n, seed, start_index)
     indices, fill, sep = _walk(pool, first, budget, _farthest)
-    return SelectionResult(indices, fill, sep, strategy="fps", seed=int(seed))
+    return SelectionResult(indices, fill, sep, strategy="fps", seed=seed)
 
 
 def random_select(pool, budget: int, seed: int = 0) -> SelectionResult:
@@ -610,7 +576,7 @@ def random_select(pool, budget: int, seed: int = 0) -> SelectionResult:
     pool, n, budget = _pool_and_budget(pool, budget)
     indices = rng_from_seed(seed).permutation(n)[:budget].astype(np.int64)
     fill, sep = selection_traces(pool, indices)
-    return SelectionResult(indices, fill, sep, strategy="random", seed=int(seed))
+    return SelectionResult(indices, fill, sep, strategy="random", seed=seed)
 
 
 def facility_location(
@@ -671,7 +637,7 @@ def facility_location(
         return nxt
 
     indices, fill, sep = _walk(points, first, budget, cheapest)
-    return SelectionResult(indices, fill, sep, strategy="facility_location", seed=int(seed))
+    return SelectionResult(indices, fill, sep, strategy="facility_location", seed=seed)
 
 
 def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> SelectionResult:
@@ -697,8 +663,7 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
     arguments are checked before any geometry is made.
     """
     points, n, budget = _pool_and_budget(pool, budget)
-    if max_iters < 0:
-        raise DataError("max_iters must be >= 0")
+    max_iters = _count(max_iters, "max_iters", 0)
     geom = pool if isinstance(pool, _Geometry) else _Geometry(points, keep_matrix=False)
     rng = rng_from_seed(seed)
 
@@ -735,7 +700,7 @@ def kmedoidspp(pool, budget: int, seed: int = 0, max_iters: int = 100) -> Select
         medoids = updated
 
     fill, sep = selection_traces(points, medoids)
-    return SelectionResult(medoids, fill, sep, strategy="kmedoidspp", seed=int(seed))
+    return SelectionResult(medoids, fill, sep, strategy="kmedoidspp", seed=seed)
 
 
 def fps_then_random(
@@ -768,7 +733,7 @@ def fps_then_random(
 
     first = _first_index(n, seed, start_index)
     indices, fill, sep = _walk(pool, first, budget, pick)
-    return SelectionResult(indices, fill, sep, strategy="fps_then_random", seed=int(seed))
+    return SelectionResult(indices, fill, sep, strategy="fps_then_random", seed=seed)
 
 
 def select(pool, spec: StrategySpec, budget: int, seed: int = 0) -> SelectionResult:

@@ -381,6 +381,24 @@ def test_empirical_lipschitz_is_exact_when_all_pairs_fit():
         empirical_lipschitz(x, y, max_pairs=0)
 
 
+@pytest.mark.parametrize("max_pairs", [100.5, True, math.nan, "100"])
+def test_max_pairs_must_be_an_integral_count(max_pairs):
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+    for measure in (empirical_lipschitz, pairwise_distance_correlation):
+        with pytest.raises(DataError, match="max_pairs must be integral, got"):
+            measure(x, y, max_pairs=max_pairs)
+
+
+def test_max_pairs_of_any_integral_numeric_type_subsamples_alike():
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+    for measure in (empirical_lipschitz, pairwise_distance_correlation):
+        expected = measure(x, y, max_pairs=100, seed=4)
+        assert measure(x, y, max_pairs=100.0, seed=4.0) == expected
+        assert measure(x, y, max_pairs=np.int64(100), seed=np.uint8(4)) == expected
+
+
 # ---------------------------------------------------------------------------
 # Training error and the bound check
 # ---------------------------------------------------------------------------
@@ -505,6 +523,16 @@ def test_bound_check_requires_matching_model():
     other = _fit_on(ds, np.arange(8), gamma=1.0)
     with pytest.raises(DataError, match="selected rows"):
         bound_check(ds, selection, other, lip_target=1.0, eps=0.0)
+
+
+def test_bound_check_rejects_a_selection_past_the_pool():
+    ds, _ = synth_with_info(SynthConfig(n=40, d=2, target_lipschitz=1.0, seed=7))
+    selection = fps(ds.features, 8, seed=1)
+    model = _fit_on(ds, selection.indices, gamma=1.0)
+    smaller = Dataset(ds.features[:30], labels=ds.labels[:30])
+    assert selection.indices.max() >= 30
+    with pytest.raises(DataError, match=r"selected index out of range \[0, 30\)"):
+        bound_check(smaller, selection, model, lip_target=1.0, eps=0.0)
 
 
 def test_bound_check_memory_stays_within_blocks():

@@ -138,6 +138,22 @@ def test_fit_predict_eval_roundtrip(pool_csv, tmp_path, capsys):
     assert metrics["mae"] <= metrics["maxae"]
 
 
+def test_fit_reads_gamma_auto_as_a_config_file_does(pool_csv, tmp_path, capsys):
+    from fillgap.experiment import _parse_gamma
+
+    headers = []
+    for spelling in ("auto", "AUTO", " auto", " Auto "):
+        assert _parse_gamma("model", "gamma", spelling) is None
+        code, out, _ = run(capsys, "fit", "--data", pool_csv, "--label-column", "y",
+                           "--gamma", spelling, "--out", tmp_path / "m.krr")
+        assert code == 0
+        headers.append(json.loads(out))
+    assert all(header == headers[0] for header in headers)
+    code, _, err = run(capsys, "fit", "--data", pool_csv, "--label-column", "y",
+                       "--gamma", "automatic", "--out", tmp_path / "m.krr")
+    assert code == 1 and "--gamma must be a number or 'auto', got 'automatic'" in err
+
+
 def test_predict_dimension_mismatch_is_data_error(tmp_path, capsys):
     ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)),
                  labels=np.random.default_rng(1).normal(size=10))

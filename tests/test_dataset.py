@@ -167,6 +167,10 @@ def test_coulomb_too_many_atoms():
     mol = Molecule(np.array([1, 1]), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(DataError, match="max_atoms"):
         coulomb_matrix(mol, 1)
+    for max_atoms in (2.5, True, math.nan, 0):
+        with pytest.raises(DataError, match="max_atoms"):
+            coulomb_matrix(mol, max_atoms)
+    assert np.array_equal(coulomb_matrix(mol, 3.0), coulomb_matrix(mol, np.int64(3)))
 
 
 def test_coincident_atoms_rejected():
@@ -360,3 +364,29 @@ def test_synth_zero_lipschitz_constant_labels():
     ds, info = synth_with_info(SynthConfig(n=30, d=3, target_lipschitz=0.0, seed=1))
     assert info.lipschitz == 0.0
     assert np.ptp(ds.labels) == 0.0
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        (dict(n=10.5), "n must be integral, got 10.5"),
+        (dict(d=True), "d must be integral, got True"),
+        (dict(n=0), "n must be >= 1, got 0"),
+        (dict(seed=2.7), "seed must be integral, got 2.7"),
+        (dict(seed="3"), "seed must be integral, got '3'"),
+    ],
+)
+def test_synth_config_counts_and_seed_must_be_integral(counts, message):
+    # A cast would generate with seed 2 and record 2.7.
+    with pytest.raises(DataError, match=message):
+        SynthConfig(**{"n": 20, "d": 2, **counts})
+
+
+def test_synth_config_takes_integral_numbers_of_any_numeric_type():
+    expected, expected_info = synth_with_info(SynthConfig(n=20, d=2, tail_fraction=0.1, seed=7))
+    for n, d, seed in ((20.0, 2.0, 7.0), (np.int64(20), np.uint8(2), np.int64(7))):
+        cfg = SynthConfig(n=n, d=d, tail_fraction=0.1, seed=seed)
+        assert (type(cfg.n), type(cfg.d), type(cfg.seed)) == (int, int, int)
+        ds, info = synth_with_info(cfg)
+        assert np.array_equal(ds.features, expected.features) and ds.source == expected.source
+        assert type(info.seed) is int and info.seed == expected_info.seed

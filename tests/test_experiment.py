@@ -623,6 +623,40 @@ def test_config_hash_reads_float_fields_as_floats():
     assert '"repeats": 2' in cfg(2, 0, 1).canonical()
 
 
+def test_config_hash_reads_integral_fields_as_ints():
+    # Before the integer rule, master_seed=7.0 hashed apart from 7 and
+    # 7.9 was accepted.
+    def cfg(seed, repeats, n, start_index, folds):
+        return small_config(
+            master_seed=seed,
+            repeats=repeats,
+            synth=SynthConfig(n=n, d=3, seed=3),
+            strategies=(StrategySpec("fps", start_index=start_index),),
+            model=ModelConfig(grid_search=True, folds=folds, grid_repeats=folds - 1),
+        )
+
+    expected = cfg(7, 2, 120, 3, 3)
+    for values in ((7.0, 2.0, 120.0, 3.0, 3.0), (np.int64(7), np.uint8(2), np.int32(120), np.int64(3), np.int8(3))):
+        got = cfg(*values)
+        assert got == expected and got.config_hash() == expected.config_hash()
+        assert got.canonical() == expected.canonical()
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: small_config(master_seed=7.9), r"\[sweep\] master_seed must be integral, got 7.9"),
+        (lambda: small_config(master_seed="7"), r"\[sweep\] master_seed must be integral, got '7'"),
+        (lambda: small_config(repeats=2.5), r"\[sweep\] repeats must be integral, got 2.5"),
+        (lambda: ModelConfig(folds=2.5), r"\[model\] folds must be integral, got 2.5"),
+        (lambda: ModelConfig(grid_repeats=True), r"\[model\] grid_repeats must be integral, got True"),
+    ],
+)
+def test_config_counts_and_seeds_must_be_integral(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
 @pytest.mark.parametrize(
     "addition,key",
     [

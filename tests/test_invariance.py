@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fillgap import selection
-from fillgap.dataset import Dataset, SynthConfig, synth_lipschitz
+from fillgap.analysis import bound_check
+from fillgap.dataset import Dataset, SynthConfig, synth_lipschitz, synth_with_info
 from fillgap.experiment import ExperimentConfig, ModelConfig, run_experiment
+from fillgap.regression import gamma_for_half_kernel, krr_fit
 from fillgap.selection import StrategySpec, select
 
 SPECS = tuple(StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")) + (
@@ -91,3 +93,29 @@ def test_scaling_a_sweep_keeps_errors_and_conditioning(monkeypatch, limit):
         for key, value in base.items():
             factor = 2.0**k if key[3] in ("fill_distance", "sep_distance") else 1.0
             assert scaled[key] == value * factor or (math.isnan(value) and math.isnan(scaled[key])), key
+
+
+def _bound(pool, spec, lip_target, eps):
+    """gamma=auto, a fit on the spec's 40 picks and the error bound they give."""
+    picks = select(pool.features, spec, 40, seed=3)
+    gamma = gamma_for_half_kernel(pool.features)
+    model = krr_fit(Dataset(pool.features[picks.indices], labels=pool.labels[picks.indices]), gamma, 1e-8)
+    return gamma, bound_check(pool, picks, model, lip_target=lip_target, eps=eps)
+
+
+@pytest.mark.parametrize("kind", ["fps", "random"])
+def test_scaling_keeps_the_error_bound(kind):
+    # Scaling the features by 2**k scales h by 2**k, the model and target
+    # slopes by 2**-k and gamma by 4**-k, so the bound and the observed
+    # maximum error are the same bits.
+    pool, info = synth_with_info(SynthConfig(n=400, d=4, target_lipschitz=1.5, noise_level=0.1, seed=8))
+    spec = StrategySpec(kind)
+    gamma, base = _bound(pool, spec, info.lipschitz, info.noise_amplitude)
+    assert base.observed_maxae <= base.bound_value
+    for k in (-7, 3, 20):
+        scaled_pool = Dataset(pool.features * 2.0**k, labels=pool.labels)
+        scaled_gamma, scaled = _bound(scaled_pool, spec, info.lipschitz * 2.0**-k, info.noise_amplitude)
+        assert scaled.bound_value == base.bound_value, k
+        assert scaled.observed_maxae == base.observed_maxae, k
+        assert scaled.fill_dist * 2.0**-k == base.fill_dist, k
+        assert scaled_gamma * 4.0**k == gamma, k

@@ -532,6 +532,35 @@ def test_grid_search_validation():
         grid_search_cv_report(pool, train_sizes=[12.5], gamma_grid=[1.0], lambda_grid=[1.0])
 
 
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        (dict(folds=2.5), "folds must be integral, got 2.5"),
+        (dict(folds=True), "folds must be integral, got True"),
+        (dict(folds=1), "folds must be >= 2, got 1"),
+        (dict(repeats=2.5), "repeats must be integral, got 2.5"),
+        (dict(repeats=0), "repeats must be >= 1, got 0"),
+        (dict(train_sizes=[31]), r"train size 31 out of range \[2, 30\]"),
+    ],
+)
+def test_grid_search_counts_must_be_integral(counts, message):
+    rng = np.random.default_rng(2)
+    pool = labelled(rng.normal(size=(30, 2)), rng.normal(size=30))
+    args = {"train_sizes": [10], "gamma_grid": [1.0], "lambda_grid": [1e-6], **counts}
+    with pytest.raises(DataError, match=message):
+        grid_search_cv_report(pool, **args)
+
+
+def test_grid_search_takes_integral_counts_of_any_numeric_type():
+    rng = np.random.default_rng(2)
+    pool = labelled(rng.normal(size=(30, 2)), rng.normal(size=30))
+    reports = [
+        grid_search_cv_report(pool, [size], [0.5, 1.0], [1e-6, 1e-3], folds=folds, repeats=repeats, seed=seed)
+        for size, folds, repeats, seed in ((12, 3, 2, 5), (12.0, 3.0, 2.0, 5.0), (np.int64(12), np.int8(3), np.uint8(2), np.int64(5)))
+    ]
+    assert reports[0] == reports[1] == reports[2]
+
+
 # ---------------------------------------------------------------------------
 # Conditioning
 # ---------------------------------------------------------------------------
@@ -676,6 +705,21 @@ def test_eigen_bounds_rejects_bad_sep():
         eigen_bounds(np.zeros((0, 0)), 0.1, 1.0, 2)
     with pytest.raises(DataError, match="NaN"):
         eigen_bounds([[math.nan]], 0.1, 1.0, 2)
+
+
+def test_eigen_bounds_dimension_is_an_integral_count():
+    for d in (2.5, True, math.nan, 0):
+        with pytest.raises(DataError, match=r"^d "):
+            eigen_bounds(np.eye(3), sep=1.0, gamma=1.0, d=d)
+    assert eigen_bounds(np.eye(3), 1.0, 1.0, d=2.0) == eigen_bounds(np.eye(3), 1.0, 1.0, d=np.int64(2))
+
+
+def test_conditioning_report_rejects_fractional_indices():
+    pool = np.random.default_rng(1).normal(size=(30, 3))
+    with pytest.raises(DataError, match="integral"):  # a cast would read rows 0 and 1
+        conditioning_report(pool, [0.5, 1.7], gamma=0.5, lam=1e-4)
+    floats = conditioning_report(pool, [0.0, 5.0, 9.0], gamma=0.5, lam=1e-4)
+    assert floats == conditioning_report(pool, np.array([0, 5, 9], np.uint16), gamma=0.5, lam=1e-4)
 
 
 def test_conditioning_report_fields():

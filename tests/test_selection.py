@@ -330,6 +330,92 @@ def test_oracles_take_an_integral_float_budget():
     assert maxsep_bruteforce(LINE6, 3.0)[1].tolist() == maxsep_bruteforce(LINE6, 3)[1].tolist()
 
 
+@pytest.mark.parametrize("seed", [2.7, math.nan, math.inf, True, "3"])
+@pytest.mark.parametrize("name,run", ALL_SAMPLERS)
+def test_every_sampler_rejects_a_seed_that_is_not_an_integer(name, run, seed):
+    # A cast would run and record 2.7 as seed 2.
+    with pytest.raises(DataError, match=r"seed must be integral, got"):
+        run(LINE6, 3, seed)
+
+
+@pytest.mark.parametrize("seed", [7.0, np.int64(7), np.uint8(7)])
+@pytest.mark.parametrize("name,run", ALL_SAMPLERS)
+def test_every_sampler_takes_an_integral_seed_of_any_numeric_type(name, run, seed):
+    expected = run(LINE6, 3, 7)
+    result = run(LINE6, 3, seed)
+    assert np.array_equal(result.indices, expected.indices)
+    assert type(result.seed) is int and result.seed == 7
+
+
+@pytest.mark.parametrize("start_index", [2.7, math.nan, True, "2"])
+@pytest.mark.parametrize("kind", ["fps", "facility_location", "fps_then_random"])
+def test_start_index_must_be_an_integral_row(kind, start_index):
+    # A cast would start FPS at row 2 for 2.7 and raise ValueError for NaN.
+    fraction = 0.5 if kind == "fps_then_random" else None
+    with pytest.raises(DataError, match="start_index must be integral, got"):
+        select(LINE6, StrategySpec(kind, fraction, start_index), 3)
+    run = {"fps": fps, "facility_location": facility_location}.get(kind)
+    if run is not None:
+        with pytest.raises(DataError, match="start_index must be integral, got"):
+            run(LINE6, 3, start_index=start_index)
+
+
+def test_an_integral_float_start_index_is_that_row():
+    spec = StrategySpec("fps", start_index=2.0)
+    assert type(spec.start_index) is int and spec.start_index == 2
+    assert fps(LINE6, 3, start_index=np.float64(2.0)).indices.tolist() == [2, 5, 0]
+    with pytest.raises(DataError, match=r"start_index -1 out of range \[0, 5\]"):
+        fps(LINE6, 3, start_index=-1)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, True, math.nan, -1])
+def test_kmedoidspp_max_iters_must_be_a_count(max_iters):
+    with pytest.raises(DataError, match="max_iters"):
+        kmedoidspp(LINE6, 3, seed=1, max_iters=max_iters)
+
+
+@pytest.mark.parametrize(
+    "indices,message",
+    [
+        ([0.5, 1.7], "integral"),
+        ([0, math.nan], "integral"),
+        ([0, math.inf], "integral"),
+        ([True, False], "integral"),
+        (["0", "1"], "integral"),
+        ([], "non-empty 1-D"),
+        ([[0, 1]], "non-empty 1-D"),
+        ([0, 6], r"selected index out of range \[0, 6\)"),
+        ([-1, 2], "selected index out of range"),
+    ],
+)
+def test_index_readers_reject_what_is_not_a_row_index(indices, message):
+    # A cast would measure rows 0 and 1 for [0.5, 1.7].
+    for read in (selection_traces, fill_distance, separation_distance):
+        with pytest.raises(DataError, match=message):
+            read(LINE6, indices)
+
+
+@pytest.mark.parametrize("indices", [[0.5, 1.7], [-1, 2], [2**63, 1], [1e300, 1], [[0, 1]], []])
+def test_selection_result_rejects_what_is_not_a_row_index(indices):
+    traces = np.zeros(np.shape(indices))
+    with pytest.raises(DataError, match="selected ind"):
+        SelectionResult(indices, traces, traces, strategy="fps", seed=0)
+
+
+@pytest.mark.parametrize(
+    "indices", [[4, 0, 2], [4.0, 0.0, 2.0], np.array([4, 0, 2], np.uint8), np.array([4, 0, 2], np.int32)]
+)
+def test_index_readers_take_integral_indices_of_any_numeric_type(indices):
+    expected = selection_traces(LINE6, [4, 0, 2])
+    for got, want in zip(selection_traces(LINE6, indices), expected):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert fill_distance(LINE6, indices) == expected[0][-1]
+    assert separation_distance(LINE6, indices) == expected[1][-1]
+    result = SelectionResult(indices, *expected, strategy="fps", seed=np.int64(3))
+    assert result.indices.dtype == np.int64 and result.indices.tolist() == [4, 0, 2]
+    assert type(result.seed) is int
+
+
 def test_fps_two_approximation_on_small_instances():
     for seed in range(50):
         pool = random_instance(seed)
