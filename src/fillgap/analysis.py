@@ -205,11 +205,12 @@ def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
 def _pair_distances(X, y, max_pairs: int, seed: int):
     """Feature and label distances over all n-choose-2 pairs when they fit
     under ``max_pairs``, otherwise over a seeded sample of ``max_pairs``
-    distinct pairs."""
+    distinct pairs. The seed is checked either way."""
+    rng = rng_from_seed(seed)
     n = X.shape[0]
     if n * (n - 1) // 2 <= max_pairs:
         return pdist(X), pdist(y[:, None])
-    i, j = _sample_pair_indices(n, max_pairs, rng_from_seed(seed))
+    i, j = _sample_pair_indices(n, max_pairs, rng)
     return np.linalg.norm(X[i] - X[j], axis=1), np.abs(y[i] - y[j])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import _count, _integral, rng_from_seed
+from .rng import _count, _indices, _integral, rng_from_seed
 from .selection import nn_distances
 
 # Nuclear charges for the supported element symbols.
@@ -88,12 +88,16 @@ class Molecule:
     positions: np.ndarray
 
     def __post_init__(self):
-        charges = np.ascontiguousarray(self.charges, dtype=np.int64)
+        charges = np.asarray(self.charges)
         positions = np.ascontiguousarray(self.positions, dtype=np.float64)
         if charges.ndim != 1 or charges.shape[0] < 1:
             raise DataError("molecule needs at least one atom")
-        if (charges <= 0).any():
-            raise DataError("nuclear charges must be positive integers")
+        try:
+            charges = _indices(charges)  # integral, never truncated
+        except DataError:
+            charges = None
+        if charges is None or (charges <= 0).any():
+            raise DataError(f"nuclear charges must be positive integers, got {self.charges!r}")
         if positions.shape != (charges.shape[0], 3):
             raise DataError(f"positions must have shape ({charges.shape[0]}, 3)")
         if not np.isfinite(positions).all():

@@ -8,7 +8,11 @@ cells. Budgets within a repeat share the seed, so every sampler except
 k-medoids++ selects at a smaller budget exactly the prefix, in indices and
 traces, of its selection at a larger one. The sweep therefore selects once
 per (strategy, repeat) at the largest budget and slices each cell from that
-run; k-medoids++ selects per cell.
+run. k-medoids++ seeds once per repeat, at the largest budget, since its
+seeding at a smaller budget is that seeding's prefix; Lloyd and traces run
+per cell, from the cell's prefix, and the traces only when a
+``fill_distance`` or ``sep_distance`` metric is listed. Every cell equals
+the standalone sampler's selection at its budget and seed.
 
 Every distance block the sweep reads comes from one source,
 ``selection._Geometry`` (the samplers' nearest-selected walk aside):
@@ -22,14 +26,15 @@ before the first selection run; the samplers read Euclidean blocks as its
 roots. When the metrics need kernels, each selection run keeps one n x B
 matrix for its B selected rows (n * B * 8 bytes: 0.8 MB at n=1000, B=100),
 gathered from the n x n matrix when the sweep keeps it and computed with
-``cdist`` otherwise. Every cell the run serves, all budgets of a prefix
-kind's (strategy, repeat) or one k-medoids++ cell, reads its Gram matrix and
-prediction blocks from it through the readers behind
-``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
-for conditioning and the fit. Cells run repeat by repeat, so at most one
-such n x B matrix is live. ``gamma=auto`` runs ``selection.nn_distances`` on
-the raw pool in 1 MiB tiles, so a sweep whose strategies are only ``fps``,
-``random`` and ``fps_then_random`` builds no n x n matrix.
+``cdist`` otherwise. A prefix kind's run serves every budget of its
+(strategy, repeat), a k-medoids++ Lloyd run its one cell. Each cell reads
+its Gram matrix and prediction blocks from the run's matrix through the
+readers behind ``gaussian_kernel_matrix`` and ``krr_predict``, and builds
+one Gram matrix for conditioning and the fit. Cells run repeat by repeat,
+so at most one such n x B matrix is live. ``gamma=auto`` runs
+``selection.nn_distances`` on the raw pool in 1 MiB tiles, so a sweep whose
+strategies are only ``fps``, ``random`` and ``fps_then_random`` builds no
+n x n matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
 from .rng import _count, _integral, child_seed
-from .selection import _MATRIX_KINDS, _PREFIX_KINDS, SelectionResult, StrategySpec, _Geometry, select
+from .selection import _KMEDOIDS_MAX_ITERS, _MATRIX_KINDS, _PREFIX_KINDS, StrategySpec, _Geometry
+from .selection import _kmedoids_lloyd, _kmedoids_seeding, select, selection_traces
 
 METRICS = (
     "maxae",
@@ -64,6 +70,7 @@ METRICS = (
 
 _PREDICTION_METRICS = ("maxae", "mae")
 _CONDITIONING_METRICS = ("cond_regularized", "cond_unregularized")
+_TRACE_METRICS = ("fill_distance", "sep_distance")
 
 
 @dataclass(frozen=True)
@@ -236,25 +243,22 @@ def _resolve_model(cfg: ExperimentConfig, pool: Dataset, sizes: list[int]) -> tu
 def _cell_values(
     cfg: ExperimentConfig,
     pool: Dataset,
-    result: SelectionResult,
-    size: int,
+    idx: np.ndarray,
+    traces: dict[str, float],
     sq_dists,
     gamma: float,
     lam: float,
 ) -> dict[str, float]:
-    """Metric values of one cell, trained on the first ``size`` rows of
-    ``result`` and evaluated on every other pool row. ``sq_dists(rows, cols,
-    out)`` reads the squared distances to ``result``'s rows; one Gram matrix
-    serves both conditioning and the fit."""
-    idx = result.indices[:size]
+    """Metric values of one cell, trained on the rows ``idx`` and evaluated
+    on every other pool row; ``traces`` holds the cell's listed trace
+    metrics. ``sq_dists(rows, cols, out)`` reads the squared distances to
+    the rows of the selection run whose first rows are ``idx``; one Gram
+    matrix serves both conditioning and the fit."""
+    size = idx.size
     mask = np.ones(pool.n, dtype=bool)
     mask[idx] = False
 
-    values: dict[str, float] = {}
-    if "fill_distance" in cfg.metrics:
-        values["fill_distance"] = float(result.fill_trace[size - 1])
-    if "sep_distance" in cfg.metrics:
-        values["sep_distance"] = float(result.sep_trace[size - 1])
+    values = dict(traces)
     conditioning = any(m in _CONDITIONING_METRICS for m in cfg.metrics)
     predicting = any(m in _PREDICTION_METRICS for m in cfg.metrics)
     if conditioning or (predicting and mask.any()):
@@ -277,6 +281,28 @@ def _cell_values(
     return values
 
 
+def _selection_runs(
+    geometry: _Geometry, spec: StrategySpec, sizes: list[int], seed: int, traced: bool
+):
+    """The selection runs of one (strategy, repeat), each as (indices, fill
+    trace, separation trace, the columns of ``sizes`` it serves).
+
+    A prefix kind selects once at the largest budget, and that run serves
+    every column. k-medoids++ seeds once at the largest budget; the seeding
+    at each budget is its prefix, so each column runs Lloyd from that prefix,
+    and walks the traces of the medoids only when ``traced`` (None
+    otherwise)."""
+    if spec.kind in _PREFIX_KINDS:
+        result = select(geometry, spec, max(sizes), seed=seed)
+        yield result.indices, result.fill_trace, result.sep_trace, range(len(sizes))
+        return
+    seeding = _kmedoids_seeding(geometry.pool, max(sizes), seed)
+    for col, size in enumerate(sizes):
+        medoids = _kmedoids_lloyd(geometry, seeding[:size], _KMEDOIDS_MAX_ITERS)
+        fill, sep = selection_traces(geometry, medoids) if traced else (None, None)
+        yield medoids, fill, sep, (col,)
+
+
 def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> ExperimentReport:
     """Execute the sweep: select, train, evaluate on all unselected rows.
 
@@ -295,22 +321,27 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
     keep = any(spec.kind in _MATRIX_KINDS for spec in cfg.strategies)
     geometry = _Geometry(pool.features, keep)  # validated when the dataset was built
     kernels = any(m in _PREDICTION_METRICS + _CONDITIONING_METRICS for m in cfg.metrics)
+    traced = any(m in _TRACE_METRICS for m in cfg.metrics)
     rows: list[RunRow] = []
     for spec in cfg.strategies:
         label = spec.label
-        prefix = spec.kind in _PREFIX_KINDS
         seeds = [child_seed(cfg.master_seed, label, rep) for rep in range(cfg.repeats)]
         cells: dict[tuple[int, int], dict[str, float]] = {}
         for rep, seed in enumerate(seeds):
-            for col, size in enumerate(sizes):
-                if col == 0 or not prefix:
-                    # Drops the last run's columns before this one's are
-                    # built, so at most one n x B matrix is live.
-                    sq_dists = None
-                    result = select(geometry, spec, max(sizes) if prefix else size, seed=seed)
-                    if kernels:
-                        sq_dists = geometry.columns(result.indices).sq_dists
-                cells[col, rep] = _cell_values(cfg, pool, result, size, sq_dists, gamma, lam)
+            for indices, fill, sep, cols in _selection_runs(geometry, spec, sizes, seed, traced):
+                sq_dists = geometry.columns(indices).sq_dists if kernels else None
+                for col in cols:
+                    size = sizes[col]
+                    traces = {
+                        m: float(t[size - 1])
+                        for m, t in zip(_TRACE_METRICS, (fill, sep))
+                        if m in cfg.metrics
+                    }
+                    idx = indices[:size]
+                    cells[col, rep] = _cell_values(cfg, pool, idx, traces, sq_dists, gamma, lam)
+                # Dropped before the next run's columns are built, so at
+                # most one n x B matrix is live.
+                del sq_dists
         for col, budget in enumerate(cfg.budgets):
             for rep, seed in enumerate(seeds):
                 for metric in cfg.metrics:

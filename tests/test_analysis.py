@@ -390,6 +390,17 @@ def test_max_pairs_must_be_an_integral_count(max_pairs):
             measure(x, y, max_pairs=max_pairs)
 
 
+@pytest.mark.parametrize("seed", [2.7, True, math.nan, "4"])
+@pytest.mark.parametrize("max_pairs", [100, 10**6])
+def test_seed_must_be_integral_whether_or_not_pairs_are_sampled(max_pairs, seed):
+    # 30 rows have 435 pairs: sampled at max_pairs=100, all used at 10**6.
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+    for measure in (empirical_lipschitz, pairwise_distance_correlation):
+        with pytest.raises(DataError, match="seed must be integral, got"):
+            measure(x, y, max_pairs=max_pairs, seed=seed)
+
+
 def test_max_pairs_of_any_integral_numeric_type_subsamples_alike():
     rng = np.random.default_rng(6)
     x, y = rng.normal(size=(30, 3)), rng.normal(size=30)

@@ -178,6 +178,24 @@ def test_coincident_atoms_rejected():
         Molecule(np.array([1, 1]), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "charges",
+    [[1.5, 6.9], [1, 0], [6, -1], [1.0, math.nan], [1.0, math.inf], [True, True], ["1", "6"]],
+)
+def test_charges_that_are_not_positive_integers_are_rejected(charges):
+    # A fraction was truncated (1.5 and 6.9 read as H and C); bools read as H.
+    with pytest.raises(DataError, match="nuclear charges must be positive integers"):
+        Molecule(np.array(charges), [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_integral_charges_of_any_numeric_type_are_kept():
+    positions = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    for charges in ([1, 6], [1.0, 6.0], np.array([1, 6], dtype=np.uint8)):
+        mol = Molecule(np.array(charges), positions)
+        assert mol.charges.dtype == np.int64
+        assert mol.charges.tolist() == [1, 6]
+
+
 @settings(max_examples=40)
 @given(
     st.integers(1, 5).flatmap(

@@ -26,7 +26,7 @@ from fillgap.experiment import (
 )
 from fillgap.regression import grid_search_cv_report
 from fillgap.rng import child_seed
-from fillgap.selection import StrategySpec, fps
+from fillgap.selection import StrategySpec, fps, select
 
 
 def small_config(**overrides):
@@ -115,68 +115,156 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
 
 
 def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
-    # Prefix samplers select once at the largest budget; k-medoids++ per cell.
-    # Facility location, k-medoids++ and every cell's kernels read one
-    # pool-by-pool matrix of squared distances, built before the first
+    # Prefix samplers select once at the largest budget. k-medoids++ seeds
+    # once per repeat at the largest budget and runs Lloyd per cell from that
+    # seeding's prefix; it walks the medoids' traces only when a trace metric
+    # is listed. Facility location, k-medoids++ and every cell's kernels read
+    # one pool-by-pool matrix of squared distances, built before the first
     # selection because the strategies list a reader of it; gamma=auto reads
     # the raw pool and builds none.
     from fillgap import experiment, selection
-    from fillgap.selection import select
 
-    calls = []
-    cdist_calls = []  # (metric, rows, columns, selections made before the call)
-    # (selections made before, selected rows, gathered from the n x n matrix)
-    # per n x B matrix built
-    gathers = []
+    events = []  # selection work and n x B gathers, in the order they ran
+    cdist_calls = []  # (metric, rows, columns, events before the call)
     cdist = selection.cdist
     columns = selection._Geometry.columns
+    select = experiment.select
+    seeding = experiment._kmedoids_seeding
+    lloyd = experiment._kmedoids_lloyd
+    traces = experiment.selection_traces
 
-    def counting(pool, spec, budget, seed=0):
-        calls.append((spec.kind, budget))
+    def counting_select(pool, spec, budget, seed=0):
+        events.append(("select", spec.kind, budget))
         return select(pool, spec, budget, seed=seed)
 
+    def counting_seeding(points, budget, seed):
+        events.append(("seeding", budget))
+        return seeding(points, budget, seed)
+
+    def counting_lloyd(geom, medoids, max_iters):
+        events.append(("lloyd", medoids.size, max_iters))
+        return lloyd(geom, medoids, max_iters)
+
+    def counting_traces(pool, indices):
+        events.append(("traces", len(indices)))
+        return traces(pool, indices)
+
     def counting_cdist(a, b, metric="euclidean", **kwargs):
-        cdist_calls.append((metric, len(a), len(b), len(calls)))
+        cdist_calls.append((metric, len(a), len(b), len(events)))
         return cdist(a, b, metric, **kwargs)
 
     def counting_columns(self, indices):
-        gathers.append((len(calls), len(indices), self._matrix is not None))
+        events.append(("gather", len(indices), self._matrix is not None))
         return columns(self, indices)
 
-    monkeypatch.setattr(experiment, "select", counting)
+    monkeypatch.setattr(experiment, "select", counting_select)
+    monkeypatch.setattr(experiment, "_kmedoids_seeding", counting_seeding)
+    monkeypatch.setattr(experiment, "_kmedoids_lloyd", counting_lloyd)
+    monkeypatch.setattr(experiment, "selection_traces", counting_traces)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
     monkeypatch.setattr(selection._Geometry, "columns", counting_columns)
+    kinds = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
     cfg = small_config(
         strategies=tuple(
-            StrategySpec(kind=k) for k in ("fps", "random", "facility_location", "kmedoidspp")
-        )
-        + (StrategySpec(kind="fps_then_random", switch_fraction=0.1),),
+            StrategySpec(kind=k, switch_fraction=0.1 if k == "fps_then_random" else None)
+            for k in kinds
+        ),
         budgets=(0.05, 0.1, 0.2),
         metrics=("maxae", "mae", "fill_distance", "sep_distance", "cond_unregularized"),
         repeats=2,
     )
-    report = run_experiment(cfg)
     sizes = [resolve_budget(b, 120) for b in cfg.budgets]
-    for kind in ("fps", "random", "facility_location", "fps_then_random"):
-        assert [b for k, b in calls if k == kind] == [max(sizes)] * cfg.repeats
-    assert sorted(b for k, b in calls if k == "kmedoidspp") == sorted(sizes * cfg.repeats)
-    # Each selection run, one per prefix (strategy, repeat) and one per
-    # k-medoids++ cell, builds its n x B kernel block once, right after it
-    # selects, and every cell it serves slices that block. The n x n matrix is
-    # computed once, before the first selection, and every run, the fps and
-    # random runs listed before facility location too, gathers its block from it.
-    # gamma=auto's nearest-neighbour pass, before any selection, makes the
-    # only Euclidean cdist calls.
+
+    def expected(traced):
+        # Each selection run, one per prefix (strategy, repeat) and one per
+        # k-medoids++ cell, gathers its n x B kernel block from the n x n
+        # matrix once, right after it selects, and every cell it serves
+        # slices that block. The fps and random runs listed before facility
+        # location gather from it too.
+        pattern = []
+        for kind in kinds:
+            for _ in range(cfg.repeats):
+                if kind != "kmedoidspp":
+                    pattern += [("select", kind, max(sizes)), ("gather", max(sizes), True)]
+                    continue
+                pattern.append(("seeding", max(sizes)))
+                for size in sizes:
+                    pattern.append(("lloyd", size, selection._KMEDOIDS_MAX_ITERS))
+                    pattern += [("traces", size)] if traced else []
+                    pattern.append(("gather", size, True))
+        return pattern
+
+    report = run_experiment(cfg)
+    assert events == expected(traced=True)
+    # The n x n matrix is computed once, before the first selection, and
+    # gamma=auto's nearest-neighbour pass, before it, makes the only
+    # Euclidean cdist calls.
     assert all(c[3] == 0 for c in cdist_calls if c[0] != "sqeuclidean")
     assert [c for c in cdist_calls if c[0] == "sqeuclidean"] == [("sqeuclidean", 120, 120, 0)]
-    assert gathers == [(i + 1, budget, True) for i, (_, budget) in enumerate(calls)]
+    # Without a trace metric no k-medoids++ cell walks its medoids.
+    events.clear()
+    untraced = dataclasses.replace(cfg, metrics=("maxae", "mae", "cond_unregularized"))
+    run_experiment(untraced)
+    assert events == expected(traced=False)
     # Recomputing every distance and kernel block instead of slicing agrees.
     with monkeypatch.context() as m:
         m.setattr(selection, "_DENSE_MATRIX_LIMIT", 0)
         assert rows_csv(run_experiment(cfg)) == rows_csv(report)
-    # Slicing changes no row: selecting every cell at its own budget agrees.
-    monkeypatch.setattr(experiment, "_PREFIX_KINDS", ())
-    assert rows_csv(run_experiment(cfg)) == rows_csv(report)
+
+
+def _duplicated_pool(n=120):
+    # Six distinct points: once they are picked every other row is at
+    # distance zero from the selection.
+    rng = np.random.default_rng(5)
+    features = rng.uniform(size=(6, 3))[rng.integers(0, 6, size=n)]
+    return Dataset(features, labels=features.sum(axis=1))
+
+
+@pytest.mark.parametrize("limit", [8192, 0])
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_sweep_cells_equal_standalone_samplers(monkeypatch, limit, duplicated):
+    # Every cell trains on exactly the rows its sampler selects on its own at
+    # the cell's budget and repeat seed, with the same fill and separation:
+    # a prefix strategy's slice of its run at the largest budget, and a
+    # k-medoids++ cell's Lloyd run from its repeat's one seeding. Both on the
+    # kept n x n matrix and on recomputed blocks.
+    from fillgap import experiment, selection
+
+    monkeypatch.setattr(selection, "_DENSE_MATRIX_LIMIT", limit)
+    cells = []
+    cell_values = experiment._cell_values
+
+    def recording(cfg, pool, idx, traces, *args):
+        cells.append((idx.copy(), dict(traces)))
+        return cell_values(cfg, pool, idx, traces, *args)
+
+    monkeypatch.setattr(experiment, "_cell_values", recording)
+    kinds = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
+    cfg = small_config(
+        strategies=tuple(
+            StrategySpec(kind=k, switch_fraction=0.1 if k == "fps_then_random" else None)
+            for k in kinds
+        ),
+        budgets=(0.05, 0.1, 0.2, 0.4),
+        metrics=("mae", "fill_distance", "sep_distance"),
+        repeats=2,
+        model=ModelConfig(gamma=2.0, lam=1e-8),  # gamma=auto rejects duplicate-heavy pools
+    )
+    pool = _duplicated_pool() if duplicated else synth_lipschitz(cfg.synth)
+    run_experiment(cfg, pool=pool)
+    sizes = [resolve_budget(b, pool.n) for b in cfg.budgets]
+    expected = []
+    for spec in cfg.strategies:
+        for rep in range(cfg.repeats):
+            seed = child_seed(cfg.master_seed, spec.label, rep)
+            for size in sizes:
+                alone = select(pool.features, spec, size, seed=seed)
+                traces = {"fill_distance": alone.fill_trace[-1], "sep_distance": alone.sep_trace[-1]}
+                expected.append((alone.indices, traces))
+    assert len(cells) == len(expected)
+    for (idx, traces), (alone, alone_traces) in zip(cells, expected):
+        assert np.array_equal(idx, alone)
+        assert traces == alone_traces
 
 
 def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):

@@ -782,9 +782,101 @@ def test_kmedoidspp_on_shared_geometry_matches_bare_pool(monkeypatch, block_entr
 
 
 def test_kmedoidspp_max_iters_zero_is_seeding_only():
+    from fillgap import selection
+
     pool = random_instance(5, n_max=12)
     result = kmedoidspp(pool, 3, seed=4, max_iters=0)
-    assert result.indices.size == 3
+    assert np.array_equal(result.indices, selection._kmedoids_seeding(pool, 3, 4))
+
+
+def _flatnonzero_lloyd(geom, medoids, max_iters):
+    # The Lloyd loop as it read before clusters came from one stable sort:
+    # one np.flatnonzero(assign == k) scan per cluster.
+    from fillgap import selection
+
+    n, budget = geom.n, medoids.size
+    assign = np.empty(n, dtype=np.int64)
+    for _ in range(max_iters):
+        for lo, hi in selection._row_blocks(n, budget):
+            assign[lo:hi] = geom.dists(medoids, slice(lo, hi)).argmin(axis=0)
+        assign[medoids] = np.arange(budget)
+        updated = medoids.copy()
+        for k in range(budget):
+            members = np.flatnonzero(assign == k)
+            costs = np.empty(members.size)
+            for lo, hi in selection._row_blocks(members.size, members.size):
+                costs[lo:hi] = geom.dists(members[lo:hi], members).sum(axis=1)
+            updated[k] = members[int(np.argmin(costs))]
+        if np.array_equal(updated, medoids):
+            break
+        medoids = updated
+    return medoids
+
+
+@st.composite
+def _pools_with_duplicates(draw):
+    # Rows drawn from a few distinct points on a small integer grid, so rows
+    # repeat and distances tie.
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 3))
+    distinct = rng.integers(-3, 4, size=(draw(st.integers(1, n)), d)).astype(np.float64)
+    pool = distinct[rng.integers(0, distinct.shape[0], size=n)]
+    return pool, draw(st.integers(1, n)), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pools_with_duplicates())
+def test_kmedoids_lloyd_matches_the_flatnonzero_loop(case):
+    # Members listed by one stable sort are the rows each flatnonzero scan
+    # finds, in the same order, so every medoid agrees bit for bit: from the
+    # ++ seeding and from any distinct start, on a kept matrix and on
+    # recomputed blocks.
+    from fillgap import selection
+
+    pool, budget, seed = case
+    n = pool.shape[0]
+    starts = (
+        selection._kmedoids_seeding(pool, budget, seed),
+        np.random.default_rng(seed).permutation(n)[:budget],
+    )
+    for geom in (selection._Geometry(pool), selection._Geometry(pool, keep_matrix=False)):
+        for start in starts:
+            for max_iters in (1, 2, selection._KMEDOIDS_MAX_ITERS):
+                kept = start.copy()
+                result = selection._kmedoids_lloyd(geom, start, max_iters)
+                assert np.array_equal(start, kept)  # the start is left as it is
+                assert np.array_equal(result, _flatnonzero_lloyd(geom, start, max_iters))
+
+
+def test_kmedoids_seeding_is_a_prefix_of_larger_budgets():
+    # A sweep seeds once per repeat at its largest budget and runs Lloyd from
+    # each budget's prefix. Each draw reads only the earlier picks, also once
+    # every remaining row duplicates a chosen one and the zero-mass branch
+    # takes the smallest unselected row.
+    from fillgap import selection
+
+    rng = np.random.default_rng(7)
+    pools = {
+        "four_points": rng.normal(size=(4, 2))[rng.integers(0, 4, size=60)],
+        "two_points": np.array([[0.0, 0.0]] * 30 + [[1.0, 0.5]] * 30),
+        "all_equal": np.full((25, 3), 2.0),
+        "small_integers": rng.integers(-1, 2, size=(80, 2)).astype(np.float64),
+    }
+    for name, pool in pools.items():
+        n = pool.shape[0]
+        distinct = np.unique(pool, axis=0).shape[0]
+        for seed in (0, 1, 17):
+            full = selection._kmedoids_seeding(pool, n, seed)
+            assert np.unique(full).size == n, name
+            # Past the distinct points every pick is the smallest unselected row.
+            rest = full[distinct:]
+            assert np.array_equal(rest, np.sort(rest)), name
+            for budget in range(1, n + 1):
+                part = selection._kmedoids_seeding(pool, budget, seed)
+                assert np.array_equal(part, full[:budget]), (name, seed, budget)
+                assert np.array_equal(kmedoidspp(pool, budget, seed=seed, max_iters=0).indices, part)
 
 
 def test_fps_then_random_degenerate_equals_fps():
