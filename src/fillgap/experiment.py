@@ -56,8 +56,7 @@ from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
 from .rng import _count, _integral, child_seed
-from .selection import _KMEDOIDS_MAX_ITERS, _MATRIX_KINDS, _PREFIX_KINDS, StrategySpec, _Geometry
-from .selection import _kmedoids_lloyd, _kmedoids_seeding, select, selection_traces
+from .selection import _MATRIX_KINDS, _PREFIX_KINDS, StrategySpec, _Geometry, _kmedoids_runs, select
 
 METRICS = (
     "maxae",
@@ -288,18 +287,14 @@ def _selection_runs(
     trace, separation trace, the columns of ``sizes`` it serves).
 
     A prefix kind selects once at the largest budget, and that run serves
-    every column. k-medoids++ seeds once at the largest budget; the seeding
-    at each budget is its prefix, so each column runs Lloyd from that prefix,
-    and walks the traces of the medoids only when ``traced`` (None
-    otherwise)."""
+    every column. k-medoids++ runs once per column from one seeding at the
+    largest budget (selection._kmedoids_runs), and walks the traces of the
+    medoids only when ``traced`` (None otherwise)."""
     if spec.kind in _PREFIX_KINDS:
         result = select(geometry, spec, max(sizes), seed=seed)
         yield result.indices, result.fill_trace, result.sep_trace, range(len(sizes))
         return
-    seeding = _kmedoids_seeding(geometry.pool, max(sizes), seed)
-    for col, size in enumerate(sizes):
-        medoids = _kmedoids_lloyd(geometry, seeding[:size], _KMEDOIDS_MAX_ITERS)
-        fill, sep = selection_traces(geometry, medoids) if traced else (None, None)
+    for col, (medoids, fill, sep) in enumerate(_kmedoids_runs(geometry, sizes, seed, traced=traced)):
         yield medoids, fill, sep, (col,)
 
 

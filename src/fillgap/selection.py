@@ -678,30 +678,19 @@ def _kmedoids_lloyd(geom: _Geometry, medoids: np.ndarray, max_iters: int) -> np.
     pinned to its own cluster, so clusters are never empty. A stable sort of
     the assignment lists every cluster's members in ascending row order, as
     ``np.flatnonzero(assign == k)`` would, so the cost blocks and their sums
-    keep their bits. A cluster that no row joined or left since the last
-    iteration has the same cost block as then, so it keeps the medoid that
-    iteration gave it without being costed again. On the 35 Lloyd runs of a
-    sweep-molecular round (n=1000, d=144) that skips about half the clusters
-    and a quarter of the Lloyd time.
+    keep their bits.
     """
     n, budget = geom.n, medoids.size
     assign = np.empty(n, dtype=np.int64)
-    last = np.full(n, -1)  # the previous iteration's assignment, none at first
     for _ in range(max_iters):
         for lo, hi in _row_blocks(n, budget):
             assign[lo:hi] = geom.dists(medoids, slice(lo, hi)).argmin(axis=0)
         assign[medoids] = np.arange(budget)
-        # Clusters that a row joined or left; the extra slot takes last's -1.
-        moved = assign != last
-        recost = np.zeros(budget + 1, dtype=bool)
-        recost[assign[moved]] = True
-        recost[last[moved]] = True
         order = np.argsort(assign, kind="stable")
         ends = np.cumsum(np.bincount(assign, minlength=budget)).tolist()
-        starts = [0] + ends[:-1]
         updated = medoids.copy()
-        for k in np.flatnonzero(recost[:budget]).tolist():
-            members = order[starts[k] : ends[k]]
+        for k, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
+            members = order[start:end]
             costs = np.empty(members.size)
             for lo, hi in _row_blocks(members.size, members.size):
                 costs[lo:hi] = geom.dists(members[lo:hi], members).sum(axis=1)
@@ -709,8 +698,22 @@ def _kmedoids_lloyd(geom: _Geometry, medoids: np.ndarray, max_iters: int) -> np.
         if np.array_equal(updated, medoids):
             break
         medoids = updated
-        assign, last = last, assign
     return medoids
+
+
+def _kmedoids_runs(
+    geom: _Geometry, sizes, seed: int, max_iters: int = _KMEDOIDS_MAX_ITERS, traced: bool = True
+):
+    """k-medoids++ at each budget of ``sizes`` with one seed, in order, as
+    (medoids, fill trace, separation trace); the traces are None unless
+    ``traced``. The seeding at a budget is the prefix of the seeding at a
+    larger one, so this seeds once, at the largest budget, and runs Lloyd
+    from each budget's prefix."""
+    seeding = _kmedoids_seeding(geom.pool, max(sizes), seed)
+    for size in sizes:
+        medoids = _kmedoids_lloyd(geom, seeding[:size], max_iters)
+        fill, sep = selection_traces(geom.pool, medoids) if traced else (None, None)
+        yield medoids, fill, sep
 
 
 def kmedoidspp(
@@ -720,8 +723,8 @@ def kmedoidspp(
     (_kmedoids_seeding), then Lloyd iterations (_kmedoids_lloyd) until no
     medoid changes or ``max_iters`` is reached. Deterministic in the seed. A
     sweep seeds once per repeat, at its largest budget, and runs Lloyd and
-    the traces per cell from that seeding's prefix, which is this function's
-    seeding at the cell's budget.
+    the traces per cell from that seeding's prefix (_kmedoids_runs), which
+    is this function's seeding at the cell's budget.
 
     Both Lloyd passes read distances in blocks of at most _BLOCK_ENTRIES
     (1 MiB), or of one row when a row holds more.
@@ -739,8 +742,7 @@ def kmedoidspp(
     points, _, budget = _pool_and_budget(pool, budget)
     max_iters = _count(max_iters, "max_iters", 0)
     geom = pool if isinstance(pool, _Geometry) else _Geometry(points, keep_matrix=False)
-    medoids = _kmedoids_lloyd(geom, _kmedoids_seeding(points, budget, seed), max_iters)
-    fill, sep = selection_traces(points, medoids)
+    medoids, fill, sep = next(_kmedoids_runs(geom, [budget], seed, max_iters))
     return SelectionResult(medoids, fill, sep, strategy="kmedoidspp", seed=seed)
 
 

@@ -8,6 +8,7 @@ import pytest
 from fillgap.dataset import Dataset, SynthConfig, save_dataset, synth_lipschitz
 from fillgap.errors import ConfigError, DataError
 from fillgap.experiment import (
+    METRICS,
     _KEYS,
     _resolve_model,
     Aggregate,
@@ -129,9 +130,9 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     cdist = selection.cdist
     columns = selection._Geometry.columns
     select = experiment.select
-    seeding = experiment._kmedoids_seeding
-    lloyd = experiment._kmedoids_lloyd
-    traces = experiment.selection_traces
+    seeding = selection._kmedoids_seeding
+    lloyd = selection._kmedoids_lloyd
+    traces = selection.selection_traces
 
     def counting_select(pool, spec, budget, seed=0):
         events.append(("select", spec.kind, budget))
@@ -158,9 +159,9 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
         return columns(self, indices)
 
     monkeypatch.setattr(experiment, "select", counting_select)
-    monkeypatch.setattr(experiment, "_kmedoids_seeding", counting_seeding)
-    monkeypatch.setattr(experiment, "_kmedoids_lloyd", counting_lloyd)
-    monkeypatch.setattr(experiment, "selection_traces", counting_traces)
+    monkeypatch.setattr(selection, "_kmedoids_seeding", counting_seeding)
+    monkeypatch.setattr(selection, "_kmedoids_lloyd", counting_lloyd)
+    monkeypatch.setattr(selection, "selection_traces", counting_traces)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
     monkeypatch.setattr(selection._Geometry, "columns", counting_columns)
     kinds = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
@@ -180,12 +181,15 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
         # k-medoids++ cell, gathers its n x B kernel block from the n x n
         # matrix once, right after it selects, and every cell it serves
         # slices that block. The fps and random runs listed before facility
-        # location gather from it too.
+        # location gather from it too. Random selection walks its traces
+        # whatever the metrics.
         pattern = []
         for kind in kinds:
             for _ in range(cfg.repeats):
                 if kind != "kmedoidspp":
-                    pattern += [("select", kind, max(sizes)), ("gather", max(sizes), True)]
+                    pattern.append(("select", kind, max(sizes)))
+                    pattern += [("traces", max(sizes))] if kind == "random" else []
+                    pattern.append(("gather", max(sizes), True))
                     continue
                 pattern.append(("seeding", max(sizes)))
                 for size in sizes:
@@ -265,6 +269,38 @@ def test_sweep_cells_equal_standalone_samplers(monkeypatch, limit, duplicated):
     for (idx, traces), (alone, alone_traces) in zip(cells, expected):
         assert np.array_equal(idx, alone)
         assert traces == alone_traces
+
+
+@pytest.mark.parametrize("limit", [8192, 0])
+def test_sweep_slicing_changes_no_metric(monkeypatch, limit):
+    # A prefix strategy's cells read the first rows and columns of one n x B
+    # block gathered at the largest budget, and k-medoids++ cells share one
+    # seeding. Selecting every cell on its own at its budget, through select,
+    # and gathering its own n x size block writes the same rows: every metric
+    # keeps its bits, the kernel ones included. Both on the kept n x n matrix
+    # and on recomputed blocks.
+    from fillgap import experiment, selection
+
+    monkeypatch.setattr(selection, "_DENSE_MATRIX_LIMIT", limit)
+    kinds = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
+    cfg = small_config(
+        strategies=tuple(
+            StrategySpec(kind=k, switch_fraction=0.1 if k == "fps_then_random" else None)
+            for k in kinds
+        ),
+        budgets=(0.05, 0.1, 0.2),
+        metrics=METRICS,
+        repeats=2,
+    )
+    report = run_experiment(cfg)
+
+    def per_cell(geometry, spec, sizes, seed, traced):
+        for col, size in enumerate(sizes):
+            result = select(geometry, spec, size, seed=seed)
+            yield result.indices, result.fill_trace, result.sep_trace, (col,)
+
+    monkeypatch.setattr(experiment, "_selection_runs", per_cell)
+    assert rows_csv(run_experiment(cfg)) == rows_csv(report)
 
 
 def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
