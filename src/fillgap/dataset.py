@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import _count, _indices, _integral, rng_from_seed
+from .rng import _count, _indices, _integral, _real, rng_from_seed
 from .selection import nn_distances
 
 # Nuclear charges for the supported element symbols.
@@ -128,7 +128,7 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("target_lipschitz", "noise_level", "tail_fraction"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         for name in ("n", "d"):
             object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         object.__setattr__(self, "seed", _integral(self.seed, "seed"))

@@ -4,15 +4,10 @@ cross-seed aggregates, and CSV/INI plumbing.
 Every cell derives its seed by hashing (master seed, strategy label,
 repeat), so reports are a pure function of the configuration and the
 dataset bytes and extending the sweep grid never reshuffles existing
-cells. Budgets within a repeat share the seed, so every sampler except
-k-medoids++ selects at a smaller budget exactly the prefix, in indices and
-traces, of its selection at a larger one. The sweep therefore selects once
-per (strategy, repeat) at the largest budget and slices each cell from that
-run. k-medoids++ seeds once per repeat, at the largest budget, since its
-seeding at a smaller budget is that seeding's prefix; Lloyd and traces run
-per cell, from the cell's prefix, and the traces only when a
-``fill_distance`` or ``sep_distance`` metric is listed. Every cell equals
-the standalone sampler's selection at its budget and seed.
+cells. Budgets within a repeat share the seed, and
+``selection._sweep_runs`` makes each (strategy, repeat)'s selection runs
+and says which budgets each run serves; it walks k-medoids++ traces only
+when a ``fill_distance`` or ``sep_distance`` metric is listed.
 
 Every distance block the sweep reads comes from one source,
 ``selection._Geometry`` (the samplers' nearest-selected walk aside):
@@ -26,12 +21,11 @@ before the first selection run; the samplers read Euclidean blocks as its
 roots. When the metrics need kernels, each selection run keeps one n x B
 matrix for its B selected rows (n * B * 8 bytes: 0.8 MB at n=1000, B=100),
 gathered from the n x n matrix when the sweep keeps it and computed with
-``cdist`` otherwise. A prefix kind's run serves every budget of its
-(strategy, repeat), a k-medoids++ Lloyd run its one cell. Each cell reads
-its Gram matrix and prediction blocks from the run's matrix through the
-readers behind ``gaussian_kernel_matrix`` and ``krr_predict``, and builds
-one Gram matrix for conditioning and the fit. Cells run repeat by repeat,
-so at most one such n x B matrix is live. ``gamma=auto`` runs
+``cdist`` otherwise. Each cell the run serves reads its Gram matrix and
+prediction blocks from the run's matrix through the readers behind
+``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
+for conditioning and the fit. Cells run repeat by repeat, so at most one
+such n x B matrix is live. ``gamma=auto`` runs
 ``selection.nn_distances`` on the raw pool in 1 MiB tiles, so a sweep whose
 strategies are only ``fps``, ``random`` and ``fps_then_random`` builds no
 n x n matrix.
@@ -55,8 +49,8 @@ from .analysis import mae, maxae
 from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse_label_column, remove_zero_variance, synth_lipschitz
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
-from .rng import _count, _integral, child_seed
-from .selection import _MATRIX_KINDS, _PREFIX_KINDS, StrategySpec, _Geometry, _kmedoids_runs, select
+from .rng import _count, _integral, _real, child_seed
+from .selection import _MATRIX_KINDS, StrategySpec, _Geometry, _sweep_runs
 
 METRICS = (
     "maxae",
@@ -88,8 +82,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "lam", float(self.lam))
+            object.__setattr__(self, "gamma", _checked("model", _real, self.gamma, "gamma"))
+        object.__setattr__(self, "lam", _checked("model", _real, self.lam, "lambda"))
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError("[model] gamma must be positive or 'auto'")
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -114,7 +108,8 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
+        budgets = tuple(_checked("sweep", _real, b, "budgets") for b in self.budgets)
+        object.__setattr__(self, "budgets", budgets)
         object.__setattr__(self, "master_seed", _checked("sweep", _integral, self.master_seed, "master_seed"))
         object.__setattr__(self, "repeats", _checked("sweep", _count, self.repeats, "repeats", 1))
         if (self.dataset_path is None) == (self.synth is None):
@@ -209,10 +204,12 @@ class ExperimentReport:
 
 
 def resolve_budget(budget: float, n: int) -> int:
-    """Turn a fraction of the pool into a subset size (half-up rounding)."""
-    if budget * n < 2.0:
+    """Turn a fraction of the pool into a subset size: half-up rounding, then
+    at least 2 rows."""
+    size = math.floor(budget * n + 0.5)
+    if size < 2:
         raise DataError(f"budget {budget} on {n} rows yields fewer than 2 points")
-    return int(math.floor(budget * n + 0.5))
+    return size
 
 
 def pool_from_config(cfg: ExperimentConfig) -> Dataset:
@@ -280,24 +277,6 @@ def _cell_values(
     return values
 
 
-def _selection_runs(
-    geometry: _Geometry, spec: StrategySpec, sizes: list[int], seed: int, traced: bool
-):
-    """The selection runs of one (strategy, repeat), each as (indices, fill
-    trace, separation trace, the columns of ``sizes`` it serves).
-
-    A prefix kind selects once at the largest budget, and that run serves
-    every column. k-medoids++ runs once per column from one seeding at the
-    largest budget (selection._kmedoids_runs), and walks the traces of the
-    medoids only when ``traced`` (None otherwise)."""
-    if spec.kind in _PREFIX_KINDS:
-        result = select(geometry, spec, max(sizes), seed=seed)
-        yield result.indices, result.fill_trace, result.sep_trace, range(len(sizes))
-        return
-    for col, (medoids, fill, sep) in enumerate(_kmedoids_runs(geometry, sizes, seed, traced=traced)):
-        yield medoids, fill, sep, (col,)
-
-
 def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> ExperimentReport:
     """Execute the sweep: select, train, evaluate on all unselected rows.
 
@@ -323,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig, pool: Dataset | None = None) -> Experi
         seeds = [child_seed(cfg.master_seed, label, rep) for rep in range(cfg.repeats)]
         cells: dict[tuple[int, int], dict[str, float]] = {}
         for rep, seed in enumerate(seeds):
-            for indices, fill, sep, cols in _selection_runs(geometry, spec, sizes, seed, traced):
+            for indices, fill, sep, cols in _sweep_runs(geometry, spec, sizes, seed, traced):
                 sq_dists = geometry.columns(indices).sq_dists if kernels else None
                 for col in cols:
                     size = sizes[col]

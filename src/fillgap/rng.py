@@ -1,4 +1,5 @@
-"""Seeding utilities, and the integer rule for seeds, counts and row indices.
+"""Seeding utilities, the integer rule for seeds, counts and row indices,
+and the real-number rule for float parameters.
 
 All randomness in the package flows from 64-bit seeds through Philox, a
 counter-based generator, so the random draws do not depend on the number of
@@ -30,6 +31,15 @@ def _integral(value, name: str) -> int:
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise DataError(f"{name} must be integral, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float when it is a real number: 5, 0.5, np.float32(0.5),
+    NaN or inf (range checks are the caller's). A bool, a string, None or any
+    other type raises DataError naming ``name``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        return float(value)
+    raise DataError(f"{name} must be a real number, got {value!r}")
 
 
 def _count(value, name: str, lo: int, hi: float = math.inf) -> int:

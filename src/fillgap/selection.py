@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import _count, _indices, _integral, child_seed, rng_from_seed
+from .rng import _count, _indices, _integral, _real, child_seed, rng_from_seed
 
 # Strategy kind -> its sampler, called as (pool, spec, budget, seed). Sampler
 # names are looked up at call time, so a wrapped sampler is the one that runs.
@@ -37,10 +37,6 @@ _SAMPLERS = {
 }
 
 STRATEGY_KINDS = tuple(_SAMPLERS)
-
-# Kinds whose selection at a smaller budget, same seed, is the prefix of their
-# selection at a larger one, in indices and traces.
-_PREFIX_KINDS = ("fps", "random", "facility_location", "fps_then_random")
 
 # Kinds that read a shared geometry's pool-by-pool distances.
 _MATRIX_KINDS = ("facility_location", "kmedoidspp")
@@ -116,9 +112,9 @@ class SelectionResult:
             "seed": self.seed,
             "indices": [int(i) for i in self.indices],
         }
-        if include_traces:
-            payload["fill_trace"] = [float(v) for v in self.fill_trace]
-            payload["sep_trace"] = [None if math.isnan(v) else float(v) for v in self.sep_trace]
+        if include_traces:  # NaN as null: bare NaN is not JSON
+            for key in ("fill_trace", "sep_trace"):
+                payload[key] = [None if math.isnan(v) else v for v in getattr(self, key).tolist()]
         return json.dumps(payload)
 
     @classmethod
@@ -126,9 +122,10 @@ class SelectionResult:
         try:
             payload = json.loads(text)
             indices = payload["indices"]
-            fill = np.asarray(payload.get("fill_trace", [math.nan] * len(indices)), np.float64)
-            sep = payload.get("sep_trace", [None] * len(indices))
-            sep = np.asarray([math.nan if v is None else v for v in sep], np.float64)
+            fill, sep = (  # null, or a missing trace, is NaN
+                np.asarray(payload.get(key, [None] * len(indices)), np.float64)
+                for key in ("fill_trace", "sep_trace")
+            )
             return cls(indices, fill, sep, strategy=payload["strategy"], seed=payload["seed"])
         except (DataError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed selection JSON: {exc!r}") from None
@@ -148,6 +145,7 @@ class StrategySpec:
         if self.kind == "fps_then_random":
             if self.switch_fraction is None:
                 raise DataError("fps_then_random requires switch_fraction")
+            object.__setattr__(self, "switch_fraction", _real(self.switch_fraction, "switch_fraction"))
             if not 0.0 < self.switch_fraction < 1.0:
                 raise DataError("switch_fraction must be in (0, 1)")
         elif self.switch_fraction is not None:
@@ -160,7 +158,7 @@ class StrategySpec:
     @property
     def label(self) -> str:
         if self.kind == "fps_then_random":
-            return f"fps_then_random:{float(self.switch_fraction)!r}"
+            return f"fps_then_random:{self.switch_fraction!r}"
         return self.kind
 
 
@@ -701,30 +699,15 @@ def _kmedoids_lloyd(geom: _Geometry, medoids: np.ndarray, max_iters: int) -> np.
     return medoids
 
 
-def _kmedoids_runs(
-    geom: _Geometry, sizes, seed: int, max_iters: int = _KMEDOIDS_MAX_ITERS, traced: bool = True
-):
-    """k-medoids++ at each budget of ``sizes`` with one seed, in order, as
-    (medoids, fill trace, separation trace); the traces are None unless
-    ``traced``. The seeding at a budget is the prefix of the seeding at a
-    larger one, so this seeds once, at the largest budget, and runs Lloyd
-    from each budget's prefix."""
-    seeding = _kmedoids_seeding(geom.pool, max(sizes), seed)
-    for size in sizes:
-        medoids = _kmedoids_lloyd(geom, seeding[:size], max_iters)
-        fill, sep = selection_traces(geom.pool, medoids) if traced else (None, None)
-        yield medoids, fill, sep
-
-
 def kmedoidspp(
     pool, budget: int, seed: int = 0, max_iters: int = _KMEDOIDS_MAX_ITERS
 ) -> SelectionResult:
     """k-medoids with squared-distance-proportional (++) seeding
     (_kmedoids_seeding), then Lloyd iterations (_kmedoids_lloyd) until no
     medoid changes or ``max_iters`` is reached. Deterministic in the seed. A
-    sweep seeds once per repeat, at its largest budget, and runs Lloyd and
-    the traces per cell from that seeding's prefix (_kmedoids_runs), which
-    is this function's seeding at the cell's budget.
+    sweep seeds once per repeat, at its largest budget, and runs Lloyd per
+    cell from that seeding's prefix (_sweep_runs), which is this function's
+    seeding at the cell's budget.
 
     Both Lloyd passes read distances in blocks of at most _BLOCK_ENTRIES
     (1 MiB), or of one row when a row holds more.
@@ -742,7 +725,8 @@ def kmedoidspp(
     points, _, budget = _pool_and_budget(pool, budget)
     max_iters = _count(max_iters, "max_iters", 0)
     geom = pool if isinstance(pool, _Geometry) else _Geometry(points, keep_matrix=False)
-    medoids, fill, sep = next(_kmedoids_runs(geom, [budget], seed, max_iters))
+    medoids = _kmedoids_lloyd(geom, _kmedoids_seeding(points, budget, seed), max_iters)
+    fill, sep = selection_traces(points, medoids)
     return SelectionResult(medoids, fill, sep, strategy="kmedoidspp", seed=seed)
 
 
@@ -760,7 +744,7 @@ def fps_then_random(
     with the same seed.
     """
     pool, n, budget = _pool_and_budget(pool, budget)
-    StrategySpec("fps_then_random", switch_fraction)  # checks the fraction
+    switch_fraction = StrategySpec("fps_then_random", switch_fraction).switch_fraction
     n_switch = min(budget, math.ceil(switch_fraction * n))
     tail_rng = rng_from_seed(child_seed(seed, "fps_then_random", "post-switch"))
     tail = None
@@ -782,6 +766,30 @@ def fps_then_random(
 def select(pool, spec: StrategySpec, budget: int, seed: int = 0) -> SelectionResult:
     """Run the sampler named by a StrategySpec on a pool or a shared geometry."""
     return _SAMPLERS[spec.kind](pool, spec, budget, seed)
+
+
+def _sweep_runs(geom: _Geometry, spec: StrategySpec, sizes, seed: int, traced: bool):
+    """The selection runs of one (strategy, repeat) of a sweep, each as
+    (indices, fill trace, separation trace, the positions of ``sizes`` it
+    serves). Every run equals the standalone sampler's selection at its
+    budget and seed.
+
+    Budgets within a repeat share the seed, so every kind but k-medoids++
+    selects at a smaller budget exactly the prefix, in indices and traces,
+    of its selection at a larger one: it selects once, at the largest
+    budget, and that run serves every position. k-medoids++ seeds once, at
+    the largest budget, since its seeding at a smaller budget is that
+    seeding's prefix, and runs Lloyd per size from the size's prefix; it
+    walks the medoids' traces only when ``traced`` (None otherwise)."""
+    if spec.kind != "kmedoidspp":
+        result = select(geom, spec, max(sizes), seed=seed)
+        yield result.indices, result.fill_trace, result.sep_trace, range(len(sizes))
+        return
+    seeding = _kmedoids_seeding(geom.pool, max(sizes), seed)
+    for pos, size in enumerate(sizes):
+        medoids = _kmedoids_lloyd(geom, seeding[:size], _KMEDOIDS_MAX_ITERS)
+        fill, sep = selection_traces(geom.pool, medoids) if traced else (None, None)
+        yield medoids, fill, sep, (pos,)
 
 
 # ---------------------------------------------------------------------------

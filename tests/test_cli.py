@@ -50,6 +50,15 @@ def test_select_fraction_budget_rounds(pool_csv, capsys):
     assert len(json.loads(out)["indices"]) == 6  # 0.1 * 60
 
 
+def test_select_fraction_budget_rounds_before_the_minimum(pool_csv, capsys):
+    args = ("select", "--data", pool_csv, "--strategy", "random", "--seed", "1")
+    code, out, _ = run(capsys, *args, "--budget", "0.025")
+    assert code == 0
+    assert len(json.loads(out)["indices"]) == 2  # 1.5 rounds half-up
+    code, _, err = run(capsys, *args, "--budget", "0.024")  # 1.44 rounds to 1
+    assert code == 2 and "fewer than 2" in err
+
+
 def test_select_trace_flag(pool_csv, capsys):
     code, out, _ = run(
         capsys, "select", "--data", pool_csv, "--label-column", "y",

@@ -408,3 +408,26 @@ def test_synth_config_takes_integral_numbers_of_any_numeric_type():
         ds, info = synth_with_info(cfg)
         assert np.array_equal(ds.features, expected.features) and ds.source == expected.source
         assert type(info.seed) is int and info.seed == expected_info.seed
+
+
+@pytest.mark.parametrize(
+    "reals,message",
+    [
+        (dict(noise_level=None), "noise_level must be a real number, got None"),
+        (dict(target_lipschitz=True), "target_lipschitz must be a real number, got True"),
+        (dict(tail_fraction="0.1"), "tail_fraction must be a real number, got '0.1'"),
+    ],
+)
+def test_synth_config_floats_must_be_real_numbers(reals, message):
+    # A cast would read True as Lipschitz 1 and raise a bare TypeError for None.
+    with pytest.raises(DataError, match=message):
+        SynthConfig(**{"n": 20, "d": 2, **reals})
+
+
+def test_synth_config_takes_real_numbers_of_any_numeric_type():
+    expected = SynthConfig(n=20, d=2, target_lipschitz=2.0, noise_level=0.5, tail_fraction=0.25)
+    cfg = SynthConfig(
+        n=20, d=2, target_lipschitz=2, noise_level=np.float32(0.5), tail_fraction=np.float64(0.25)
+    )
+    assert cfg == expected
+    assert {type(getattr(cfg, f)) for f in ("target_lipschitz", "noise_level", "tail_fraction")} == {float}

@@ -60,6 +60,13 @@ def test_resolve_budget_too_small():
         resolve_budget(0.001, 100)
 
 
+def test_resolve_budget_rounds_before_the_minimum():
+    # 1.5 rows round half-up to 2, as grid search's train sizes do; 1.49 to 1.
+    assert resolve_budget(0.015, 100) == 2
+    with pytest.raises(DataError, match="fewer than 2"):
+        resolve_budget(0.0149, 100)
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
@@ -129,7 +136,7 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     cdist_calls = []  # (metric, rows, columns, events before the call)
     cdist = selection.cdist
     columns = selection._Geometry.columns
-    select = experiment.select
+    select = selection.select
     seeding = selection._kmedoids_seeding
     lloyd = selection._kmedoids_lloyd
     traces = selection.selection_traces
@@ -158,7 +165,7 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
         events.append(("gather", len(indices), self._matrix is not None))
         return columns(self, indices)
 
-    monkeypatch.setattr(experiment, "select", counting_select)
+    monkeypatch.setattr(selection, "select", counting_select)
     monkeypatch.setattr(selection, "_kmedoids_seeding", counting_seeding)
     monkeypatch.setattr(selection, "_kmedoids_lloyd", counting_lloyd)
     monkeypatch.setattr(selection, "selection_traces", counting_traces)
@@ -299,7 +306,7 @@ def test_sweep_slicing_changes_no_metric(monkeypatch, limit):
             result = select(geometry, spec, size, seed=seed)
             yield result.indices, result.fill_trace, result.sep_trace, (col,)
 
-    monkeypatch.setattr(experiment, "_selection_runs", per_cell)
+    monkeypatch.setattr(experiment, "_sweep_runs", per_cell)
     assert rows_csv(run_experiment(cfg)) == rows_csv(report)
 
 
@@ -310,8 +317,6 @@ def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
     import tracemalloc
 
     from fillgap import selection
-
-    from fillgap import experiment
     from fillgap.selection import select
 
     selections = []
@@ -326,7 +331,7 @@ def test_sweep_without_a_pool_matrix_reader_builds_none(monkeypatch):
         shapes.append((metric, len(a), len(b), len(selections)))
         return cdist(a, b, metric, **kwargs)
 
-    monkeypatch.setattr(experiment, "select", counting)
+    monkeypatch.setattr(selection, "select", counting)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
     n = 3000  # the n x n matrix alone would take 72 MB
     big = synth_lipschitz(SynthConfig(n=n, d=8, target_lipschitz=1.5, seed=3))
@@ -377,7 +382,7 @@ def test_too_small_budget_fails_before_any_pool_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("pool work started before every budget was resolved")
 
-    monkeypatch.setattr(experiment, "select", never)
+    monkeypatch.setattr(experiment, "_sweep_runs", never)
     monkeypatch.setattr(experiment, "gamma_for_half_kernel", never)
     cfg = small_config(budgets=(0.01, 0.5), metrics=("fill_distance",))  # 1.2 of 120 rows
     with pytest.raises(DataError, match="fewer than 2"):
@@ -779,6 +784,30 @@ def test_config_hash_reads_integral_fields_as_ints():
 def test_config_counts_and_seeds_must_be_integral(make, message):
     with pytest.raises(ConfigError, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: ModelConfig(lam="x"), r"\[model\] lambda must be a real number, got 'x'"),
+        (lambda: ModelConfig(lam="1e-3"), r"\[model\] lambda must be a real number, got '1e-3'"),
+        (lambda: ModelConfig(gamma=True), r"\[model\] gamma must be a real number, got True"),
+        (lambda: small_config(budgets=("0.5",)), r"\[sweep\] budgets must be a real number, got '0.5'"),
+        (lambda: small_config(budgets=(0.25, None)), r"\[sweep\] budgets must be a real number, got None"),
+    ],
+)
+def test_config_floats_must_be_real_numbers(make, message):
+    # A cast would accept "1e-3" and raise a bare ValueError for "x".
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
+def test_config_float_fields_take_real_numbers_of_any_numeric_type():
+    model = ModelConfig(gamma=np.float32(0.5), lam=np.int64(0))
+    assert (type(model.gamma), type(model.lam)) == (float, float)
+    assert model == ModelConfig(gamma=0.5, lam=0.0)
+    cfg = small_config(budgets=(np.float64(0.25), 1))
+    assert cfg.budgets == (0.25, 1.0) and {type(b) for b in cfg.budgets} == {float}
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,25 @@ def test_start_index_must_be_an_integral_row(kind, start_index):
             run(LINE6, 3, start_index=start_index)
 
 
+@pytest.mark.parametrize("fraction", ["0.5", True, [0.5]])
+def test_switch_fraction_must_be_a_real_number(fraction):
+    # Unchecked, "0.5" raised a bare TypeError and True passed as 1.
+    with pytest.raises(DataError, match="switch_fraction must be a real number, got"):
+        StrategySpec("fps_then_random", switch_fraction=fraction)
+    with pytest.raises(DataError, match="switch_fraction must be a real number, got"):
+        fps_then_random(LINE6, 3, fraction)
+
+
+def test_switch_fraction_is_one_float_for_the_label_and_the_sampler():
+    spec = StrategySpec("fps_then_random", switch_fraction=np.float32(0.5))
+    assert type(spec.switch_fraction) is float and spec.switch_fraction == float(np.float32(0.5))
+    assert spec.label == f"fps_then_random:{float(np.float32(0.5))!r}"
+    expected = fps_then_random(LINE6, 4, 0.5, seed=3)
+    for fraction in (np.float64(0.5), np.float32(0.5)):
+        assert np.array_equal(fps_then_random(LINE6, 4, fraction, seed=3).indices, expected.indices)
+    assert StrategySpec("fps_then_random", switch_fraction=np.float64(0.1)).label == "fps_then_random:0.1"
+
+
 def test_an_integral_float_start_index_is_that_row():
     spec = StrategySpec("fps", start_index=2.0)
     assert type(spec.start_index) is int and spec.start_index == 2
@@ -911,8 +930,6 @@ def test_prefix_kinds_are_prefixes_of_larger_budgets(kind):
     # A sweep selects once at its largest budget and slices the smaller cells.
     from fillgap import selection
 
-    assert kind in selection._PREFIX_KINDS
-    assert "kmedoidspp" not in selection._PREFIX_KINDS
     rng = np.random.default_rng(31)
     duplicated = rng.normal(size=(4, 2))[rng.integers(0, 4, size=60)]
     # Switch points ceil(0.05 * 60) = 3 and ceil(0.5 * 60) = 30 fall below
@@ -927,6 +944,35 @@ def test_prefix_kinds_are_prefixes_of_larger_budgets(kind):
                 assert np.array_equal(part.indices, full.indices[:b])
                 assert np.array_equal(part.fill_trace, full.fill_trace[:b])
                 assert np.array_equal(part.sep_trace, full.sep_trace[:b], equal_nan=True)
+            # The sweep's one run at the largest budget serves every budget.
+            geom = selection._Geometry(pool)
+            (run,) = selection._sweep_runs(geom, spec, [2, 10, 25, 40], 17, traced=False)
+            assert list(run[3]) == [0, 1, 2, 3]
+            assert np.array_equal(run[0], full.indices)
+            assert np.array_equal(run[1], full.fill_trace)
+            assert np.array_equal(run[2], full.sep_trace, equal_nan=True)
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_sweep_runs_kmedoidspp_once_per_budget(traced):
+    # k-medoids++ is no prefix kind: the sweep runs it once per budget, from
+    # one seeding, and each run equals the standalone call at that budget.
+    from fillgap import selection
+
+    rng = np.random.default_rng(32)
+    pool = rng.uniform(-1, 1, size=(60, 3))
+    sizes = [2, 10, 25, 40]
+    geom, spec = selection._Geometry(pool), StrategySpec("kmedoidspp")
+    runs = list(selection._sweep_runs(geom, spec, sizes, 17, traced))
+    assert [list(run[3]) for run in runs] == [[0], [1], [2], [3]]
+    for (medoids, fill, sep, _), size in zip(runs, sizes):
+        alone = kmedoidspp(pool, size, seed=17)
+        assert np.array_equal(medoids, alone.indices)
+        if traced:
+            assert np.array_equal(fill, alone.fill_trace)
+            assert np.array_equal(sep, alone.sep_trace, equal_nan=True)
+        else:
+            assert fill is None and sep is None
 
 
 def test_fps_then_random_invalid_fraction():
@@ -1061,6 +1107,22 @@ def test_selection_result_json_roundtrip():
     assert math.isnan(back.sep_trace[0])
     assert np.array_equal(back.sep_trace[1:], result.sep_trace[1:])
     assert back.strategy == result.strategy and back.seed == result.seed
+
+
+def test_selection_result_json_without_traces_writes_valid_json():
+    # A file without traces reads as NaN traces, which are written as null.
+    def reject(constant):
+        raise AssertionError(f"bare {constant} in selection JSON")
+
+    text = json.dumps({"strategy": "fps", "seed": 2, "indices": [3, 1]})
+    traceless = SelectionResult.from_json(text)
+    assert np.isnan(traceless.fill_trace).all() and np.isnan(traceless.sep_trace).all()
+    text = traceless.to_json()
+    payload = json.loads(text, parse_constant=reject)
+    assert payload["fill_trace"] == payload["sep_trace"] == [None, None]
+    back = SelectionResult.from_json(text)
+    assert np.isnan(back.fill_trace).all() and np.isnan(back.sep_trace).all()
+    assert back.indices.tolist() == [3, 1] and back.seed == 2
 
 
 @pytest.mark.parametrize(
