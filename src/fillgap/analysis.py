@@ -4,7 +4,6 @@ estimation, and the pairwise-distance correlation diagnostic."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -13,7 +12,7 @@ from scipy.spatial.distance import pdist
 from .dataset import Dataset
 from .errors import DataError
 from .regression import KernelModel, krr_lipschitz_bound, krr_predict
-from .rng import _count, _indices, rng_from_seed
+from .rng import _count, _floats, _indices, _real, rng_from_seed
 from .selection import SelectionResult
 
 # Pair counts above these limits fall back to seeded subsampling. All pairs
@@ -78,9 +77,8 @@ class BoundReport:
 
 
 def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
-    y_true = np.ascontiguousarray(y_true, dtype=np.float64)
-    y_pred = np.ascontiguousarray(y_pred, dtype=np.float64)
-    if y_true.ndim != 1 or y_true.shape != y_pred.shape:
+    y_true, y_pred = _floats(y_true, "y_true", 1), _floats(y_pred, "y_pred", 1)
+    if y_true.shape != y_pred.shape:
         raise DataError(f"length mismatch: {y_true.shape} vs {y_pred.shape}")
     if y_true.size == 0:
         raise DataError("empty sequences")
@@ -112,12 +110,9 @@ def mae(y_true, y_pred) -> float:
 def _checked_sequences(a, b) -> tuple[np.ndarray, np.ndarray]:
     """``a`` and ``b`` as float64 arrays: two equal-length 1-D sequences of at
     least two finite values."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
+    a, b = _floats(a, "a", 1), _floats(b, "b", 1)
+    if a.shape != b.shape or a.size < 2:
         raise DataError("correlation needs two equal-length 1-D sequences of >= 2 values")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DataError("sequences must not contain NaN or Inf entries")
     return a, b
 
 
@@ -193,12 +188,9 @@ def _sample_pair_indices(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     """``X`` and ``y`` as float64 arrays, an n x d matrix and n finite labels."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    X, y = _floats(X, "X", 2), _floats(y, "y", 1)
+    if X.shape[0] != y.shape[0]:
         raise DataError("X must be n x d and y length n")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise DataError("X and y must not contain NaN or Inf entries")
     return X, y
 
 
@@ -271,12 +263,13 @@ def error_bound(
     ``h * (lip_model + lip_label_arg * lip_target) + lip_label_arg * eps
     + eps_train``.
     """
-    values = (h, lip_model, lip_label_arg, lip_target, eps, eps_train)
-    for name, v in zip(
-        ("h", "lip_model", "lip_label_arg", "lip_target", "eps", "eps_train"), values
-    ):
-        if not math.isfinite(v) or v < 0:
-            raise DataError(f"{name} must be finite and non-negative, got {v}")
+    h, lip_model, lip_label_arg, lip_target, eps, eps_train = (
+        _real(v, name, "non-negative")
+        for v, name in zip(
+            (h, lip_model, lip_label_arg, lip_target, eps, eps_train),
+            ("h", "lip_model", "lip_label_arg", "lip_target", "eps", "eps_train"),
+        )
+    )
     bound = h * (lip_model + lip_label_arg * lip_target) + lip_label_arg * eps + eps_train
     return BoundReport(
         fill_dist=h,

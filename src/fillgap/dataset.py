@@ -12,13 +12,13 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import _count, _indices, _integral, _real, rng_from_seed
+from .rng import _count, _floats, _indices, _integral, _real, rng_from_seed
 from .selection import nn_distances
 
 # Nuclear charges for the supported element symbols.
@@ -43,20 +43,16 @@ class Dataset:
     source: str = ""
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise DataError(f"features must be a non-empty 2-D matrix, got shape {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise DataError("features contain NaN or Inf entries")
+        feats = _floats(self.features, "features", 2)
+        if feats.size < 1:
+            raise DataError(f"features must be non-empty, got shape {feats.shape}")
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.float64)
-            if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
+            labels = _floats(self.labels, "labels", 1)
+            if labels.shape[0] != feats.shape[0]:
                 raise DataError(
                     f"label count {labels.shape} does not match row count {feats.shape[0]}"
                 )
-            if not np.isfinite(labels).all():
-                raise DataError("labels contain NaN or Inf entries")
             object.__setattr__(self, "labels", labels)
         if self.feature_names is not None:
             names = tuple(str(c) for c in self.feature_names)
@@ -89,7 +85,6 @@ class Molecule:
 
     def __post_init__(self):
         charges = np.asarray(self.charges)
-        positions = np.ascontiguousarray(self.positions, dtype=np.float64)
         if charges.ndim != 1 or charges.shape[0] < 1:
             raise DataError("molecule needs at least one atom")
         try:
@@ -98,10 +93,9 @@ class Molecule:
             charges = None
         if charges is None or (charges <= 0).any():
             raise DataError(f"nuclear charges must be positive integers, got {self.charges!r}")
+        positions = _floats(self.positions, "positions", 2)
         if positions.shape != (charges.shape[0], 3):
             raise DataError(f"positions must have shape ({charges.shape[0]}, 3)")
-        if not np.isfinite(positions).all():
-            raise DataError("positions contain NaN or Inf entries")
         if charges.shape[0] > 1:
             dists = cdist(positions, positions)
             np.fill_diagonal(dists, np.inf)
@@ -127,15 +121,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("target_lipschitz", "noise_level", "tail_fraction"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name, sign in (
+            ("target_lipschitz", "non-negative"), ("noise_level", "non-negative"), ("tail_fraction", "")
+        ):
+            object.__setattr__(self, name, _real(getattr(self, name), name, sign))
         for name in ("n", "d"):
             object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         object.__setattr__(self, "seed", _integral(self.seed, "seed"))
-        for name in ("target_lipschitz", "noise_level"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise DataError(f"{name} must be finite and non-negative")
         if not 0.0 <= self.tail_fraction < 1.0:
             raise DataError("tail_fraction must be in [0, 1)")
 

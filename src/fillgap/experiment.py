@@ -40,6 +40,7 @@ import io
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -82,12 +83,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", _checked("model", _real, self.gamma, "gamma"))
-        object.__setattr__(self, "lam", _checked("model", _real, self.lam, "lambda"))
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError("[model] gamma must be positive or 'auto'")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError("[model] lambda must be non-negative")
+            object.__setattr__(self, "gamma", _checked("model", _real, self.gamma, "gamma", "positive"))
+        object.__setattr__(self, "lam", _checked("model", _real, self.lam, "lambda", "non-negative"))
         for name, lo in (("folds", 2), ("grid_repeats", 1)):
             object.__setattr__(self, name, _checked("model", _count, getattr(self, name), name, lo))
 
@@ -108,8 +105,16 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        for name in ("strategies", "budgets", "metrics"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ConfigError(f"[sweep] {name} must be a sequence, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         budgets = tuple(_checked("sweep", _real, b, "budgets") for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
+        for spec in self.strategies:
+            if not isinstance(spec, StrategySpec):
+                raise ConfigError(f"[sweep] strategies must be StrategySpec values, got {spec!r}")
         object.__setattr__(self, "master_seed", _checked("sweep", _integral, self.master_seed, "master_seed"))
         object.__setattr__(self, "repeats", _checked("sweep", _count, self.repeats, "repeats", 1))
         if (self.dataset_path is None) == (self.synth is None):

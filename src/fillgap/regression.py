@@ -14,7 +14,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
-from .rng import _count, _indices, child_seed, rng_from_seed
+from .rng import _count, _floats, _indices, _real, child_seed, rng_from_seed
 from .selection import _allocate, _as_pool, _Geometry, _row_blocks, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
@@ -38,22 +38,18 @@ class KernelModel:
     lam: float
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.train_features, dtype=np.float64)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
+        feats = _floats(self.train_features, "train_features", 2)
+        weights = _floats(self.weights, "weights", 1)
+        if feats.size < 1:
             raise DataError(
                 f"a model needs at least one training row and column, got shape {feats.shape}"
             )
-        if weights.ndim != 1 or weights.shape[0] != feats.shape[0]:
+        if weights.shape[0] != feats.shape[0]:
             raise DataError("weights must have one entry per training row")
-        if not (np.isfinite(feats).all() and np.isfinite(weights).all()):
-            raise DataError("model contains non-finite values")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise DataError("gamma must be positive and finite")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise DataError("lambda must be non-negative and finite")
         object.__setattr__(self, "train_features", feats)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma", "positive"))
+        object.__setattr__(self, "lam", _real(self.lam, "lambda", "non-negative"))
 
     @property
     def b(self) -> int:
@@ -126,13 +122,8 @@ def _predict(dists, rows, weights: np.ndarray, gamma: float) -> np.ndarray:
 
 def gaussian_kernel_matrix(X, gamma: float) -> np.ndarray:
     """Symmetric Gaussian kernel matrix exp(-gamma * ||x_i - x_j||^2), unit diagonal."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError(f"kernel input must be a 2-D matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise DataError("kernel inputs contain NaN or Inf entries")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DataError("gamma must be positive and finite")
+    X = _floats(X, "X", 2)
+    gamma = _real(gamma, "gamma", "positive")
     return _gram(_Geometry(X, False).sq_dists, slice(None), X.shape[0], gamma)
 
 
@@ -142,9 +133,7 @@ def gaussian_envelope_slope(gamma: float) -> float:
     The derivative magnitude 2 * gamma * r * exp(-gamma * r^2) is maximized
     at r = 1 / sqrt(2 * gamma), giving sqrt(2 * gamma / e).
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DataError("gamma must be positive and finite")
-    return math.sqrt(2.0 * gamma / math.e)
+    return math.sqrt(2.0 * _real(gamma, "gamma", "positive") / math.e)
 
 
 def _min_eigenvalue(matrix: np.ndarray) -> float:
@@ -159,10 +148,9 @@ def krr_fit(train: Dataset, gamma: float, lam: float) -> KernelModel:
     relative residual exceeds 1e-8; no jitter is added silently.
     """
     y = train.require_labels()
-    if not (math.isfinite(lam) and lam >= 0):
-        raise DataError("lambda must be non-negative and finite")
+    lam = _real(lam, "lambda", "non-negative")
     weights = _solve(gaussian_kernel_matrix(train.features, gamma), y, lam)
-    return KernelModel(train.features, weights, float(gamma), float(lam))
+    return KernelModel(train.features, weights, gamma, lam)
 
 
 def _solve(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -198,11 +186,9 @@ def krr_predict(model: KernelModel, X) -> np.ndarray:
     their squared distances from one n x B matrix per selection run, kept by
     the sweep's _Geometry, so they get the same bits as this function.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
+    X = _floats(X, "X", 2)  # the model's own fields are checked when it is built
+    if X.shape[1] != model.d:
         raise DataError(f"query dimension {X.shape} does not match training dimension {model.d}")
-    if not np.isfinite(X).all():  # the model's own fields are checked when it is built
-        raise DataError("kernel inputs contain NaN or Inf entries")
     geometry = _Geometry(X, False, model.train_features)
     return _predict(geometry.sq_dists, slice(0, X.shape[0]), model.weights, model.gamma)
 
@@ -288,12 +274,14 @@ def grid_search_cv_report(
     positive, finite values and a non-integral count raise DataError.
     """
     labels = pool.require_labels()
-    gamma_grid = default_grid() if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
-    lambda_grid = default_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    if not all(grid.ndim == 1 and grid.size for grid in (gamma_grid, lambda_grid)):
-        raise DataError("hyperparameter grids must be non-empty 1-D sequences")
-    if not all((np.isfinite(grid) & (grid > 0)).all() for grid in (gamma_grid, lambda_grid)):
-        raise DataError("grid values must be positive and finite (the averaging is geometric)")
+    gamma_grid, lambda_grid = (
+        default_grid() if grid is None else _floats(grid, name, 1)
+        for grid, name in ((gamma_grid, "gamma_grid"), (lambda_grid, "lambda_grid"))
+    )
+    if not all(grid.size and (grid > 0).all() for grid in (gamma_grid, lambda_grid)):
+        raise DataError(
+            "hyperparameter grids must be non-empty and positive (the averaging is geometric)"
+        )
     folds, repeats = _count(folds, "folds", 2), _count(repeats, "repeats", 1)
     sizes = [_resolve_size(s, pool.n) for s in train_sizes]
     if not sizes:
@@ -336,11 +324,9 @@ def grid_search_cv_report(
 
 def _square_matrix(K) -> np.ndarray:
     """``K`` as a float64 array: a non-empty square matrix of finite values."""
-    K = np.ascontiguousarray(K, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
+    K = _floats(K, "K", 2)
+    if K.shape[0] != K.shape[1] or K.shape[0] < 1:
         raise DataError(f"matrix must be square and non-empty, got shape {K.shape}")
-    if not np.isfinite(K).all():
-        raise DataError("matrix contains NaN or Inf entries")
     return K
 
 
@@ -392,13 +378,8 @@ def eigen_bounds(
     raising; one that is not a finite float64 raises DataError.
     """
     K = _square_matrix(K)
-    if not (math.isfinite(sep) and sep > 0):
-        raise DataError("separation distance must be positive")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DataError("gamma must be positive and finite")
-    d = _count(d, "d", 1)
-    if not (math.isfinite(c_d) and c_d > 0):
-        raise DataError("C_d must be positive and finite")
+    sep, gamma = _real(sep, "sep", "positive"), _real(gamma, "gamma", "positive")
+    d, c_d = _count(d, "d", 1), _real(c_d, "C_d", "positive")
     upper = K.shape[0] * float(np.abs(K).max())
     log_lower = (
         math.log(c_d)
@@ -418,8 +399,7 @@ def conditioning_report(
     """Assemble the conditioning summary for a selected training set, checking
     the selection before any kernel work. Both condition numbers come from one
     eigen-solve of K, since K + lam * I has K's eigenvalues shifted by lam."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise DataError("lambda must be non-negative and finite")
+    lam, c_d = _real(lam, "lambda", "non-negative"), _real(c_d, "C_d", "positive")
     pool = _as_pool(pool)
     selected = _indices(selected, pool.shape[0])
     sep = separation_distance(pool, selected)
@@ -431,7 +411,7 @@ def conditioning_report(
         lambda_max=lam_max,
         lambda_min=lam_min,
         sep_distance=sep,
-        lower_bound_params=(pool.shape[1], float(gamma), float(c_d)),
+        lower_bound_params=(pool.shape[1], float(gamma), c_d),
     )
 
 

@@ -1,5 +1,8 @@
-"""Seeding utilities, the integer rule for seeds, counts and row indices,
-and the real-number rule for float parameters.
+"""Seeding utilities and the input rules of every library entry point: the
+integer rule for seeds, counts and row indices, the real-number rule for
+float parameters, and the array rule for numeric arrays. Each rule raises a
+DataError naming the argument; a caller keeps only its shape relations,
+such as labels matching rows.
 
 All randomness in the package flows from 64-bit seeds through Philox, a
 counter-based generator, so the random draws do not depend on the number of
@@ -33,13 +36,37 @@ def _integral(value, name: str) -> int:
     raise DataError(f"{name} must be integral, got {value!r}")
 
 
-def _real(value, name: str) -> float:
+def _real(value, name: str, sign: str = "") -> float:
     """``value`` as a float when it is a real number: 5, 0.5, np.float32(0.5),
-    NaN or inf (range checks are the caller's). A bool, a string, None or any
-    other type raises DataError naming ``name``."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        return float(value)
-    raise DataError(f"{name} must be a real number, got {value!r}")
+    NaN or inf. ``sign`` is "positive" or "non-negative" for a parameter that
+    must also be finite with that sign; with none, range checks are the
+    caller's. A bool, a string, None or any other type raises DataError naming
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    real = float(value)
+    if sign and not (math.isfinite(real) and (real > 0 if sign == "positive" else real >= 0)):
+        raise DataError(f"{name} must be {sign} and finite, got {value!r}")
+    return real
+
+
+def _floats(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a C-contiguous float64 array of ``ndim`` axes and finite
+    entries, not copied when it already is one. Integer and float inputs are
+    accepted; a ragged, bool, string, complex or object input, another number
+    of axes or a NaN or inf entry raises DataError naming ``name``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise DataError(f"{name} must be an array of real numbers, got a ragged sequence") from None
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"{name} must be an array of real numbers, got {arr.dtype} values")
+    if arr.ndim != ndim:
+        raise DataError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} must have finite entries, got NaN or Inf")
+    return arr
 
 
 def _count(value, name: str, lo: int, hi: float = math.inf) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import _count, _indices, _integral, _real, child_seed, rng_from_seed
+from .rng import _count, _floats, _indices, _integral, _real, child_seed, rng_from_seed
 
 # Strategy kind -> its sampler, called as (pool, spec, budget, seed). Sampler
 # names are looked up at call time, so a wrapped sampler is the one that runs.
@@ -176,11 +176,9 @@ class StrategySpec:
 def _as_pool(pool) -> np.ndarray:
     if isinstance(pool, _Geometry):
         return pool.pool  # validated when the geometry was built
-    arr = np.ascontiguousarray(pool, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DataError(f"pool must be a non-empty 2-D matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DataError("pool contains NaN or Inf entries")
+    arr = _floats(pool, "pool", 2)
+    if arr.size < 1:
+        raise DataError(f"pool must be non-empty, got shape {arr.shape}")
     return arr
 
 

@@ -50,6 +50,26 @@ def test_metric_errors():
         mae([], [])
 
 
+@pytest.mark.parametrize(
+    "y_true,y_pred,message",
+    [
+        (["a"], ["b"], "y_true must be an array of real numbers, got <U1 values"),
+        ([1.0], [1 + 2j], "y_pred must be an array of real numbers, got complex128 values"),
+        ([1.0, None], [1.0, 2.0], "y_true must be an array of real numbers, got object values"),
+        ([[1.0]], [[1.0]], r"y_true must be a 1-D array, got shape \(1, 1\)"),
+        ([1.0], [[1.0]], r"y_pred must be a 1-D array, got shape \(1, 1\)"),
+        ([1.0, math.nan], [1.0, 2.0], "y_true must have finite entries, got NaN or Inf"),
+    ],
+    ids=["string", "complex", "object", "2-d", "2-d-pred", "nan"],
+)
+@pytest.mark.parametrize("metric", [maxae, mae])
+def test_metrics_reject_what_is_not_a_finite_real_sequence(metric, y_true, y_pred, message):
+    # maxae([[1.0]], [[1.0]]) read "length mismatch: (1, 1) vs (1, 1)", and a
+    # string raised a bare ValueError.
+    with pytest.raises(DataError, match="^" + message + "$"):
+        metric(y_true, y_pred)
+
+
 @settings(max_examples=50)
 @given(arrays(np.float64, st.integers(1, 20), elements=reasonable).flatmap(
     lambda a: st.tuples(st.just(a), arrays(np.float64, len(a), elements=reasonable))
@@ -145,6 +165,22 @@ def test_pair_statistics_reject_non_finite_input(bad, where):
         empirical_lipschitz(x, y)
 
 
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        ([["a"]] * 4, [0.0, 1.0, 2.0, 3.0], "X must be an array of real numbers, got <U1 values"),
+        ([[0.0], [1.0], [2.0, 3.0]], [0.0, 1.0, 2.0], "X must be an array of real numbers, got a ragged sequence"),
+        ([[0.0], [1.0], [3.0]], [0.0, 1.0, 2j], "y must be an array of real numbers, got complex128 values"),
+        ([0.0, 1.0, 3.0], [0.0, 1.0, 2.0], r"X must be a 2-D array, got shape \(3,\)"),
+    ],
+    ids=["string", "ragged", "complex", "1-d"],
+)
+def test_pair_statistics_reject_what_is_not_a_real_array(x, y, message):
+    for statistic in (pairwise_distance_correlation, empirical_lipschitz):
+        with pytest.raises(DataError, match="^" + message + "$"):
+            statistic(x, y)
+
+
 def test_spearman_invariant_under_monotone_transform():
     rng = np.random.default_rng(8)
     a = rng.normal(size=50)
@@ -207,14 +243,16 @@ def test_correlation_report_equals_scipy_ranked_report(monkeypatch, max_pairs):
 @pytest.mark.parametrize(
     "a,b,message",
     [
-        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "equal-length 1-D sequences"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], r"a must be a 1-D array, got shape \(2, 2\)"),
         ([1.0, 2.0, 3.0], [1.0, 2.0], "equal-length 1-D sequences"),
         ([1.0], [2.0], "equal-length 1-D sequences"),
         ([1.0, math.nan, 3.0], [1.0, 2.0, 4.0], "NaN or Inf"),
         ([1.0, math.inf, 3.0], [1.0, 2.0, 4.0], "NaN or Inf"),
         ([1.0, 2.0, 3.0], [1.0, -math.inf, 4.0], "NaN or Inf"),
+        (["1", "2", "3"], [1.0, 2.0, 4.0], "^a must be an array of real numbers, got <U1 values$"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 4j], "^b must be an array of real numbers, got complex128 values$"),
     ],
-    ids=["2-d", "unequal", "single", "nan", "inf", "negative-inf"],
+    ids=["2-d", "unequal", "single", "nan", "inf", "negative-inf", "string", "complex"],
 )
 def test_correlations_reject_malformed_input(statistic, a, b, message):
     # Ranking would flatten 2-D input and put NaN last; the tier-1 warning
@@ -283,6 +321,33 @@ def test_error_bound_exact_composition():
 def test_error_bound_rejects_negative():
     with pytest.raises(DataError):
         error_bound(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (True, "must be a real number, got True"),
+        ("1", "must be a real number, got '1'"),
+        (None, "must be a real number, got None"),
+        (-1.0, "must be non-negative and finite, got -1.0"),
+        (math.nan, "must be non-negative and finite, got nan"),
+        (math.inf, "must be non-negative and finite, got inf"),
+    ],
+)
+@pytest.mark.parametrize("position", range(6))
+def test_error_bound_constants_are_non_negative_real_numbers(position, value, message):
+    # Unchecked, error_bound(True, 1, 1, 1, 0, 0) returned the int 2.
+    names = ("h", "lip_model", "lip_label_arg", "lip_target", "eps", "eps_train")
+    args = [1, 1, 1, 1, 0, 0]
+    args[position] = value
+    with pytest.raises(DataError, match=f"^{names[position]} {message}$"):
+        error_bound(*args)
+
+
+def test_error_bound_stores_floats():
+    report = error_bound(1, 1, 1, 1, 0, np.float32(0))
+    assert report.bound_value == 2.0 and type(report.bound_value) is float
+    assert {type(getattr(report, f)) for f in ("fill_dist", "lip_model", "train_max_error")} == {float}
 
 
 @settings(max_examples=40)
@@ -594,3 +659,30 @@ def test_correlation_report_json():
         '{"pearson": 0.5, "spearman": 0.4, "pair_count": 10, "subsampled": false, '
         '"verdict": "positive"}'
     )
+
+
+def test_every_report_writes_strict_json():
+    # A bare NaN or Infinity token is not JSON; conditioning_report wrote one
+    # for C_d = NaN. Each report is built with its None and NaN fields set.
+    import json
+
+    from fillgap.regression import conditioning_report
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    ds, info = synth_with_info(SynthConfig(n=12, d=2, target_lipschitz=1.0, seed=1))
+    whole = fps(ds.features, 12, seed=0)  # no unselected row: observed_maxae is None
+    model = _fit_on(ds, whole.indices, 2.0, lam=1e-10)
+    duplicated = np.repeat(ds.features[:3], 2, axis=0)  # singular: cond_unregularized is None
+    reports = [
+        whole,  # sep_trace[0] is NaN
+        error_bound(1, 2, 1, 0.5, 0, 0),
+        bound_check(ds, whole, model, lip_target=info.lipschitz, eps=0.0),
+        pairwise_distance_correlation(ds.features, ds.labels),
+        conditioning_report(duplicated, [0, 1, 2, 3], gamma=1.0, lam=0.0),
+        conditioning_report(ds.features, [0, 5], gamma=0.5, lam=1e-4, c_d=2),
+    ]
+    assert reports[-2].cond_unregularized is None and reports[2].observed_maxae is None
+    for report in reports:
+        json.loads(report.to_json(), parse_constant=refuse)

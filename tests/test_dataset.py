@@ -14,6 +14,7 @@ from fillgap.dataset import (
     SynthConfig,
     coulomb_matrix,
     load_dataset,
+    load_xyz,
     minmax_normalize,
     read_xyz,
     remove_zero_variance,
@@ -117,6 +118,33 @@ def test_dataset_invariants():
         Dataset(np.array([[1.0, np.nan]]))
     with pytest.raises(DataError):
         Dataset(np.ones((3, 2)), labels=np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: Dataset([[1.0], [1.0, 2.0]]), "features must be an array of real numbers, got a ragged sequence"),
+        (lambda: Dataset(np.array([[1 + 2j]])), "features must be an array of real numbers, got complex128 values"),
+        (lambda: Dataset([["1.5"]]), "features must be an array of real numbers, got <U3 values"),
+        (lambda: Dataset([[1.0], [None]]), "features must be an array of real numbers, got object values"),
+        (lambda: Dataset(np.ones(3)), r"features must be a 2-D array, got shape \(3,\)"),
+        (lambda: Dataset(np.ones((2, 1)), labels=["a", "b"]), "labels must be an array of real numbers, got <U1 values"),
+        (lambda: Dataset(np.ones((2, 1)), labels=[1.0, math.inf]), "labels must have finite entries, got NaN or Inf"),
+        (lambda: Molecule([1], [["0", "0", "0"]]), "positions must be an array of real numbers, got <U1 values"),
+        (lambda: Molecule([1], [[0.0, 0.0, math.nan]]), "positions must have finite entries, got NaN or Inf"),
+    ],
+)
+def test_arrays_that_are_not_finite_real_numbers_are_rejected_by_name(make, message):
+    # Unchecked, a ragged or string input raised a bare ValueError, and the
+    # imaginary part of 1+2j was dropped with a warning.
+    with pytest.raises(DataError, match="^" + message + "$"):
+        make()
+
+
+def test_integer_features_are_read_as_floats():
+    ds = Dataset(np.arange(6).reshape(3, 2), labels=np.array([1, 2, 3], np.uint8))
+    assert ds.features.dtype == ds.labels.dtype == np.float64
+    assert ds.features.flags.c_contiguous and ds.labels.tolist() == [1.0, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +255,18 @@ def test_read_xyz_two_blocks():
     assert mols[0].charges.tolist() == [1, 8]
     assert mols[1].charges.tolist() == [6]
     assert mols[1].positions.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_load_xyz_reads_a_file_as_read_xyz_reads_its_text(tmp_path):
+    text = "2\nwater-ish\nH 0 0 0\nO 0 0 1\n\n3\nmethyl-ish\nC 1 2 3\nH 1 2 4.1\nH 1 3.05 3\n"
+    path = tmp_path / "mols.xyz"
+    path.write_text(text, encoding="utf-8")
+    loaded, parsed = load_xyz(path), read_xyz(text)
+    assert len(loaded) == len(parsed) == 2
+    for got, expected in zip(loaded, parsed):
+        assert np.array_equal(got.charges, expected.charges)
+        assert np.array_equal(got.positions, expected.positions)
+    assert loaded[1].charges.tolist() == [6, 1, 1]
 
 
 def test_read_xyz_unknown_symbol():
@@ -416,6 +456,8 @@ def test_synth_config_takes_integral_numbers_of_any_numeric_type():
         (dict(noise_level=None), "noise_level must be a real number, got None"),
         (dict(target_lipschitz=True), "target_lipschitz must be a real number, got True"),
         (dict(tail_fraction="0.1"), "tail_fraction must be a real number, got '0.1'"),
+        (dict(noise_level=-0.5), "noise_level must be non-negative and finite, got -0.5"),
+        (dict(target_lipschitz=math.inf), "target_lipschitz must be non-negative and finite, got inf"),
     ],
 )
 def test_synth_config_floats_must_be_real_numbers(reals, message):

@@ -794,12 +794,42 @@ def test_config_counts_and_seeds_must_be_integral(make, message):
         (lambda: ModelConfig(gamma=True), r"\[model\] gamma must be a real number, got True"),
         (lambda: small_config(budgets=("0.5",)), r"\[sweep\] budgets must be a real number, got '0.5'"),
         (lambda: small_config(budgets=(0.25, None)), r"\[sweep\] budgets must be a real number, got None"),
+        (lambda: ModelConfig(gamma=-1), r"\[model\] gamma must be positive and finite, got -1$"),
+        (lambda: ModelConfig(gamma=math.inf), r"\[model\] gamma must be positive and finite, got inf$"),
+        (lambda: ModelConfig(lam=math.nan), r"\[model\] lambda must be non-negative and finite, got nan$"),
     ],
 )
 def test_config_floats_must_be_real_numbers(make, message):
     # A cast would accept "1e-3" and raise a bare ValueError for "x".
     with pytest.raises(ConfigError, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: small_config(budgets=0.5), r"\[sweep\] budgets must be a sequence, got 0.5$"),
+        (lambda: small_config(budgets="0.5"), r"\[sweep\] budgets must be a sequence, got '0.5'$"),
+        (lambda: small_config(strategies=("fps",)), r"\[sweep\] strategies must be StrategySpec values, got 'fps'$"),
+        (lambda: small_config(strategies=StrategySpec("fps")), r"\[sweep\] strategies must be a sequence, got StrategySpec"),
+        (lambda: small_config(metrics="maxae"), r"\[sweep\] metrics must be a sequence, got 'maxae'$"),
+        (lambda: small_config(metrics=None), r"\[sweep\] metrics must be a sequence, got None$"),
+    ],
+)
+def test_config_sequence_fields_must_be_sequences(make, message):
+    # Unchecked, budgets=0.5 raised a bare TypeError, strategies=("fps",) an
+    # AttributeError, and metrics="maxae" was read as five unknown metrics.
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
+def test_config_sequence_fields_are_stored_as_tuples():
+    expected = small_config()
+    got = small_config(
+        strategies=list(expected.strategies), budgets=[0.05, 0.1], metrics=iter(expected.metrics)
+    )
+    assert got == expected and got.config_hash() == expected.config_hash()
+    assert {type(getattr(got, name)) for name in ("strategies", "budgets", "metrics")} == {tuple}
 
 
 def test_config_float_fields_take_real_numbers_of_any_numeric_type():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,37 @@ def test_kernel_unit_diagonal_and_symmetry():
     assert np.array_equal(K, expected)
 
 
+LABELLED3 = Dataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: krr_fit(LABELLED3, 1.0, True), "lambda must be a real number, got True"),
+        (lambda: krr_fit(LABELLED3, 1.0, None), "lambda must be a real number, got None"),
+        (lambda: krr_fit(LABELLED3, 1.0, -1e-3), "lambda must be non-negative and finite, got -0.001"),
+        (lambda: krr_fit(LABELLED3, "1", 0.0), "gamma must be a real number, got '1'"),
+        (lambda: gaussian_kernel_matrix(LABELLED3.features, "1"), "gamma must be a real number, got '1'"),
+        (lambda: gaussian_kernel_matrix(LABELLED3.features, True), "gamma must be a real number, got True"),
+        (lambda: gaussian_kernel_matrix(LABELLED3.features, math.nan), "gamma must be positive and finite, got nan"),
+        (lambda: gaussian_kernel_matrix([[1.0], ["x"]], 1.0), "X must be an array of real numbers, got <U32 values"),
+        (lambda: gaussian_envelope_slope(True), "gamma must be a real number, got True"),
+        (lambda: KernelModel(np.zeros((1, 1)), [1.0], gamma=1.0, lam=True), "lambda must be a real number, got True"),
+        (lambda: KernelModel([[1 + 2j]], [1.0], gamma=1.0, lam=0.0), "train_features must be an array of real numbers, got complex128 values"),
+        (lambda: KernelModel(np.zeros((1, 1)), [math.nan], gamma=1.0, lam=0.0), "weights must have finite entries, got NaN or Inf"),
+        (lambda: krr_predict(KernelModel(np.zeros((1, 1)), [1.0], 1.0, 0.0), [["a"]]), "X must be an array of real numbers, got <U1 values"),
+        (lambda: eigen_bounds(np.eye(2), sep=True, gamma=1.0, d=1), "sep must be a real number, got True"),
+        (lambda: eigen_bounds(np.eye(2), sep=0.0, gamma=1.0, d=1), "sep must be positive and finite, got 0.0"),
+        (lambda: eigen_bounds(np.eye(2), sep=1.0, gamma=1.0, d=1, c_d="1"), "C_d must be a real number, got '1'"),
+    ],
+)
+def test_real_parameters_and_arrays_are_checked_by_name(call, message):
+    # Unchecked, lam=True fitted with lambda 1.0, lam=None and gamma="1" raised
+    # a bare TypeError, and the imaginary part of 1+2j was dropped.
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 def test_kernel_off_diagonal_value():
     K = gaussian_kernel_matrix(np.array([[0.0], [1.0]]), 1.0)
     assert K[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
@@ -67,7 +99,7 @@ def test_kernel_rejects_bad_inputs():
         gaussian_kernel_matrix(np.array([[np.inf]]), 1.0)
     with pytest.raises(DataError):
         gaussian_kernel_matrix(np.ones((2, 2)), 0.0)
-    with pytest.raises(DataError, match=r"must be a 2-D matrix, got shape \(3,\)"):
+    with pytest.raises(DataError, match=r"X must be a 2-D array, got shape \(3,\)"):
         gaussian_kernel_matrix(np.ones(3), 1.0)
 
 
@@ -118,7 +150,7 @@ def test_predict_rejects_non_finite_queries():
     model = KernelModel(np.zeros((2, 3)), np.ones(2), gamma=1.0, lam=0.0)
     queries = np.zeros((200, 3))
     queries[150, 1] = np.nan
-    with pytest.raises(DataError, match="kernel inputs contain NaN or Inf entries"):
+    with pytest.raises(DataError, match="X must have finite entries, got NaN or Inf"):
         krr_predict(model, queries)
 
 
@@ -602,6 +634,9 @@ def test_condition_number_rejects_asymmetric():
         (np.zeros((0, 0)), "non-empty"),
         ([[math.nan]], "NaN"),
         ([[1.0, math.inf], [math.inf, 1.0]], "NaN"),
+        ([["a"]], r"^K must be an array of real numbers, got <U1 values$"),
+        ([[1.0, 0.0], [0.0]], r"^K must be an array of real numbers, got a ragged sequence$"),
+        (np.ones(3), r"^K must be a 2-D array, got shape \(3,\)$"),
     ],
 )
 def test_condition_number_rejects_empty_and_non_finite(K, match):
@@ -739,6 +774,12 @@ def test_conditioning_report_fields():
     for lam in (math.nan, -1e-3, math.inf):
         with pytest.raises(DataError, match="lambda must be non-negative and finite"):
             conditioning_report(pool, [0, 5, 9, 17], gamma=0.5, lam=lam)
+    # Unchecked, C_d = NaN was written as a bare NaN token and C_d = -1 reported.
+    for c_d in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(DataError, match=r"^C_d must be positive and finite, got"):
+            conditioning_report(pool, [0, 5, 9, 17], gamma=0.5, lam=1e-4, c_d=c_d)
+    with pytest.raises(DataError, match=r"^C_d must be a real number, got True$"):
+        conditioning_report(pool, [0, 5, 9, 17], gamma=0.5, lam=1e-4, c_d=True)
 
 
 def test_gamma_for_half_kernel():

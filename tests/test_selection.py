@@ -360,6 +360,39 @@ def test_start_index_must_be_an_integral_row(kind, start_index):
             run(LINE6, 3, start_index=start_index)
 
 
+NOT_REAL_POOLS = [
+    ([["a"]], "got <U1 values"),
+    ([[1.0], [1.0, 2.0]], "got a ragged sequence"),
+    ([[1 + 2j]], "got complex128 values"),
+    ([[1.0], [None]], "got object values"),
+    ([[True], [False]], "got bool values"),
+]
+
+
+@pytest.mark.parametrize("pool,message", NOT_REAL_POOLS, ids=["string", "ragged", "complex", "object", "bool"])
+@pytest.mark.parametrize("name,run", ALL_SAMPLERS + [
+    ("fill_distance", lambda pool, b, seed: fill_distance(pool, [0])),
+    ("nn_distances", lambda pool, b, seed: nn_distances(pool)),
+])
+def test_every_pool_reader_rejects_what_is_not_a_real_matrix(name, run, pool, message):
+    # Unchecked, "a" and a ragged pool raised a bare ValueError, and the
+    # imaginary part of 1+2j was dropped with a warning.
+    with pytest.raises(DataError, match=r"^pool must be an array of real numbers, " + message):
+        run(pool, 1, 0)
+
+
+def test_a_pool_is_read_without_a_copy_and_any_real_dtype_alike():
+    from fillgap.selection import _as_pool
+
+    pool = np.random.default_rng(4).uniform(size=(40, 3))
+    assert _as_pool(pool) is pool
+    scaled = np.round(pool * 100)
+    expected = fps(scaled, 5, seed=1)
+    for same in (scaled.astype(np.int32), scaled.astype(np.float32), np.asfortranarray(scaled), scaled.tolist()):
+        got = fps(same, 5, seed=1)
+        assert np.array_equal(got.indices, expected.indices) and np.array_equal(got.fill_trace, expected.fill_trace)
+
+
 @pytest.mark.parametrize("fraction", ["0.5", True, [0.5]])
 def test_switch_fraction_must_be_a_real_number(fraction):
     # Unchecked, "0.5" raised a bare TypeError and True passed as 1.
