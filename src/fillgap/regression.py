@@ -460,7 +460,7 @@ def load_model(path: str | os.PathLike) -> KernelModel:
         try:
             header = json.loads(header_line.decode("utf-8"))
             b, d = _count(header["b"], "b", 1), _count(header["d"], "d", 1)
-            gamma, lam = float(header["gamma"]), float(header["lambda"])
+            gamma, lam = _real(header["gamma"], "gamma"), _real(header["lambda"], "lambda")
         except (DataError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"malformed model header in {path}: {exc}") from None
         payload = fh.read()

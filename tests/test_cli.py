@@ -338,6 +338,8 @@ def test_bound_rebuilds_the_traces_of_the_selection_file(tmp_path, capsys):
         "model header b=-1, d=-1",
         "model header b=0, d=2",
         "model header b=2.9, d=3",
+        "model header gamma=true",
+        'model header lambda="0"',
     ],
 )
 def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
@@ -358,15 +360,19 @@ def test_bound_and_predict_reject_malformed_files(tmp_path, capsys, damage):
         sel_path.write_text(json.dumps(payload))
     else:
         # A header of no rows or columns has an empty payload of the size it implies.
+        head, body = model_path.read_bytes().split(b"\n", 1)
         header, payload = {
-            "model header [1]": (b"[1]", model_path.read_bytes().split(b"\n", 1)[1]),
+            "model header [1]": (b"[1]", body),
             "model header b=-1, d=-1": (b'{"gamma": 1.0, "lambda": 0.0, "b": -1, "d": -1}', b""),
             "model header b=0, d=2": (b'{"gamma": 1.0, "lambda": 0.0, "b": 0, "d": 2}', b""),
             # The payload of b=2 rows, which a cast of 2.9 would load.
             "model header b=2.9, d=3": (
                 b'{"gamma": 1.0, "lambda": 0.0, "b": 2.9, "d": 3}',
-                model_path.read_bytes().split(b"\n", 1)[1][: (2 * 3 + 2) * 8],
+                body[: (2 * 3 + 2) * 8],
             ),
+            # A cast would read true as gamma 1 and "0" as lambda 0.
+            "model header gamma=true": (json.dumps({**json.loads(head), "gamma": True}).encode(), body),
+            'model header lambda="0"': (json.dumps({**json.loads(head), "lambda": "0"}).encode(), body),
         }[damage]
         model_path.write_bytes(header + b"\n" + payload)
         code, _, err = run(capsys, "predict", "--model", model_path, "--data", data,
