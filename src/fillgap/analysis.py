@@ -13,7 +13,7 @@ from .dataset import Dataset
 from .errors import DataError
 from .regression import KernelModel, krr_lipschitz_bound, krr_predict
 from .rng import _count, _floats, _indices, _real, rng_from_seed
-from .selection import SelectionResult
+from .selection import _OVERFLOW_MESSAGE, SelectionResult
 
 # Pair counts above these limits fall back to seeded subsampling. All pairs
 # of up to 3162 rows fit under the first, of up to 2000 under the second.
@@ -76,18 +76,21 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
-    y_true, y_pred = _floats(y_true, "y_true", 1), _floats(y_pred, "y_pred", 1)
-    if y_true.shape != y_pred.shape:
-        raise DataError(f"length mismatch: {y_true.shape} vs {y_pred.shape}")
-    if y_true.size == 0:
-        raise DataError("empty sequences")
-    return y_true, y_pred
+def _paired(a, b, names: tuple[str, str], least: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as float64 arrays: two equal-length 1-D sequences of at
+    least ``least`` finite values, named ``names`` in errors."""
+    a, b = _floats(a, names[0], 1), _floats(b, names[1], 1)
+    if a.size != b.size or a.size < least:
+        raise DataError(
+            f"{names[0]} and {names[1]} must be equal-length 1-D sequences of >= {least} "
+            f"values, got lengths {a.size} and {b.size}"
+        )
+    return a, b
 
 
 def maxae(y_true, y_pred) -> float:
     """Maximum absolute difference between true and predicted values."""
-    y_true, y_pred = _paired(y_true, y_pred)
+    y_true, y_pred = _paired(y_true, y_pred, ("y_true", "y_pred"), 1)
     return float(np.abs(y_true - y_pred).max())
 
 
@@ -97,7 +100,7 @@ def mae(y_true, y_pred) -> float:
     Never above ``maxae``: the rounded mean of equal values can exceed them
     by an ulp, so it is capped at the largest difference.
     """
-    y_true, y_pred = _paired(y_true, y_pred)
+    y_true, y_pred = _paired(y_true, y_pred, ("y_true", "y_pred"), 1)
     err = np.abs(y_true - y_pred)
     return float(min(err.mean(), err.max()))
 
@@ -107,18 +110,9 @@ def mae(y_true, y_pred) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _checked_sequences(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` and ``b`` as float64 arrays: two equal-length 1-D sequences of at
-    least two finite values."""
-    a, b = _floats(a, "a", 1), _floats(b, "b", 1)
-    if a.shape != b.shape or a.size < 2:
-        raise DataError("correlation needs two equal-length 1-D sequences of >= 2 values")
-    return a, b
-
-
 def pearson(a, b) -> float:
     """Pearson correlation of two equal-length sequences of finite values."""
-    a, b = _checked_sequences(a, b)
+    a, b = _paired(a, b, ("a", "b"), 2)
     if (a == a[0]).all():
         raise DataError("first sequence has zero variance; correlation undefined")
     if (b == b[0]).all():
@@ -148,7 +142,7 @@ def spearman(a, b) -> float:
     """Spearman correlation: Pearson on the ranks of two equal-length
     sequences of finite values. Tied values get the average of their ranks;
     NaN or Inf entries raise ``DataError``."""
-    a, b = _checked_sequences(a, b)
+    a, b = _paired(a, b, ("a", "b"), 2)
     return pearson(_average_ranks(a), _average_ranks(b))
 
 
@@ -197,13 +191,19 @@ def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
 def _pair_distances(X, y, max_pairs: int, seed: int):
     """Feature and label distances over all n-choose-2 pairs when they fit
     under ``max_pairs``, otherwise over a seeded sample of ``max_pairs``
-    distinct pairs. The seed is checked either way."""
+    distinct pairs. The seed is checked either way; a distance that overflows
+    float64 raises DataError, since the statistics would skip or drown it."""
     rng = rng_from_seed(seed)
     n = X.shape[0]
     if n * (n - 1) // 2 <= max_pairs:
-        return pdist(X), pdist(y[:, None])
-    i, j = _sample_pair_indices(n, max_pairs, rng)
-    return np.linalg.norm(X[i] - X[j], axis=1), np.abs(y[i] - y[j])
+        feature_d, label_d = pdist(X), pdist(y[:, None])
+    else:
+        i, j = _sample_pair_indices(n, max_pairs, rng)
+        with np.errstate(over="ignore"):  # an overflow is the error raised below
+            feature_d, label_d = np.linalg.norm(X[i] - X[j], axis=1), np.abs(y[i] - y[j])
+    if not (np.isfinite(feature_d).all() and np.isfinite(label_d).all()):
+        raise DataError(_OVERFLOW_MESSAGE)
+    return feature_d, label_d
 
 
 def pairwise_distance_correlation(

@@ -40,7 +40,6 @@ import io
 import json
 import math
 import os
-from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -50,7 +49,7 @@ from .analysis import mae, maxae
 from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse_label_column, remove_zero_variance, synth_lipschitz
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
-from .rng import _count, _integral, _real, child_seed
+from .rng import _count, _integral, _real, _sequence, child_seed
 from .selection import _MATRIX_KINDS, StrategySpec, _Geometry, _sweep_runs
 
 METRICS = (
@@ -106,10 +105,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("strategies", "budgets", "metrics"):
-            value = getattr(self, name)
-            if isinstance(value, str) or not isinstance(value, Iterable):
-                raise ConfigError(f"[sweep] {name} must be a sequence, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
+            object.__setattr__(self, name, _checked("sweep", _sequence, getattr(self, name), name))
         budgets = tuple(_checked("sweep", _real, b, "budgets") for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         for spec in self.strategies:
@@ -119,17 +115,11 @@ class ExperimentConfig:
         object.__setattr__(self, "repeats", _checked("sweep", _count, self.repeats, "repeats", 1))
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("[dataset] exactly one of path / synth must be given")
-        if not self.strategies:
-            raise ConfigError("[sweep] strategies must be non-empty")
-        if not self.budgets:
-            raise ConfigError("[sweep] budgets must be non-empty")
         for lo, hi in zip(self.budgets, self.budgets[1:]):
             if not lo < hi:
                 raise ConfigError("[sweep] budgets must be strictly increasing")
         if not all(0.0 < b <= 1.0 for b in self.budgets):
             raise ConfigError("[sweep] budgets must be fractions in (0, 1]")
-        if not self.metrics:
-            raise ConfigError("[sweep] metrics must be non-empty")
         unknown = [m for m in self.metrics if m not in METRICS]
         if unknown:
             raise ConfigError(f"[sweep] unknown metrics {unknown}; valid: {METRICS}")
@@ -363,27 +353,21 @@ def aggregate_runs(rows) -> tuple[Aggregate, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
+def _parse_number(section: str, key: str, raw: str) -> int | float:
+    """Integer text as an int, other numbers as a float; the configs check each field."""
+    for cast in (int, float):
+        try:
+            return cast(raw)
+        except ValueError:
+            pass
+    raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}")
 
 
 def _parse_bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}") from None
 
 
 def _parse_text(section: str, key: str, raw: str) -> str:
@@ -406,7 +390,7 @@ def _parse_gamma(section: str, key: str, raw: str) -> float | None:
 
 def _parse_strategy(section: str, key: str, token: str) -> StrategySpec:
     kind, colon, arg = token.partition(":")
-    fraction = _parse_float(section, key, arg) if colon else None
+    fraction = _parse_number(section, key, arg) if colon else None
     try:
         return StrategySpec(kind=kind, switch_fraction=fraction)
     except DataError as exc:
@@ -431,26 +415,26 @@ _KEYS = {
         "normalize": ("normalize", _parse_bool),
     },
     "synth": {
-        "n": ("n", _parse_int),
-        "d": ("d", _parse_int),
-        "target_lipschitz": ("target_lipschitz", _parse_float),
-        "noise_level": ("noise_level", _parse_float),
-        "tail_fraction": ("tail_fraction", _parse_float),
-        "seed": ("seed", _parse_int),
+        "n": ("n", _parse_number),
+        "d": ("d", _parse_number),
+        "target_lipschitz": ("target_lipschitz", _parse_number),
+        "noise_level": ("noise_level", _parse_number),
+        "tail_fraction": ("tail_fraction", _parse_number),
+        "seed": ("seed", _parse_number),
     },
     "sweep": {
         "strategies": ("strategies", _listed(_parse_strategy)),
-        "budgets": ("budgets", _listed(_parse_float)),
+        "budgets": ("budgets", _listed(_parse_number)),
         "metrics": ("metrics", _listed(_parse_text)),
-        "repeats": ("repeats", _parse_int),
-        "master_seed": ("master_seed", _parse_int),
+        "repeats": ("repeats", _parse_number),
+        "master_seed": ("master_seed", _parse_number),
     },
     "model": {
         "gamma": ("gamma", _parse_gamma),
-        "lambda": ("lam", _parse_float),
+        "lambda": ("lam", _parse_number),
         "grid_search": ("grid_search", _parse_bool),
-        "folds": ("folds", _parse_int),
-        "grid_repeats": ("grid_repeats", _parse_int),
+        "folds": ("folds", _parse_number),
+        "grid_repeats": ("grid_repeats", _parse_number),
     },
 }
 

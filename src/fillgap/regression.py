@@ -14,7 +14,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
-from .rng import _count, _floats, _indices, _real, child_seed, rng_from_seed
+from .rng import _count, _floats, _indices, _real, _sequence, child_seed, rng_from_seed
 from .selection import _allocate, _as_pool, _Geometry, _row_blocks, nn_distances, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
@@ -136,10 +136,6 @@ def gaussian_envelope_slope(gamma: float) -> float:
     return math.sqrt(2.0 * _real(gamma, "gamma", "positive") / math.e)
 
 
-def _min_eigenvalue(matrix: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(matrix)[0])
-
-
 def krr_fit(train: Dataset, gamma: float, lam: float) -> KernelModel:
     """Solve (K + lam * I) w = y by Cholesky factorization.
 
@@ -163,14 +159,14 @@ def _solve(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     except LinAlgError:
         raise IllConditionedError(
             "kernel system is not numerically positive definite "
-            f"(smallest eigenvalue estimate {_min_eigenvalue(K):.3e}); "
+            f"(smallest eigenvalue estimate {condition_number(K)[2]:.3e}); "
             "increase lambda or remove duplicate training rows"
         ) from None
     residual = float(np.linalg.norm(K @ weights - y))
     if not np.isfinite(weights).all() or residual > _RESIDUAL_TOL * float(np.linalg.norm(y)):
         raise IllConditionedError(
             f"solve residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} * ||y|| "
-            f"(smallest eigenvalue estimate {_min_eigenvalue(K):.3e})"
+            f"(smallest eigenvalue estimate {condition_number(K)[2]:.3e})"
         )
     return weights
 
@@ -227,7 +223,9 @@ def default_grid() -> np.ndarray:
 
 
 def _resolve_size(size, n: int) -> int:
-    return _count(math.floor(size * n + 0.5) if 0 < size < 1 else size, "train size", 2, n)
+    """A fraction of ``n`` rows rounded half-up, or a count, in [2, n]; errors show a count as given."""
+    fraction = _real(size, "train size")
+    return _count(math.floor(fraction * n + 0.5) if 0 < fraction < 1 else size, "train size", 2, n)
 
 
 def _cv_scores(X, y, gamma_grid, lambda_grid, folds: int) -> np.ndarray:
@@ -283,9 +281,7 @@ def grid_search_cv_report(
             "hyperparameter grids must be non-empty and positive (the averaging is geometric)"
         )
     folds, repeats = _count(folds, "folds", 2), _count(repeats, "repeats", 1)
-    sizes = [_resolve_size(s, pool.n) for s in train_sizes]
-    if not sizes:
-        raise DataError("train_sizes must be non-empty")
+    sizes = [_resolve_size(s, pool.n) for s in _sequence(train_sizes, "train_sizes")]
 
     winners: list[tuple[int, float, float]] = []
     for size in sizes:

@@ -1,8 +1,8 @@
 """Seeding utilities and the input rules of every library entry point: the
 integer rule for seeds, counts and row indices, the real-number rule for
-float parameters, and the array rule for numeric arrays. Each rule raises a
-DataError naming the argument; a caller keeps only its shape relations,
-such as labels matching rows.
+float parameters, the array rule for numeric arrays and the sequence rule
+for lists of parameters. Each rule raises a DataError naming the argument;
+a caller keeps only its shape relations, such as labels matching rows.
 
 All randomness in the package flows from 64-bit seeds through Philox, a
 counter-based generator, so the random draws do not depend on the number of
@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -50,17 +51,33 @@ def _real(value, name: str, sign: str = "") -> float:
     return real
 
 
-def _floats(values, name: str, ndim: int) -> np.ndarray:
-    """``values`` as a C-contiguous float64 array of ``ndim`` axes and finite
-    entries, not copied when it already is one. Integer and float inputs are
-    accepted; a ragged, bool, string, complex or object input, another number
-    of axes or a NaN or inf entry raises DataError naming ``name``."""
+def _sequence(values, name: str) -> tuple:
+    """``values`` as a non-empty tuple; a string, a value that is not iterable
+    or an empty one raises DataError naming ``name``."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise DataError(f"{name} must be a sequence, got {values!r}")
+    if not (values := tuple(values)):
+        raise DataError(f"{name} must be non-empty")
+    return values
+
+
+def _numeric(values, name: str) -> np.ndarray:
+    """``values`` as an array of an integer or float dtype; a ragged, bool,
+    string, complex or object input raises DataError naming ``name``."""
     try:
         arr = np.asarray(values)
     except ValueError:
         raise DataError(f"{name} must be an array of real numbers, got a ragged sequence") from None
     if arr.dtype.kind not in "iuf":
         raise DataError(f"{name} must be an array of real numbers, got {arr.dtype} values")
+    return arr
+
+
+def _floats(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a C-contiguous float64 array of ``ndim`` axes and finite
+    entries, not copied when it already is one. Past _numeric's dtype rule,
+    another number of axes or a NaN or inf entry raises DataError naming it."""
+    arr = _numeric(values, name)
     if arr.ndim != ndim:
         raise DataError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
     arr = np.ascontiguousarray(arr, dtype=np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .rng import _count, _floats, _indices, _integral, _real, child_seed, rng_from_seed
+from .rng import _count, _floats, _indices, _integral, _numeric, _real, child_seed, rng_from_seed
 
 # Strategy kind -> its sampler, called as (pool, spec, budget, seed). Sampler
 # names are looked up at call time, so a wrapped sampler is the one that runs.
@@ -95,8 +95,8 @@ class SelectionResult:
 
     def __post_init__(self):
         idx = _indices(self.indices)
-        fill = np.ascontiguousarray(self.fill_trace, dtype=np.float64)
-        sep = np.ascontiguousarray(self.sep_trace, dtype=np.float64)
+        fill = np.ascontiguousarray(_numeric(self.fill_trace, "fill_trace"), dtype=np.float64)
+        sep = np.ascontiguousarray(_numeric(self.sep_trace, "sep_trace"), dtype=np.float64)
         if np.unique(idx).size != idx.size:
             raise DataError("selected indices must be distinct")
         if fill.shape != idx.shape or sep.shape != idx.shape:
@@ -123,7 +123,7 @@ class SelectionResult:
             payload = json.loads(text)
             indices = payload["indices"]
             fill, sep = (  # null, or a missing trace, is NaN
-                np.asarray(payload.get(key, [None] * len(indices)), np.float64)
+                [math.nan if v is None else v for v in payload.get(key, [None] * len(indices))]
                 for key in ("fill_trace", "sep_trace")
             )
             return cls(indices, fill, sep, strategy=payload["strategy"], seed=payload["seed"])
@@ -416,6 +416,7 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     """Distance from every row to its nearest other row, plus the mean.
 
     The mean is the reference level against which isolated points are judged.
+    A pool whose distances overflow float64 (a mean that is not finite) raises DataError.
 
     Method. Each value is the row minimum of ``cdist(pool, pool)`` with the
     diagonal excluded, bit for bit: a GEMM only finds the candidates. The
@@ -521,7 +522,10 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
             out_i, out_j = out[i], out[j]
             out_i[rows] = np.minimum(out_i[rows], block.min(axis=1))
             out_j[cols] = np.minimum(out_j[cols], block.min(axis=0))
-    return out, float(out.mean())
+    mean = float(out.mean())
+    if not math.isfinite(mean):
+        raise DataError(_OVERFLOW_MESSAGE)
+    return out, mean
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +658,10 @@ def _kmedoids_seeding(points: np.ndarray, budget: int, seed: int) -> np.ndarray:
         total = float(d2.sum())
         if total > 0.0:
             u = float(rng.uniform(0.0, total))
-            nxt = int(np.searchsorted(np.cumsum(d2), u, side="right"))
-            nxt = min(nxt, n - 1)
-            if chosen[nxt]:  # landed on a zero-mass chosen row by rounding
-                nxt = int(np.flatnonzero(~chosen)[0])
-        else:
-            # Remaining rows all duplicate chosen ones; take the smallest.
+            nxt = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
+        # With no mass left every remaining row duplicates a chosen one, and a
+        # draw can land on a zero-mass chosen row by rounding: take the smallest.
+        if not total > 0.0 or chosen[nxt]:
             nxt = int(np.flatnonzero(~chosen)[0])
         return nxt
 

@@ -59,8 +59,10 @@ def test_metric_errors():
         ([[1.0]], [[1.0]], r"y_true must be a 1-D array, got shape \(1, 1\)"),
         ([1.0], [[1.0]], r"y_pred must be a 1-D array, got shape \(1, 1\)"),
         ([1.0, math.nan], [1.0, 2.0], "y_true must have finite entries, got NaN or Inf"),
+        ([1.0], [1.0, 2.0], "y_true and y_pred must be equal-length 1-D sequences of >= 1 values, got lengths 1 and 2"),
+        ([], [], "y_true and y_pred must be equal-length 1-D sequences of >= 1 values, got lengths 0 and 0"),
     ],
-    ids=["string", "complex", "object", "2-d", "2-d-pred", "nan"],
+    ids=["string", "complex", "object", "2-d", "2-d-pred", "nan", "unequal", "empty"],
 )
 @pytest.mark.parametrize("metric", [maxae, mae])
 def test_metrics_reject_what_is_not_a_finite_real_sequence(metric, y_true, y_pred, message):
@@ -179,6 +181,25 @@ def test_pair_statistics_reject_what_is_not_a_real_array(x, y, message):
     for statistic in (pairwise_distance_correlation, empirical_lipschitz):
         with pytest.raises(DataError, match="^" + message + "$"):
             statistic(x, y)
+
+
+@pytest.mark.parametrize("max_pairs", [None, 100], ids=["all-pairs", "sampled"])
+@pytest.mark.parametrize("where", ["feature", "label"])
+def test_pair_statistics_raise_on_overflowing_distances(where, max_pairs):
+    # Finite rows whose distances pass the largest float64. Unchecked, the
+    # Lipschitz estimate of the features came from the 3 of 435 pairs that
+    # did not overflow (8.17e-156, not 9.98e-156), and the correlation
+    # reported "a must have finite entries".
+    x = np.random.default_rng(41).uniform(size=(30, 3))
+    y = x[:, 0].copy()
+    if where == "feature":
+        x *= 1e155
+    else:
+        y = (2.0 * y - 1.0) * 1.7e308
+    args = {} if max_pairs is None else {"max_pairs": max_pairs}
+    for statistic in (pairwise_distance_correlation, empirical_lipschitz):
+        with pytest.raises(DataError, match="^pairwise distances overflow float64; rescale the pool$"):
+            statistic(x, y, **args)
 
 
 def test_spearman_invariant_under_monotone_transform():

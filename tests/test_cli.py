@@ -511,16 +511,21 @@ def test_data_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_select_overflowing_pool_exit_code(tmp_path, capsys):
-    pool = np.random.default_rng(41).uniform(size=(301, 6)) * 1e155
+    pool = np.random.default_rng(41).uniform(size=(301, 6))
+    table = np.column_stack([pool * 1e155, pool[:, 0]])  # unscaled labels
     path = tmp_path / "huge.csv"
-    np.savetxt(path, pool, fmt="%.17g", delimiter=",", header="a,b,c,d,e,f", comments="")
-    for strategy in ("facility_location", "fps"):
-        code, out, err = run(
-            capsys, "select", "--data", path, "--strategy", strategy,
-            "--budget", "12", "--seed", "4",
-        )
-        assert code == 2, strategy
-        assert out == "" and "overflow" in err, strategy
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c,d,e,f,y", comments="")
+    data = ("--data", path, "--label-column", "y")
+    commands = [
+        ("select", *data, "--strategy", strategy, "--budget", "12", "--seed", "4")
+        for strategy in ("facility_location", "fps")
+    ]
+    # nn printed Infinity tokens and exited 0; fit and corr failed with other messages.
+    commands += [("nn", *data), ("fit", *data, "--gamma", "auto", "--out", tmp_path / "m.bin"), ("corr", *data)]
+    for command in commands:
+        code, out, err = run(capsys, *command)
+        assert code == 2, command
+        assert out == "" and "pairwise distances overflow float64; rescale the pool" in err, command
 
 
 def test_fit_gamma_auto_on_too_small_distances_exit_code(tmp_path, capsys):

@@ -638,6 +638,9 @@ lambda = 1e-9
         ("repeats = zero", "repeats"),
         ("metrics = maxae, bogus", "metrics"),
         ("master_seed = x", "master_seed"),
+        ("n = 2.5", r"\[synth\] n must be integral, got 2.5$"),
+        ("repeats = 2.5", r"\[sweep\] repeats must be integral, got 2.5$"),
+        ("master_seed = 1e400", r"\[sweep\] master_seed must be integral, got inf$"),
     ],
 )
 def test_bad_config_names_field(tmp_path, mutation, field):
@@ -667,6 +670,25 @@ def test_bad_model_counts_fail_at_load_time(tmp_path, setting, message):
     path.write_text(GOOD_CONFIG.replace("lambda = 1e-8", f"lambda = 1e-8\ngrid_search = true\n{setting}"))
     with pytest.raises(ConfigError, match=message):
         load_experiment_config(path)
+
+
+def test_config_reads_integral_numbers_as_ints_and_boolean_words(tmp_path):
+    # Every number is read once, as an int or a float, and the configs apply
+    # the integer rule: 120.0 is the count 120, as SynthConfig(n=120.0) is.
+    written = GOOD_CONFIG.replace("n = 120", "n = 120.0").replace("seed = 3", "seed = 3.0")
+    written = written.replace("repeats = 2", "repeats = 2e0").replace("lambda = 1e-8", "lambda = 1e-8\nfolds = 5.0")
+    paths = [tmp_path / "plain.ini", tmp_path / "written.ini"]
+    for path, text in zip(paths, (GOOD_CONFIG, written)):
+        path.write_text(text)
+    plain, got = (load_experiment_config(path) for path in paths)
+    assert got == plain and got.config_hash() == plain.config_hash()
+    assert type(got.synth.n) is type(got.synth.seed) is type(got.repeats) is type(got.model.folds) is int
+    for word, value in (("Yes", True), ("on", True), ("1", True), ("FALSE", False), ("off", False), ("0", False)):
+        paths[1].write_text(GOOD_CONFIG.replace("lambda = 1e-8", f"lambda = 1e-8\ngrid_search = {word}"))
+        assert load_experiment_config(paths[1]).model.grid_search is value, word
+    paths[1].write_text(GOOD_CONFIG.replace("lambda = 1e-8", "lambda = 1e-8\ngrid_search = maybe"))
+    with pytest.raises(ConfigError, match=r"^\[model\] grid_search must be a boolean, got 'maybe'$"):
+        load_experiment_config(paths[1])
 
 
 def test_grid_search_sweep_trains_at_the_report_pair_and_repeats(tmp_path):

@@ -573,6 +573,11 @@ def test_grid_search_validation():
         (dict(repeats=2.5), "repeats must be integral, got 2.5"),
         (dict(repeats=0), "repeats must be >= 1, got 0"),
         (dict(train_sizes=[31]), r"train size 31 out of range \[2, 30\]"),
+        (dict(train_sizes=10), "^train_sizes must be a sequence, got 10$"),
+        (dict(train_sizes="10"), "^train_sizes must be a sequence, got '10'$"),
+        (dict(train_sizes=[]), "^train_sizes must be non-empty$"),
+        (dict(train_sizes=["a"]), "^train size must be a real number, got 'a'$"),
+        (dict(train_sizes=[None]), "^train size must be a real number, got None$"),
     ],
 )
 def test_grid_search_counts_must_be_integral(counts, message):

@@ -136,10 +136,18 @@ def test_nn_distances_matches_brute_cdist(monkeypatch, tile_rows):
     # exactly, so their rows keep many candidates across tiles.
     if tile_rows is not None:
         monkeypatch.setattr(selection, "_BLOCK_ENTRIES", tile_rows**2)
+    overflowing = []
     for name, pool in _nn_pools().items():
         dist_matrix = cdist(pool, pool)
         np.fill_diagonal(dist_matrix, np.inf)
         expected = dist_matrix.min(axis=1)
+        if not math.isfinite(float(expected.mean())):
+            # Neither an inf distance nor a gamma of 0.0 is returned.
+            overflowing.append(name)
+            for call in (nn_distances, gamma_for_half_kernel):
+                with pytest.raises(DataError, match="^pairwise distances overflow float64"):
+                    call(pool)
+            continue
         dists, mean = nn_distances(pool)
         assert np.array_equal(dists, expected), name
         assert mean == float(expected.mean()), name
@@ -149,6 +157,7 @@ def test_nn_distances_matches_brute_cdist(monkeypatch, tile_rows):
         else:
             with pytest.raises(DataError):
                 gamma_for_half_kernel(pool)
+    assert overflowing == ["scale_1e+155", "scale_1e+160"]
 
 
 def test_root_of_squared_distances_equals_euclidean_cdist():
@@ -1198,3 +1207,24 @@ def test_selection_result_invariants():
             strategy="fps",
             seed=0,
         )
+
+
+@pytest.mark.parametrize(
+    "trace,message",
+    [
+        (["a"], "got <U1 values"),
+        (["0.5"], "got <U3 values"),
+        ([True], "got bool values"),
+        ([[0.5], [0.5, 1.0]], "got a ragged sequence"),
+    ],
+    ids=["string", "numeric-string", "bool", "ragged"],
+)
+@pytest.mark.parametrize("key", ["fill_trace", "sep_trace"])
+def test_selection_result_rejects_traces_that_are_not_real_numbers(key, trace, message):
+    # A cast read ["0.5"] and [True] as numbers and raised a bare ValueError for ["a"].
+    traces = {"fill_trace": [0.5], "sep_trace": [math.nan], key: trace}
+    with pytest.raises(DataError, match=f"^{key} must be an array of real numbers, {message}$"):
+        SelectionResult([0], strategy="fps", seed=0, **traces)
+    text = json.dumps({"strategy": "fps", "seed": 0, "indices": [0], key: trace})
+    with pytest.raises(DataError, match="malformed selection JSON"):
+        SelectionResult.from_json(text)
