@@ -110,18 +110,23 @@ def mae(y_true, y_pred) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pearson(a, b) -> float:
-    """Pearson correlation of two equal-length sequences of finite values."""
-    a, b = _paired(a, b, ("a", "b"), 2)
-    if (a == a[0]).all():
-        raise DataError("first sequence has zero variance; correlation undefined")
-    if (b == b[0]).all():
-        raise DataError("second sequence has zero variance; correlation undefined")
+def _pearson(a: np.ndarray, b: np.ndarray, names: tuple[str, str]) -> float:
+    """Pearson correlation of two equal-length float64 arrays; a constant one,
+    named by ``names`` in the error, leaves it undefined."""
+    for values, name in zip((a, b), names):
+        if (values == values[0]).all():
+            raise DataError(f"{name} has zero variance; correlation undefined")
     # Scaling by a power of two is exact, leaves the correlation unchanged,
     # and keeps the products in corrcoef from underflowing on tiny inputs.
     a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
     b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
     return float(np.corrcoef(a, b)[0, 1])
+
+
+def pearson(a, b) -> float:
+    """Pearson correlation of two equal-length sequences of finite values."""
+    a, b = _paired(a, b, ("a", "b"), 2)
+    return _pearson(a, b, ("first sequence", "second sequence"))
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -180,30 +185,31 @@ def _sample_pair_indices(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` and ``y`` as float64 arrays, an n x d matrix and n finite labels."""
+def _pair_distances(X, y, max_pairs, seed, least: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Feature and label distances of ``X`` (n x d) and ``y`` (n labels) over
+    all n-choose-2 pairs, or, when more than ``max_pairs``, over a seeded
+    sample of that many distinct pairs, and whether they were sampled. ``n``
+    must be >= ``least`` and ``max_pairs`` >= ``least - 1``; the seed is
+    checked either way. A distance that overflows float64 raises DataError,
+    since the statistics would skip or drown it."""
     X, y = _floats(X, "X", 2), _floats(y, "y", 1)
-    if X.shape[0] != y.shape[0]:
-        raise DataError("X must be n x d and y length n")
-    return X, y
-
-
-def _pair_distances(X, y, max_pairs: int, seed: int):
-    """Feature and label distances over all n-choose-2 pairs when they fit
-    under ``max_pairs``, otherwise over a seeded sample of ``max_pairs``
-    distinct pairs. The seed is checked either way; a distance that overflows
-    float64 raises DataError, since the statistics would skip or drown it."""
-    rng = rng_from_seed(seed)
     n = X.shape[0]
-    if n * (n - 1) // 2 <= max_pairs:
-        feature_d, label_d = pdist(X), pdist(y[:, None])
+    if y.shape[0] != n:
+        raise DataError("X must be n x d and y length n")
+    if n < least:
+        raise DataError(f"need at least {least} points")
+    max_pairs = _count(max_pairs, "max_pairs", least - 1)
+    rng = rng_from_seed(seed)
+    sampled = n * (n - 1) // 2 > max_pairs
+    if not sampled:
+        feature_d, label_d = pdist(X), pdist(y[:, None], "cityblock")
     else:
         i, j = _sample_pair_indices(n, max_pairs, rng)
         with np.errstate(over="ignore"):  # an overflow is the error raised below
             feature_d, label_d = np.linalg.norm(X[i] - X[j], axis=1), np.abs(y[i] - y[j])
     if not (np.isfinite(feature_d).all() and np.isfinite(label_d).all()):
         raise DataError(_OVERFLOW_MESSAGE)
-    return feature_d, label_d
+    return feature_d, label_d, sampled
 
 
 def pairwise_distance_correlation(
@@ -216,23 +222,10 @@ def pairwise_distance_correlation(
     taken and flagged. The verdict applies the |rho| <= 0.1 negligibility
     threshold to the Pearson coefficient.
     """
-    X, y = _checked_xy(X, y)
-    n = X.shape[0]
-    if n < 3:
-        raise DataError("need at least 3 points to correlate pairwise distances")
-    max_pairs = _count(max_pairs, "max_pairs", 2)
-    feature_d, label_d = _pair_distances(X, y, max_pairs, seed)
-    subsampled = feature_d.size < n * (n - 1) // 2
-    if (feature_d == feature_d[0]).all():
-        raise DataError(
-            "all feature distances are identical; pairwise correlation undefined"
-        )
-    if (label_d == label_d[0]).all():
-        raise DataError(
-            "all label distances are identical; pairwise correlation undefined"
-        )
-    rho_p = pearson(feature_d, label_d)
-    rho_s = spearman(feature_d, label_d)
+    feature_d, label_d, subsampled = _pair_distances(X, y, max_pairs, seed, 3)
+    names = ("sequence of feature distances", "sequence of label distances")
+    rho_p = _pearson(feature_d, label_d, names)
+    rho_s = _pearson(_average_ranks(feature_d), _average_ranks(label_d), names)
     if abs(rho_p) <= NEGLIGIBLE_CORRELATION:
         verdict = "negligible"
     else:
@@ -292,11 +285,7 @@ def empirical_lipschitz(X, y, max_pairs: int = _LIPSCHITZ_MAX_PAIRS, seed: int =
     true maximum. Duplicate feature rows with differing labels are rejected
     (the slope is infinite).
     """
-    X, y = _checked_xy(X, y)
-    if X.shape[0] < 2:
-        raise DataError("need at least 2 points")
-    max_pairs = _count(max_pairs, "max_pairs", 1)
-    feature_d, label_d = _pair_distances(X, y, max_pairs, seed)
+    feature_d, label_d, _ = _pair_distances(X, y, max_pairs, seed, 2)
     zero = feature_d == 0.0
     if (label_d[zero] > 0.0).any():
         raise DataError("duplicate feature rows with differing labels: infinite slope")

@@ -68,8 +68,7 @@ def _load_pool(args, need_labels: bool):
     from .dataset import load_dataset, parse_label_column
 
     label_column = None if args.label_column is None else parse_label_column(args.label_column)
-    has_labels = need_labels or label_column is not None
-    return load_dataset(args.data, has_labels=has_labels, label_column=label_column)
+    return load_dataset(args.data, has_labels=need_labels, label_column=label_column)
 
 
 def _resolve_cli_budget(raw: str, n: int) -> int:
@@ -181,14 +180,7 @@ def _cmd_bound(args) -> int:
     fill, sep = selection_traces(pool.features, selection.indices)
     selection = replace(selection, fill_trace=fill, sep_trace=sep)
     model = load_model(args.model)
-    report = bound_check(
-        pool,
-        selection,
-        model,
-        lip_target=constants["lip_target"],
-        eps=constants["eps"],
-        lip_label_arg=constants.get("lip_label_arg", 1.0),
-    )
+    report = bound_check(pool, selection, model, **constants)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -197,9 +189,9 @@ def _cmd_corr(args) -> int:
     from .analysis import pairwise_distance_correlation
 
     pool = _load_pool(args, need_labels=True)
-    report = pairwise_distance_correlation(
-        pool.features, pool.require_labels(), max_pairs=args.max_pairs, seed=args.seed
-    )
+    # Options left out are absent from args, so they keep the library's defaults.
+    given = {name: getattr(args, name) for name in ("max_pairs", "seed") if name in args}
+    report = pairwise_distance_correlation(pool.features, pool.require_labels(), **given)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -312,8 +304,8 @@ def build_parser() -> _Parser:
     )
 
     p = command("corr", _cmd_corr, "feature/label pairwise distance correlation")
-    p.add_argument("--max-pairs", type=int, default=5_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-pairs", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     command("nn", _cmd_nn, "nearest-neighbour distances of a pool")
 

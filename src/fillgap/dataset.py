@@ -198,9 +198,10 @@ def load_dataset(
     """Load a CSV file into a Dataset, rows kept in file order.
 
     The first row is treated as a header when any of its cells does not parse
-    as a finite float. With ``has_labels`` the label column (header name,
-    0-based index, or by default the column named ``y`` when present, else the
-    last column) is removed from the features.
+    as a finite float. With ``has_labels``, or when ``label_column`` names
+    one, the label column (header name, 0-based index, or by default the
+    column named ``y`` when present, else the last column) is split off from
+    the features as the labels.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         raw = list(csv.reader(fh))
@@ -232,7 +233,7 @@ def load_dataset(
         for c, cell in enumerate(row):
             values[r, c] = _parse_cell(cell.strip(), line_no, names[c])
 
-    if not has_labels:
+    if not has_labels and label_column is None:
         return Dataset(values, feature_names=tuple(names), source=str(path))
 
     if label_column is None:

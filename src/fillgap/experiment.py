@@ -52,18 +52,10 @@ from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_ker
 from .rng import _count, _integral, _real, _sequence, child_seed
 from .selection import _MATRIX_KINDS, StrategySpec, _Geometry, _sweep_runs
 
-METRICS = (
-    "maxae",
-    "mae",
-    "cond_regularized",
-    "cond_unregularized",
-    "fill_distance",
-    "sep_distance",
-)
-
 _PREDICTION_METRICS = ("maxae", "mae")
 _CONDITIONING_METRICS = ("cond_regularized", "cond_unregularized")
 _TRACE_METRICS = ("fill_distance", "sep_distance")
+METRICS = _PREDICTION_METRICS + _CONDITIONING_METRICS + _TRACE_METRICS
 
 
 @dataclass(frozen=True)
@@ -406,22 +398,16 @@ def _listed(parse):
 
 # Each section's INI keys, with the field each one sets and its parser.
 # [dataset] and [sweep] set ExperimentConfig's own fields, [synth] and
-# [model] those of its nested SynthConfig and ModelConfig. A key left out of
-# the file keeps its field's default.
+# [model] those of its nested SynthConfig and ModelConfig; [synth]'s keys
+# are SynthConfig's field names. A key left out of the file keeps its
+# field's default.
 _KEYS = {
     "dataset": {
         "path": ("dataset_path", _parse_text),
         "label_column": ("label_column", lambda section, key, raw: parse_label_column(raw)),
         "normalize": ("normalize", _parse_bool),
     },
-    "synth": {
-        "n": ("n", _parse_number),
-        "d": ("d", _parse_number),
-        "target_lipschitz": ("target_lipschitz", _parse_number),
-        "noise_level": ("noise_level", _parse_number),
-        "tail_fraction": ("tail_fraction", _parse_number),
-        "seed": ("seed", _parse_number),
-    },
+    "synth": {f.name: (f.name, _parse_number) for f in fields(SynthConfig)},
     "sweep": {
         "strategies": ("strategies", _listed(_parse_strategy)),
         "budgets": ("budgets", _listed(_parse_number)),

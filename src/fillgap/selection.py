@@ -101,6 +101,9 @@ class SelectionResult:
             raise DataError("selected indices must be distinct")
         if fill.shape != idx.shape or sep.shape != idx.shape:
             raise DataError("traces must have one entry per selection step")
+        for name, trace in (("fill_trace", fill), ("sep_trace", sep)):  # distances, NaN where undefined
+            if np.isinf(trace).any():
+                raise DataError(f"{name} must have finite or NaN entries, got Inf")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "fill_trace", fill)
         object.__setattr__(self, "sep_trace", sep)

@@ -149,6 +149,22 @@ def test_correlation_rejects_degenerate_geometry():
         pairwise_distance_correlation(np.ones((2, 1)), np.ones(2), max_pairs=100)
 
 
+@pytest.mark.parametrize(
+    "statistic,rows,max_pairs,message",
+    [
+        (pairwise_distance_correlation, 2, 100, "need at least 3 points"),
+        (empirical_lipschitz, 1, 100, "need at least 2 points"),
+        (pairwise_distance_correlation, 3, 1, "max_pairs must be >= 2, got 1"),
+        (empirical_lipschitz, 2, 0, "max_pairs must be >= 1, got 0"),
+    ],
+    ids=["correlation-rows", "lipschitz-rows", "correlation-pairs", "lipschitz-pairs"],
+)
+def test_pair_statistics_need_enough_rows_and_pairs(statistic, rows, max_pairs, message):
+    x = np.arange(2.0 * rows).reshape(rows, 2) ** 2
+    with pytest.raises(DataError, match="^" + message + "$"):
+        statistic(x, np.arange(float(rows)), max_pairs=max_pairs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["feature", "label"])
 def test_pair_statistics_reject_non_finite_input(bad, where):
@@ -174,8 +190,9 @@ def test_pair_statistics_reject_non_finite_input(bad, where):
         ([[0.0], [1.0], [2.0, 3.0]], [0.0, 1.0, 2.0], "X must be an array of real numbers, got a ragged sequence"),
         ([[0.0], [1.0], [3.0]], [0.0, 1.0, 2j], "y must be an array of real numbers, got complex128 values"),
         ([0.0, 1.0, 3.0], [0.0, 1.0, 2.0], r"X must be a 2-D array, got shape \(3,\)"),
+        ([[0.0], [1.0], [3.0]], [0.0, 1.0], "X must be n x d and y length n"),
     ],
-    ids=["string", "ragged", "complex", "1-d"],
+    ids=["string", "ragged", "complex", "1-d", "unequal-lengths"],
 )
 def test_pair_statistics_reject_what_is_not_a_real_array(x, y, message):
     for statistic in (pairwise_distance_correlation, empirical_lipschitz):
@@ -200,6 +217,13 @@ def test_pair_statistics_raise_on_overflowing_distances(where, max_pairs):
     for statistic in (pairwise_distance_correlation, empirical_lipschitz):
         with pytest.raises(DataError, match="^pairwise distances overflow float64; rescale the pool$"):
             statistic(x, y, **args)
+    # Label gaps up to 1.7e308 are finite on both paths. The all-pairs path
+    # squared them and raised the overflow error here.
+    x = np.random.default_rng(41).uniform(size=(30, 3))
+    y = x[:, 0] * 1.7e308
+    slope = empirical_lipschitz(x, y, **args)
+    assert math.isfinite(slope)
+    assert empirical_lipschitz(x, y) >= slope
 
 
 def test_spearman_invariant_under_monotone_transform():
@@ -272,8 +296,11 @@ def test_correlation_report_equals_scipy_ranked_report(monkeypatch, max_pairs):
         ([1.0, 2.0, 3.0], [1.0, -math.inf, 4.0], "NaN or Inf"),
         (["1", "2", "3"], [1.0, 2.0, 4.0], "^a must be an array of real numbers, got <U1 values$"),
         ([1.0, 2.0, 3.0], [1.0, 2.0, 4j], "^b must be an array of real numbers, got complex128 values$"),
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 4.0], "^first sequence has zero variance; correlation undefined$"),
+        ([1.0, 2.0, 4.0], [5.0, 5.0, 5.0], "^second sequence has zero variance; correlation undefined$"),
     ],
-    ids=["2-d", "unequal", "single", "nan", "inf", "negative-inf", "string", "complex"],
+    ids=["2-d", "unequal", "single", "nan", "inf", "negative-inf", "string", "complex",
+         "constant-first", "constant-second"],
 )
 def test_correlations_reject_malformed_input(statistic, a, b, message):
     # Ranking would flatten 2-D input and put NaN last; the tier-1 warning
@@ -398,6 +425,8 @@ def test_empirical_lipschitz_linear():
 def test_empirical_lipschitz_constant():
     x = np.random.default_rng(0).normal(size=(20, 2))
     assert empirical_lipschitz(x, np.full(20, 7.0)) == 0.0
+    # Duplicate rows with equal labels: every pair has zero gap and zero slope.
+    assert empirical_lipschitz(np.ones((3, 2)), np.full(3, 7.0)) == 0.0
 
 
 def test_empirical_lipschitz_matches_generator():

@@ -390,6 +390,62 @@ def test_bound_requires_constants(tmp_path, pool_csv, capsys):
     assert code == 1 and "lip_target" in err
 
 
+@pytest.mark.parametrize(
+    "constants,message",
+    [
+        ("lip_target,eps=0.1", "--constants entries must be key=value, got 'lip_target'"),
+        ("lip_target=two,eps=0.1", "--constants lip_target must be a number"),
+        ("lip_target=2,eps=0.1,lip_model=3", "unknown constants ['lip_model']"),
+    ],
+    ids=["malformed-entry", "non-number", "unknown-key"],
+)
+def test_bound_rejects_malformed_constants(pool_csv, capsys, constants, message):
+    code, out, err = run(
+        capsys, "bound", "--data", pool_csv, "--selection", "x.json",
+        "--model", "m.krr", "--constants", constants,
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bound_and_corr_defaults_are_the_librarys(tmp_path, capsys):
+    data, sel_path, model_path = _bound_inputs(tmp_path, capsys)
+    code, expected, _ = _run_bound(capsys, data, sel_path, model_path)
+    assert code == 0 and json.loads(expected)["lip_label_arg"] == 1.0
+    code, out, _ = run(
+        capsys, "bound", "--data", data, "--selection", sel_path, "--model", model_path,
+        "--constants", "lip_target=2.0,eps=0.1,lip_label_arg=1.0",
+    )
+    assert code == 0 and out == expected
+    code, expected, _ = run(capsys, "corr", "--data", data)
+    assert code == 0
+    code, out, _ = run(capsys, "corr", "--data", data, "--max-pairs", "5000000", "--seed", "0")
+    assert code == 0 and out == expected
+
+
+def test_every_json_command_prints_strict_json(tmp_path, capsys):
+    # A bare NaN, Infinity or -Infinity token is not JSON.
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data, sel_path, model_path = _bound_inputs(tmp_path, capsys)
+    commands = {
+        "select": ("select", "--data", data, "--label-column", "y", "--strategy", "fps",
+                   "--budget", "6", "--seed", "1", "--trace"),
+        "fit": ("fit", "--data", data, "--out", tmp_path / "fit.krr"),
+        "predict": ("predict", "--data", data, "--label-column", "y", "--model", model_path),
+        "eval": ("eval", "--data", data, "--model", model_path),
+        "bound": ("bound", "--data", data, "--selection", sel_path, "--model", model_path,
+                  "--constants", "lip_target=2.0,eps=0.1"),
+        "corr": ("corr", "--data", data),
+        "nn": ("nn", "--data", data, "--label-column", "y"),
+        "synth": ("synth", "--n", "20", "--d", "2", "--seed", "1", "--out", tmp_path / "s.csv"),
+    }
+    for name, argv in commands.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (name, err)
+        json.loads(out, parse_constant=refuse)
+
+
 # ---------------------------------------------------------------------------
 # synth and experiment
 # ---------------------------------------------------------------------------
@@ -577,6 +633,18 @@ def test_threads_env_fallback(pool_csv, capsys, monkeypatch):
     monkeypatch.setenv("FILLGAP_THREADS", "banana")
     code, _, err = run(capsys, "nn", "--data", pool_csv, "--label-column", "y")
     assert code == 1 and "FILLGAP_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "budget,message",
+    [("abc", "--budget must be a count or fraction, got 'abc'"), ("2.5", "budget counts must be integral, got '2.5'")],
+    ids=["text", "fraction-above-one"],
+)
+def test_select_rejects_a_budget_that_is_not_a_count_or_fraction(pool_csv, capsys, budget, message):
+    code, out, err = run(
+        capsys, "select", "--data", pool_csv, "--strategy", "fps", "--budget", budget, "--seed", "1",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "1e400"])

@@ -45,6 +45,10 @@ def test_load_labelled_by_name(tmp_path):
     assert ds.n == 3 and ds.d == 2
     assert ds.labels.tolist() == [3.0, 6.0, 9.0]
     assert ds.feature_names == ("a", "b")
+    # Naming the label column is enough to read labels.
+    named = load_dataset(path, label_column="y")
+    assert np.array_equal(named.features, ds.features) and np.array_equal(named.labels, ds.labels)
+    assert load_dataset(path, label_column=0).labels.tolist() == [1.0, 4.0, 7.0]
 
 
 def test_load_unlabelled_keeps_all_columns(tmp_path):
@@ -87,11 +91,15 @@ def test_load_wrong_arity(tmp_path):
 def test_load_empty_file(tmp_path):
     with pytest.raises(DataError, match="empty"):
         load_dataset(write(tmp_path, ""))
+    with pytest.raises(DataError, match="^file has a header but no data rows: "):
+        load_dataset(write(tmp_path, "a,b,y\n\n"))
 
 
 def test_load_missing_label_column(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_dataset(write(tmp_path, "a,b\n1,2\n"), has_labels=True, label_column="z")
+    with pytest.raises(DataError, match="^label column 'y' requires a header row$"):
+        load_dataset(write(tmp_path, "1,2\n3,4\n"), has_labels=True, label_column="y")
 
 
 @settings(max_examples=30)
@@ -118,6 +126,10 @@ def test_dataset_invariants():
         Dataset(np.array([[1.0, np.nan]]))
     with pytest.raises(DataError):
         Dataset(np.ones((3, 2)), labels=np.ones(2))
+    with pytest.raises(DataError, match="^3 feature names for 2 columns$"):
+        Dataset(np.ones((3, 2)), feature_names=("a", "b", "c"))
+    with pytest.raises(DataError, match="^dataset has no labels$"):
+        Dataset(np.ones((3, 2))).require_labels()
 
 
 @pytest.mark.parametrize(
@@ -132,6 +144,9 @@ def test_dataset_invariants():
         (lambda: Dataset(np.ones((2, 1)), labels=[1.0, math.inf]), "labels must have finite entries, got NaN or Inf"),
         (lambda: Molecule([1], [["0", "0", "0"]]), "positions must be an array of real numbers, got <U1 values"),
         (lambda: Molecule([1], [[0.0, 0.0, math.nan]]), "positions must have finite entries, got NaN or Inf"),
+        (lambda: Molecule([], np.zeros((0, 3))), "molecule needs at least one atom"),
+        (lambda: Molecule([1, 6], np.zeros((2, 2))), r"positions must have shape \(2, 3\)"),
+        (lambda: Molecule([1], np.zeros((2, 3))), r"positions must have shape \(1, 3\)"),
     ],
 )
 def test_arrays_that_are_not_finite_real_numbers_are_rejected_by_name(make, message):
@@ -279,6 +294,22 @@ def test_read_xyz_truncated():
         read_xyz("3\nc\nH 0 0 0\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("two\nc\nH 0 0 0\n", "expected an atom count at line 1: 'two'"),
+        ("1\nc\nH 0 0 0\n0\nc\n", "atom count must be >= 1 at line 4"),
+        ("2\nc\nH 0 0 0\nO 0 0\n", "expected 'symbol x y z' at line 4"),
+        ("1\nc\nH 0 0 zero\n", "non-numeric cell at row 3, column z: 'zero'"),
+        ("\n  \n", "no molecules found"),
+    ],
+    ids=["count-line", "zero-count", "short-row", "non-numeric", "no-molecules"],
+)
+def test_read_xyz_rejects_malformed_text(text, message):
+    with pytest.raises(DataError, match="^" + message + "$"):
+        read_xyz(text)
+
+
 # ---------------------------------------------------------------------------
 # Preprocessing
 # ---------------------------------------------------------------------------
@@ -407,6 +438,8 @@ def test_synth_tail_memory_stays_below_pairwise_matrix():
 def test_synth_tail_too_small_rejected():
     with pytest.raises(DataError, match="tail"):
         synth_lipschitz(SynthConfig(n=20, d=2, tail_fraction=0.01, seed=0))
+    with pytest.raises(DataError, match="^need at least 2 bulk points to place a tail$"):
+        synth_lipschitz(SynthConfig(n=2, d=2, tail_fraction=0.5, seed=0))
 
 
 def test_synth_config_validation():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -641,6 +642,7 @@ lambda = 1e-9
         ("n = 2.5", r"\[synth\] n must be integral, got 2.5$"),
         ("repeats = 2.5", r"\[sweep\] repeats must be integral, got 2.5$"),
         ("master_seed = 1e400", r"\[sweep\] master_seed must be integral, got inf$"),
+        ("gamma = abc", r"\[model\] gamma must be a number or 'auto', got 'abc'$"),
     ],
 )
 def test_bad_config_names_field(tmp_path, mutation, field):
@@ -730,6 +732,33 @@ master_seed = 1
     )
     with pytest.raises(ConfigError, match="dataset"):
         load_experiment_config(path)
+
+
+def test_normalized_dataset_config_drops_constant_columns_and_scales(tmp_path):
+    from fillgap.dataset import load_dataset, minmax_normalize, remove_zero_variance
+
+    rng = np.random.default_rng(8)
+    values = np.column_stack(
+        [rng.uniform(-3, 5, size=30), np.full(30, 2.5), 1e3 * rng.uniform(size=30), rng.normal(size=30)]
+    )
+    data = tmp_path / "pool.csv"
+    np.savetxt(data, values, delimiter=",", header="a,c,b,y", comments="")
+    configs = {}
+    for flag in ("true", "false"):
+        path = tmp_path / f"{flag}.ini"
+        path.write_text(
+            f"[dataset]\npath = {data}\nlabel_column = y\nnormalize = {flag}\n\n"
+            "[sweep]\nstrategies = fps\nbudgets = 0.5\nmaster_seed = 1\n\n[model]\ngamma = 1.0\n"
+        )
+        configs[flag] = load_experiment_config(path)
+    pool = pool_from_config(configs["true"])
+    raw = load_dataset(data, has_labels=True, label_column="y")
+    expected = minmax_normalize(remove_zero_variance(raw)[0])[0]
+    assert pool.features.tobytes() == expected.features.tobytes()
+    assert pool.labels.tobytes() == raw.labels.tobytes()
+    assert pool.feature_names == ("a", "b") and pool.features.min() == 0.0 and pool.features.max() == 1.0
+    assert configs["true"].normalize and not configs["false"].normalize
+    assert configs["true"].config_hash() != configs["false"].config_hash()
 
 
 def _table_fields(*sections):
@@ -880,6 +909,28 @@ def test_unknown_key_or_section_is_config_error(tmp_path, addition, key):
         GOOD_CONFIG.replace(section, addition) if section in GOOD_CONFIG else GOOD_CONFIG + addition
     )
     with pytest.raises(ConfigError, match=rf"unknown (keys|sections) \['{key}'\]; valid: \["):
+        load_experiment_config(path)
+
+
+def test_synth_keys_are_synth_configs_fields(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(GOOD_CONFIG.replace("[synth]", "[synth]\ntail_fracton = 0.05"))
+    valid = "['n', 'd', 'target_lipschitz', 'noise_level', 'tail_fraction', 'seed']"
+    with pytest.raises(ConfigError) as exc:
+        load_experiment_config(path)
+    assert str(exc.value) == f"[synth] unknown keys ['tail_fracton']; valid: {valid}"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [(None, "cannot read config "), ("[sweep\nstrategies = fps\n", "malformed config ")],
+    ids=["unreadable", "malformed"],
+)
+def test_unreadable_or_malformed_config_is_config_error(tmp_path, text, message):
+    path = tmp_path / "exp.ini"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match="^" + re.escape(message + str(path))):
         load_experiment_config(path)
 
 

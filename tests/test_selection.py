@@ -390,6 +390,15 @@ def test_every_pool_reader_rejects_what_is_not_a_real_matrix(name, run, pool, me
         run(pool, 1, 0)
 
 
+@pytest.mark.parametrize("name,run", ALL_SAMPLERS + [
+    ("fill_distance", lambda pool, b, seed: fill_distance(pool, [0])),
+    ("nn_distances", lambda pool, b, seed: nn_distances(pool)),
+])
+def test_every_pool_reader_rejects_an_empty_pool(name, run):
+    with pytest.raises(DataError, match=r"^pool must be non-empty, got shape \(0, 3\)$"):
+        run(np.empty((0, 3)), 1, 0)
+
+
 def test_a_pool_is_read_without_a_copy_and_any_real_dtype_alike():
     from fillgap.selection import _as_pool
 
@@ -1046,6 +1055,8 @@ def test_maxsep_bruteforce_examples():
     assert optimum == 1.0 and witness.tolist() == [0, 2, 4]
     dup = np.zeros((4, 2))
     assert maxsep_bruteforce(dup, 2)[0] == 0.0
+    with pytest.raises(DataError, match="^separation distance needs at least 2 selected rows$"):
+        maxsep_bruteforce(LINE5, 1)
 
 
 def test_bruteforce_guard():
@@ -1207,6 +1218,8 @@ def test_selection_result_invariants():
             strategy="fps",
             seed=0,
         )
+    with pytest.raises(DataError, match="^traces must have one entry per selection step$"):
+        SelectionResult([1, 2], np.zeros(2), np.zeros(3), strategy="fps", seed=0)
 
 
 @pytest.mark.parametrize(
@@ -1226,5 +1239,19 @@ def test_selection_result_rejects_traces_that_are_not_real_numbers(key, trace, m
     with pytest.raises(DataError, match=f"^{key} must be an array of real numbers, {message}$"):
         SelectionResult([0], strategy="fps", seed=0, **traces)
     text = json.dumps({"strategy": "fps", "seed": 0, "indices": [0], key: trace})
+    with pytest.raises(DataError, match="malformed selection JSON"):
+        SelectionResult.from_json(text)
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["fill_trace", "sep_trace"])
+def test_selection_result_rejects_infinite_trace_entries(key, inf):
+    # A trace holds distances, or NaN where one is undefined. An inf entry was
+    # written as a bare Infinity token, which is not JSON, and read back.
+    traces = {"fill_trace": [0.5], "sep_trace": [math.nan], key: [inf]}
+    with pytest.raises(DataError, match=f"^{key} must have finite or NaN entries, got Inf$"):
+        SelectionResult([0], strategy="fps", seed=0, **traces)
+    text = json.dumps({"strategy": "fps", "seed": 0, "indices": [0], key: [inf]})
+    assert "Infinity" in text
     with pytest.raises(DataError, match="malformed selection JSON"):
         SelectionResult.from_json(text)
