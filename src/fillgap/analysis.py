@@ -4,6 +4,7 @@ estimation, and the pairwise-distance correlation diagnostic."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -283,7 +284,8 @@ def empirical_lipschitz(X, y, max_pairs: int = _LIPSCHITZ_MAX_PAIRS, seed: int =
     ``pairwise_distance_correlation``; otherwise over a seeded sample of
     ``max_pairs`` distinct pairs, and the result is a lower estimate of the
     true maximum. Duplicate feature rows with differing labels are rejected
-    (the slope is infinite).
+    (the slope is infinite), and so is a slope of finite gaps that overflows
+    float64.
     """
     feature_d, label_d, _ = _pair_distances(X, y, max_pairs, seed, 2)
     zero = feature_d == 0.0
@@ -291,7 +293,11 @@ def empirical_lipschitz(X, y, max_pairs: int = _LIPSCHITZ_MAX_PAIRS, seed: int =
         raise DataError("duplicate feature rows with differing labels: infinite slope")
     if zero.all():
         return 0.0
-    return float((label_d[~zero] / feature_d[~zero]).max())
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        slope = float((label_d[~zero] / feature_d[~zero]).max())
+    if not math.isfinite(slope):
+        raise DataError(_OVERFLOW_MESSAGE)
+    return slope
 
 
 def training_max_error(model: KernelModel, train: Dataset) -> float:

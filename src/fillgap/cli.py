@@ -28,6 +28,11 @@ _THREAD_ENV_VARS = (
 )
 
 
+# Options read by the library's integer rule (rng._integral), as the library
+# and the INI reader read them: 7, 7.0 and 1e6 are integers, 7.5 is a usage error.
+_INTEGER_OPTIONS = ("seed", "start_index", "max_pairs", "n", "d")
+
+
 class _UsageError(Exception):
     pass
 
@@ -53,6 +58,33 @@ def _apply_thread_limit(threads: int | None) -> None:
         return  # too late to bound the pools; library defaults apply
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(threads)  # an explicit count overrides inherited ones
+
+
+def _number(text: str) -> int | float:
+    """The argparse type of _INTEGER_OPTIONS: integer text as an int, other
+    numbers as a float. _read_integers applies the integer rule once
+    --threads is applied, since rng loads numpy."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _read_integers(args) -> None:
+    """Apply rng._integral to each of the _INTEGER_OPTIONS that was given;
+    a value it rejects is a usage error."""
+    from .rng import _integral
+
+    for name in _INTEGER_OPTIONS:
+        if getattr(args, name, None) is not None:
+            try:
+                setattr(args, name, _integral(getattr(args, name), "--" + name.replace("_", "-")))
+            except DataError as exc:
+                raise _UsageError(str(exc)) from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -278,8 +310,8 @@ def build_parser() -> _Parser:
     p = command("select", _cmd_select, "run a sampler over a pool CSV")
     p.add_argument("--strategy", required=True, help="sampler; unknown names list the valid ones")
     p.add_argument("--budget", required=True, help="count (>= 1) or fraction in (0, 1)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--start-index", type=int, default=None)
+    p.add_argument("--seed", type=_number, required=True)
+    p.add_argument("--start-index", type=_number, default=None)
     p.add_argument("--switch", type=float, default=None, help="fps_then_random switch fraction")
     p.add_argument("--trace", action="store_true", help="include fill/sep traces in the JSON")
 
@@ -304,18 +336,18 @@ def build_parser() -> _Parser:
     )
 
     p = command("corr", _cmd_corr, "feature/label pairwise distance correlation")
-    p.add_argument("--max-pairs", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-pairs", type=_number, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_number, default=argparse.SUPPRESS)
 
     command("nn", _cmd_nn, "nearest-neighbour distances of a pool")
 
     p = command("synth", _cmd_synth, "generate a synthetic labelled dataset CSV", [])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_number, required=True)
+    p.add_argument("--d", type=_number, required=True)
     p.add_argument("--lipschitz", dest="target_lipschitz", type=float, default=argparse.SUPPRESS)
     p.add_argument("--noise", dest="noise_level", type=float, default=argparse.SUPPRESS)
     p.add_argument("--tail-fraction", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_number, required=True)
     p.add_argument("--out", required=True)
 
     p = command("experiment", _cmd_experiment, "run a sweep from an INI config", [])
@@ -330,6 +362,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _apply_thread_limit(args.threads)
+        _read_integers(args)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import DataError
 from .rng import _count, _floats, _indices, _integral, _real, rng_from_seed
-from .selection import nn_distances
+from .selection import _median_nn
 
 # Nuclear charges for the supported element symbols.
 CHARGE_BY_SYMBOL = {"H": 1, "C": 6, "N": 7, "O": 8, "F": 9, "S": 16}
@@ -443,7 +443,7 @@ def synth_with_info(cfg: SynthConfig) -> tuple[Dataset, SynthInfo]:
 
     median_nn = math.nan
     if n_tail > 0:
-        median_nn = float(np.median(nn_distances(bulk)[0]))
+        median_nn = _median_nn(bulk)
         center = bulk.mean(axis=0)
         radius_bulk = float(np.linalg.norm(bulk - center, axis=1).max())
         dirs = rng.standard_normal((n_tail, cfg.d))

@@ -15,7 +15,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
 from .rng import _count, _floats, _indices, _real, _sequence, child_seed, rng_from_seed
-from .selection import _allocate, _as_pool, _Geometry, _row_blocks, nn_distances, separation_distance
+from .selection import _allocate, _as_pool, _Geometry, _median_nn, _row_blocks, separation_distance
 
 # Relative residual above which a fit is rejected rather than returned.
 _RESIDUAL_TOL = 1e-8
@@ -414,8 +414,7 @@ def conditioning_report(
 def gamma_for_half_kernel(pool) -> float:
     """Kernel width at which the median nearest-neighbour pair has kernel
     value one half: ln(2) / median_nn_distance^2, always positive and finite."""
-    dists, _ = nn_distances(pool)
-    median = float(np.median(dists))
+    median = _median_nn(pool)
     if median <= 0:
         raise DataError(
             "median nearest-neighbour distance is zero: a duplicate-heavy pool, or "

@@ -415,6 +415,50 @@ def _tile_candidates(scores, thresholds, margins):
     return rows, cols
 
 
+def _nn_tiles(pool: np.ndarray):
+    """The set-up that nn_distances and _median_nn share (see nn_distances'
+    Method and Margin): the exponent ``e`` of the scaling ``2**-e``, every
+    row's margin, and a generator of the score tiles ``(i, j, scores)`` of
+    the upper triangle, band by band and the diagonal first, self entries
+    set to +inf. ``i`` and ``j`` are the slices of the tile's rows and
+    columns, equal on the diagonal; each tile's ``scores`` is overwritten by
+    the next one."""
+    n, d = pool.shape
+    if n < 2:
+        raise DataError("nearest-neighbour distances need at least 2 rows")
+    scale_exp = int(np.frexp(np.abs(pool).max())[1])
+    left = np.empty((n, d + 2))  # rows [x_i, N_i, 1]
+    x, norms = left[:, :d], left[:, d]
+    np.ldexp(pool, -scale_exp, out=x)
+    x -= x.mean(axis=0)
+    np.einsum("ij,ij->i", x, x, out=norms)
+    left[:, d + 1] = 1.0
+    right = np.empty((n, d + 2))  # rows [-2 x_j, 1, N_j]
+    np.multiply(x, -2.0, out=right[:, :d])
+    right[:, d] = 1.0
+    right[:, d + 1] = norms
+    eps = np.finfo(np.float64).eps
+    # Clamped: a floor of 2**1023 already keeps every column.
+    raw_floor = math.ldexp(1.0, min(-1074 - 2 * scale_exp, 1023))
+    floor = 16 * (d + 2) * (math.ldexp(1.0, -1074) + raw_floor)
+    margins = 8 * (d + 4) * eps * (norms + norms.max()) + floor
+
+    def tiles():
+        side = math.isqrt(_BLOCK_ENTRIES)
+        starts = range(0, n, side)
+        buffer = np.empty(min(side, n) ** 2)
+        for band in range(len(starts)):
+            for lo_i, lo_j in zip(starts, starts[band:]):
+                i, j = slice(lo_i, lo_i + side), slice(lo_j, lo_j + side)
+                h, w = left[i].shape[0], left[j].shape[0]
+                scores = np.matmul(left[i], right[j].T, out=buffer[: h * w].reshape(h, w))
+                if band == 0:
+                    np.fill_diagonal(scores, np.inf)
+                yield i, j, scores
+
+    return scale_exp, margins, tiles()
+
+
 def nn_distances(pool) -> tuple[np.ndarray, float]:
     """Distance from every row to its nearest other row, plus the mean.
 
@@ -476,59 +520,110 @@ def nn_distances(pool) -> tuple[np.ndarray, float]:
     rows keep every column: slower, still exact. The margin is infinite only
     for pools below ``2**-1000``; every column is then a candidate.
 
+    Bracket. The same bounds place each row's value without a search. Let
+    ``low_i = T_ia`` be the row's smallest score, ``m_i`` its margin and
+    ``c_i`` its value squared and scaled, ``cdist``'s at column k. From
+    above, ``c_i`` is at most ``cdist``'s value at column a, so ``c_i <=
+    s_ia + (d + 4) u s_ia <= low_i + delta_i + (d + 4) u s_ia``. From below,
+    ``c_i >= s_ik - (d + 4) u s_ik`` and ``s_ik >= T_ik - delta_i >= low_i -
+    delta_i``. Both ``s_ia`` and ``s_ik`` are at most ``2 (N_i + N_max)`` to
+    first order, so both deviations are at most ``(5 d / 2 + 8) eps (N_i +
+    N_max)``, under the margin, and with the floor as above ``c_i`` lies in
+    ``[low_i - m_i, low_i + m_i]``. Computing the two ends rounds them by
+    ``u`` relative, which the margin's slack of ``(3 d + 16) eps (N_i +
+    N_max)`` absorbs. Order statistics keep the bracket: if ``L`` is the
+    k-th smallest lower end and ``H`` the k-th smallest upper end (from 0),
+    the k-th smallest value lies in ``[L, H]``. The k + 1 smallest values
+    each have a lower end at or below it, and the k + 1 rows with the
+    smallest upper ends each have a value at or below ``H``. _median_nn
+    reads the median this way.
+
     Memory: the two augmented copies of the pool, ``n x (d + 2)`` each, and
     a few tiles of 1 MiB, also when every row ties with every other.
     """
     pool = _as_pool(pool)
-    n, d = pool.shape
-    if n < 2:
-        raise DataError("nearest-neighbour distances need at least 2 rows")
-    scale_exp = int(np.frexp(np.abs(pool).max())[1])
-    left = np.empty((n, d + 2))  # rows [x_i, N_i, 1]
-    x, norms = left[:, :d], left[:, d]
-    np.ldexp(pool, -scale_exp, out=x)
-    x -= x.mean(axis=0)
-    np.einsum("ij,ij->i", x, x, out=norms)
-    left[:, d + 1] = 1.0
-    right = np.empty((n, d + 2))  # rows [-2 x_j, 1, N_j]
-    np.multiply(x, -2.0, out=right[:, :d])
-    right[:, d] = 1.0
-    right[:, d + 1] = norms
-    eps = np.finfo(np.float64).eps
-    # Clamped: a floor of 2**1023 already keeps every column.
-    raw_floor = math.ldexp(1.0, min(-1074 - 2 * scale_exp, 1023))
-    floor = 16 * (d + 2) * (math.ldexp(1.0, -1074) + raw_floor)
-    margins = 8 * (d + 4) * eps * (norms + norms.max()) + floor
-
-    out = np.full(n, np.inf)
-    thresholds = np.full(n, np.inf)
-    side = math.isqrt(_BLOCK_ENTRIES)
-    starts = range(0, n, side)
-    buffer = np.empty(min(side, n) ** 2)
-    for band in range(len(starts)):
-        for lo_i, lo_j in zip(starts, starts[band:]):
-            i, j = slice(lo_i, lo_i + side), slice(lo_j, lo_j + side)
-            h, w = left[i].shape[0], left[j].shape[0]
-            scores = np.matmul(left[i], right[j].T, out=buffer[: h * w].reshape(h, w))
-            if band == 0:
-                np.fill_diagonal(scores, np.inf)
-            rows, cols = _tile_candidates(scores, thresholds[i], margins[i])
-            if band > 0:
-                more_cols, more_rows = _tile_candidates(scores.T, thresholds[j], margins[j])
-                rows |= more_rows
-                cols |= more_cols
-            if not rows.any():
-                continue
-            block = cdist(pool[i][rows], pool[j][cols])
-            if band == 0:
-                block[np.flatnonzero(rows)[:, None] == np.flatnonzero(cols)] = np.inf
-            out_i, out_j = out[i], out[j]
-            out_i[rows] = np.minimum(out_i[rows], block.min(axis=1))
-            out_j[cols] = np.minimum(out_j[cols], block.min(axis=0))
+    _, margins, tiles = _nn_tiles(pool)
+    out = np.full(pool.shape[0], np.inf)
+    thresholds = np.full(pool.shape[0], np.inf)
+    for i, j, scores in tiles:
+        rows, cols = _tile_candidates(scores, thresholds[i], margins[i])
+        if i != j:
+            more_cols, more_rows = _tile_candidates(scores.T, thresholds[j], margins[j])
+            rows |= more_rows
+            cols |= more_cols
+        if not rows.any():
+            continue
+        block = cdist(pool[i][rows], pool[j][cols])
+        if i == j:
+            block[np.flatnonzero(rows)[:, None] == np.flatnonzero(cols)] = np.inf
+        out_i, out_j = out[i], out[j]
+        out_i[rows] = np.minimum(out_i[rows], block.min(axis=1))
+        out_j[cols] = np.minimum(out_j[cols], block.min(axis=0))
     mean = float(out.mean())
     if not math.isfinite(mean):
         raise DataError(_OVERFLOW_MESSAGE)
     return out, mean
+
+
+def _median_nn(pool) -> float:
+    """``np.median(nn_distances(pool)[0])`` bit for bit, with the same
+    errors, for callers that need the median and no other value.
+
+    One pass over nn_distances' score tiles keeps each row's smallest score
+    and nothing else: no candidates and no ``cdist`` per tile. The row's
+    exact value, squared and scaled, lies in its bracket, that score plus or
+    minus the row's margin (nn_distances, Bracket). With ``k1 = (n - 1) // 2``
+    and ``k2 = n // 2``, the median reads the k1-th and k2-th smallest values
+    (from 0), and both lie in ``[L, H]``, where ``L`` is the k1-th smallest
+    lower end and ``H`` the k2-th smallest upper end. Only the rows whose
+    brackets meet ``[L, H]`` take exact values, the row minima of
+    ``cdist(pool[rows], pool)`` without self pairs, in blocks of at most
+    _BLOCK_ENTRIES entries (one row when a row holds more); the rows wholly
+    below ``L`` are counted, which gives the two statistics' ranks among the
+    exact values. On a pool without exact ties a few rows are exact; where
+    many rows tie, as in lattices and duplicates, nearly every row can be,
+    still in blocks of 1 MiB.
+
+    Overflow. nn_distances raises when its mean is not finite, which happens
+    exactly when some row's value is inf: a finite value is below ``2**512``,
+    so a sum of them is finite. A raw squared distance overflows when its
+    scaled value passes about ``2**(1024 - 2 e)``. A row whose bracket lies
+    wholly above twice that level is inf, so the pool raises at once; a
+    row whose bracket reaches half of it takes an exact value, and raises
+    when that is inf; the other rows are finite.
+
+    Memory: the two augmented copies of the pool during the tile pass (the
+    exhausted generator frees them), a few per-row arrays after it, and
+    blocks of 1 MiB.
+    """
+    pool = _as_pool(pool)
+    n = pool.shape[0]
+    scale_exp, margins, tiles = _nn_tiles(pool)
+    low = np.full(n, np.inf)
+    for i, j, scores in tiles:
+        np.minimum(low[i], scores.min(axis=1), out=low[i])
+        if i != j:
+            np.minimum(low[j], scores.min(axis=0), out=low[j])
+    high = low + margins  # each row's bracket is [low, high]
+    low -= margins
+    del margins
+    level = math.ldexp(1.0, min(1024 - 2 * scale_exp, 1023))
+    if (low > 2.0 * level).any():
+        raise DataError(_OVERFLOW_MESSAGE)
+    k1, k2 = (n - 1) // 2, n // 2
+    lower, upper = np.partition(low, k1)[k1], np.partition(high, k2)[k2]  # L and H
+    middle = (high >= lower) & (low <= upper)
+    rows = np.flatnonzero(middle | (high >= 0.5 * level))
+    values = np.empty(rows.size)  # nn_distances' values of these rows
+    for lo, hi in _row_blocks(rows.size, n):
+        block = cdist(pool[rows[lo:hi]], pool)
+        block[np.arange(hi - lo), rows[lo:hi]] = np.inf
+        values[lo:hi] = block.min(axis=1)
+    if np.isinf(values).any():
+        raise DataError(_OVERFLOW_MESSAGE)
+    below = np.count_nonzero(high < lower)
+    ranked = np.sort(values[middle[rows]])
+    return float(np.median(ranked[k1 - below : k2 - below + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +672,15 @@ def fps(pool, budget: int, seed: int = 0, start_index: int | None = None) -> Sel
     return SelectionResult(indices, fill, sep, strategy="fps", seed=seed)
 
 
+def _random_rows(n: int, budget: int, seed: int) -> np.ndarray:
+    """random's rows: the first ``budget`` of a seeded permutation of ``n``."""
+    return rng_from_seed(seed).permutation(n)[:budget].astype(np.int64)
+
+
 def random_select(pool, budget: int, seed: int = 0) -> SelectionResult:
     """Uniform sampling without replacement, deterministic in the seed."""
     pool, n, budget = _pool_and_budget(pool, budget)
-    indices = rng_from_seed(seed).permutation(n)[:budget].astype(np.int64)
+    indices = _random_rows(n, budget, seed)
     fill, sep = selection_traces(pool, indices)
     return SelectionResult(indices, fill, sep, strategy="random", seed=seed)
 
@@ -782,8 +882,12 @@ def _sweep_runs(geom: _Geometry, spec: StrategySpec, sizes, seed: int, traced: b
     of its selection at a larger one: it selects once, at the largest
     budget, and that run serves every position. k-medoids++ seeds once, at
     the largest budget, since its seeding at a smaller budget is that
-    seeding's prefix, and runs Lloyd per size from the size's prefix; it
-    walks the medoids' traces only when ``traced`` (None otherwise)."""
+    seeding's prefix, and runs Lloyd per size from the size's prefix.
+    k-medoids++ and random walk their traces only when ``traced`` (None
+    otherwise); the other kinds' walks pick their rows."""
+    if spec.kind == "random" and not traced:
+        yield _random_rows(geom.n, max(sizes), seed), None, None, range(len(sizes))
+        return
     if spec.kind != "kmedoidspp":
         result = select(geom, spec, max(sizes), seed=seed)
         yield result.indices, result.fill_trace, result.sep_trace, range(len(sizes))

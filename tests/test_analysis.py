@@ -226,6 +226,17 @@ def test_pair_statistics_raise_on_overflowing_distances(where, max_pairs):
     assert empirical_lipschitz(x, y) >= slope
 
 
+@pytest.mark.parametrize("args", [{}, {"max_pairs": 2, "seed": 1}], ids=["all-pairs", "sampled"])
+def test_lipschitz_raises_on_an_overflowing_slope(args):
+    # Finite gaps whose ratio passes float64's largest value: 1e308 / 0.5.
+    # Unchecked it returned inf with a RuntimeWarning on both paths.
+    x, y = [[0.0], [0.5], [3.0]], [0.0, 1e308, 0.0]
+    with pytest.raises(DataError, match="^pairwise distances overflow float64; rescale the pool$"):
+        empirical_lipschitz(x, y, **args)
+    # The seed-0 sample misses the pair (0, 1) and its finite slopes stand.
+    assert empirical_lipschitz(x, y, max_pairs=2, seed=0) == 1e308 / 2.5
+
+
 def test_spearman_invariant_under_monotone_transform():
     rng = np.random.default_rng(8)
     a = rng.normal(size=50)

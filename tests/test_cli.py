@@ -472,6 +472,58 @@ def test_synth_defaults_are_synth_configs(tmp_path, capsys):
     assert out.read_bytes() == expected.read_bytes()
 
 
+def test_integer_options_follow_the_librarys_integer_rule(tmp_path, capsys):
+    # An integral number is the count it equals, as in the library and the
+    # INI reader; the printed JSON and the written files are those of the
+    # integer spelling.
+    data, _, _ = _bound_inputs(tmp_path, capsys)
+    select = ("select", "--data", data, "--label-column", "y", "--strategy", "fps", "--budget", "6")
+    pairs = [
+        ((*select, "--seed", "7", "--start-index", "3"), (*select, "--seed", "7.0", "--start-index", "3.0")),
+        (("corr", "--data", data, "--max-pairs", "1000000", "--seed", "2"),
+         ("corr", "--data", data, "--max-pairs", "1e6", "--seed", "2.0")),
+    ]
+    for integer, integral in pairs:
+        code, expected, _ = run(capsys, *integer)
+        assert code == 0
+        assert run(capsys, *integral) == (0, expected, "")
+    outputs = []
+    for n, d, seed in (("40", "2", "7"), ("4e1", "2.0", "7.0")):
+        path = tmp_path / f"synth-{seed}.csv"
+        code, out, _ = run(capsys, "synth", "--n", n, "--d", d, "--seed", seed, "--out", path)
+        assert code == 0
+        outputs.append((out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--seed", "7.5", "--seed must be integral, got 7.5"),
+        ("--seed", "nan", "--seed must be integral, got nan"),
+        ("--seed", "seven", "argument --seed: expected a number, got 'seven'"),
+        ("--start-index", "2.5", "--start-index must be integral, got 2.5"),
+        ("--max-pairs", "1e6.5", "argument --max-pairs: expected a number, got '1e6.5'"),
+        ("--max-pairs", "2.5", "--max-pairs must be integral, got 2.5"),
+        ("--n", "40.5", "--n must be integral, got 40.5"),
+        ("--d", "inf", "--d must be integral, got inf"),
+    ],
+)
+def test_fractional_integer_options_are_usage_errors(pool_csv, tmp_path, capsys, option, value, message):
+    commands = {
+        "--seed": ("select", "--data", pool_csv, "--strategy", "fps", "--budget", "5", "--seed"),
+        "--start-index": ("select", "--data", pool_csv, "--strategy", "fps", "--budget", "5",
+                          "--seed", "1", "--start-index"),
+        "--max-pairs": ("corr", "--data", pool_csv, "--label-column", "y", "--max-pairs"),
+        "--n": ("synth", "--d", "2", "--seed", "1", "--out", tmp_path / "s.csv", "--n"),
+        "--d": ("synth", "--n", "40", "--seed", "1", "--out", tmp_path / "s.csv", "--d"),
+    }
+    code, out, err = run(capsys, *commands[option], value)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
 EXPERIMENT_INI = """
 [synth]
 n = 90

@@ -126,11 +126,11 @@ def test_fill_distance_non_increasing_across_budgets_for_fps():
 def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Prefix samplers select once at the largest budget. k-medoids++ seeds
     # once per repeat at the largest budget and runs Lloyd per cell from that
-    # seeding's prefix; it walks the medoids' traces only when a trace metric
-    # is listed. Facility location, k-medoids++ and every cell's kernels read
-    # one pool-by-pool matrix of squared distances, built before the first
-    # selection because the strategies list a reader of it; gamma=auto reads
-    # the raw pool and builds none.
+    # seeding's prefix. It walks the medoids' traces, and random its rows',
+    # only when a trace metric is listed. Facility location, k-medoids++ and
+    # every cell's kernels read one pool-by-pool matrix of squared distances,
+    # built before the first selection because the strategies list a reader
+    # of it; gamma=auto reads the raw pool and builds none.
     from fillgap import experiment, selection
 
     events = []  # selection work and n x B gathers, in the order they ran
@@ -141,6 +141,7 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     seeding = selection._kmedoids_seeding
     lloyd = selection._kmedoids_lloyd
     traces = selection.selection_traces
+    draw = selection._random_rows
 
     def counting_select(pool, spec, budget, seed=0):
         events.append(("select", spec.kind, budget))
@@ -153,6 +154,10 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     def counting_lloyd(geom, medoids, max_iters):
         events.append(("lloyd", medoids.size, max_iters))
         return lloyd(geom, medoids, max_iters)
+
+    def counting_draw(n, budget, seed):
+        events.append(("draw", budget))
+        return draw(n, budget, seed)
 
     def counting_traces(pool, indices):
         events.append(("traces", len(indices)))
@@ -170,6 +175,7 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     monkeypatch.setattr(selection, "_kmedoids_seeding", counting_seeding)
     monkeypatch.setattr(selection, "_kmedoids_lloyd", counting_lloyd)
     monkeypatch.setattr(selection, "selection_traces", counting_traces)
+    monkeypatch.setattr(selection, "_random_rows", counting_draw)
     monkeypatch.setattr(selection, "cdist", counting_cdist)
     monkeypatch.setattr(selection._Geometry, "columns", counting_columns)
     kinds = ("fps", "random", "facility_location", "kmedoidspp", "fps_then_random")
@@ -189,14 +195,19 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
         # k-medoids++ cell, gathers its n x B kernel block from the n x n
         # matrix once, right after it selects, and every cell it serves
         # slices that block. The fps and random runs listed before facility
-        # location gather from it too. Random selection walks its traces
-        # whatever the metrics.
+        # location gather from it too. Random selection draws its rows with
+        # one rule, through the sampler and its trace walk only when traced.
         pattern = []
         for kind in kinds:
             for _ in range(cfg.repeats):
+                if kind == "random":
+                    pattern += [("select", kind, max(sizes))] if traced else []
+                    pattern.append(("draw", max(sizes)))
+                    pattern += [("traces", max(sizes))] if traced else []
+                    pattern.append(("gather", max(sizes), True))
+                    continue
                 if kind != "kmedoidspp":
                     pattern.append(("select", kind, max(sizes)))
-                    pattern += [("traces", max(sizes))] if kind == "random" else []
                     pattern.append(("gather", max(sizes), True))
                     continue
                 pattern.append(("seeding", max(sizes)))
@@ -213,7 +224,8 @@ def test_sweep_selects_once_per_strategy_and_repeat(monkeypatch):
     # Euclidean cdist calls.
     assert all(c[3] == 0 for c in cdist_calls if c[0] != "sqeuclidean")
     assert [c for c in cdist_calls if c[0] == "sqeuclidean"] == [("sqeuclidean", 120, 120, 0)]
-    # Without a trace metric no k-medoids++ cell walks its medoids.
+    # Without a trace metric no k-medoids++ cell walks its medoids, and no
+    # random run its rows.
     events.clear()
     untraced = dataclasses.replace(cfg, metrics=("maxae", "mae", "cond_unregularized"))
     run_experiment(untraced)

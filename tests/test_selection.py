@@ -236,6 +236,111 @@ def test_nn_distances_memory_stays_within_blocks():
         assert peak < 8 * n * (2 * (d + 2) + 4) + 4 * 8 * selection._BLOCK_ENTRIES, n
 
 
+def _median_of_nn_distances(pool):
+    """The median as read before the median pass: of every row's distance."""
+    return float(np.median(nn_distances(pool)[0]))
+
+
+def _outcome(call, *args):
+    """The float's bits, or the type and text of the DataError raised."""
+    try:
+        return call(*args).hex()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def _median_pools():
+    """_nn_pools at odd and even n and at n=2, and pools with a single row
+    whose distance passes or stays just under the overflow level (2**512)."""
+    pools = {}
+    for name, pool in _nn_pools().items():
+        for rows in (pool, pool[:-1], pool[:2]):
+            pools[f"{name}[:{len(rows)}]"] = rows
+    line = np.arange(100.0)[:, None]
+    pools["one_overflowing_row"] = np.vstack([line, [[1.5e154]]])
+    pools["one_row_under_the_overflow"] = np.vstack([line, [[1.3e154]]])
+    return pools
+
+
+@pytest.mark.parametrize("tile_rows", [None, 7])
+def test_median_pass_gives_the_median_of_every_distance(monkeypatch, tile_rows):
+    from fillgap import regression, selection
+    from fillgap.regression import gamma_for_half_kernel
+
+    # gamma=auto reads the median from one tile pass and a few exact rows;
+    # it must return the bits, or raise the error type and text, of the
+    # median of nn_distances on every pool, ties, underflow and overflow
+    # included, and with tiles of 7 rows across many bands.
+    if tile_rows is not None:
+        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", tile_rows**2)
+    raised = {}
+    for name, pool in _median_pools().items():
+        expected = _outcome(_median_of_nn_distances, pool)
+        assert _outcome(selection._median_nn, pool) == expected, name
+        with monkeypatch.context() as m:
+            m.setattr(regression, "_median_nn", _median_of_nn_distances)
+            expected = _outcome(gamma_for_half_kernel, pool)
+        assert _outcome(gamma_for_half_kernel, pool) == expected, name
+        if isinstance(expected, tuple):
+            raised[name] = expected[1].split(":")[0].split(" (")[0]
+    overflow = "pairwise distances overflow float64; rescale the pool"
+    zero = "median nearest-neighbour distance is zero"
+    too_small = "nearest-neighbour distances are too small"
+    assert raised == {
+        **{f"duplicates[:{n}]": zero for n in (400, 399)},
+        **{f"all_equal[:{n}]": zero for n in (50, 49, 2)},
+        **{f"scale_1e-160[:{n}]": too_small for n in (301, 300, 2)},
+        **{f"scale_1e-170[:{n}]": zero for n in (301, 300, 2)},
+        **{f"scale_1e+{e}[:{n}]": overflow for e in (155, 160) for n in (301, 300, 2)},
+        "one_overflowing_row": overflow,
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SynthConfig(n=601, d=16, target_lipschitz=2.0, tail_fraction=0.01, seed=51),
+        SynthConfig(n=400, d=3, target_lipschitz=1.0, tail_fraction=0.05, seed=7),
+        SynthConfig(n=3, d=2, target_lipschitz=1.0, tail_fraction=0.34, seed=2),
+    ],
+    ids=["even-bulk", "odd-bulk", "bulk-of-2"],
+)
+def test_synth_places_its_tail_by_the_median_of_every_distance(monkeypatch, cfg):
+    from fillgap import dataset
+
+    def written(ds, info):
+        return ds.features.tobytes(), ds.labels.tobytes(), info.bulk_median_nn.hex()
+
+    got = written(*dataset.synth_with_info(cfg))
+    monkeypatch.setattr(dataset, "_median_nn", _median_of_nn_distances)
+    assert got == written(*dataset.synth_with_info(cfg))
+
+
+def test_median_pass_memory_is_at_most_nn_distances(monkeypatch):
+    import tracemalloc
+
+    from fillgap import selection
+
+    # nn_distances' bound: its two augmented copies of the pool, four per-row
+    # arrays and a few tiles of 1 MiB, also on the pools where every row is
+    # exact and so read in cdist blocks of 1 MiB.
+    rng = np.random.default_rng(0)
+    pools = {**_nn_pools(), "uniform_5000": rng.uniform(size=(5000, 16))}
+    pools["uniform_20000"] = rng.uniform(size=(20000, 16))
+    for name, pool in pools.items():
+        n, d = pool.shape
+        tracemalloc.start()
+        try:
+            try:
+                selection._median_nn(pool)
+            except DataError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (2 * (d + 2) + 4) + 4 * 8 * selection._BLOCK_ENTRIES, name
+
+
 def test_separation_walks_only_selected_rows_and_matches_full_walk():
     import itertools
 
@@ -996,12 +1101,17 @@ def test_prefix_kinds_are_prefixes_of_larger_budgets(kind):
                 assert np.array_equal(part.fill_trace, full.fill_trace[:b])
                 assert np.array_equal(part.sep_trace, full.sep_trace[:b], equal_nan=True)
             # The sweep's one run at the largest budget serves every budget.
+            # Random walks no traces when no trace metric is listed.
             geom = selection._Geometry(pool)
-            (run,) = selection._sweep_runs(geom, spec, [2, 10, 25, 40], 17, traced=False)
-            assert list(run[3]) == [0, 1, 2, 3]
-            assert np.array_equal(run[0], full.indices)
-            assert np.array_equal(run[1], full.fill_trace)
-            assert np.array_equal(run[2], full.sep_trace, equal_nan=True)
+            for traced in (True, False):
+                (run,) = selection._sweep_runs(geom, spec, [2, 10, 25, 40], 17, traced=traced)
+                assert list(run[3]) == [0, 1, 2, 3]
+                assert np.array_equal(run[0], full.indices)
+                if kind == "random" and not traced:
+                    assert run[1] is None and run[2] is None
+                    continue
+                assert np.array_equal(run[1], full.fill_trace)
+                assert np.array_equal(run[2], full.sep_trace, equal_nan=True)
 
 
 @pytest.mark.parametrize("traced", [True, False])
