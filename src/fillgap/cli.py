@@ -43,17 +43,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _apply_thread_limit(threads: int | None) -> None:
+def _rule(check, *args):
+    """``check(*args)`` for one of the library's input rules in rng, which
+    loads no numerical library; its DataError is a usage error."""
+    try:
+        return check(*args)
+    except DataError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _apply_thread_limit(threads) -> None:
+    """Set the BLAS thread-count variables from --threads or, without it,
+    FILLGAP_THREADS, either read by the integer rule as a count >= 1."""
+    from .rng import _count
+
+    name = "--threads"
     if threads is None:
-        env = os.environ.get("FILLGAP_THREADS")
-        if env is None:
+        threads = os.environ.get("FILLGAP_THREADS")
+        if threads is None:
             return
+        name = "FILLGAP_THREADS"
         try:
-            threads = int(env)
-        except ValueError:
-            raise _UsageError(f"FILLGAP_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise _UsageError("--threads must be >= 1")
+            threads = _number(threads)
+        except argparse.ArgumentTypeError:
+            pass  # text that is no number stays text, which _count rejects by name
+    threads = _rule(_count, threads, name, 1)
     if "numpy" in sys.modules:
         return  # too late to bound the pools; library defaults apply
     for var in _THREAD_ENV_VARS:
@@ -61,9 +75,8 @@ def _apply_thread_limit(threads: int | None) -> None:
 
 
 def _number(text: str) -> int | float:
-    """The argparse type of _INTEGER_OPTIONS: integer text as an int, other
-    numbers as a float. _read_integers applies the integer rule once
-    --threads is applied, since rng loads numpy."""
+    """The argparse type of --threads and the _INTEGER_OPTIONS: integer text
+    as an int, other numbers as a float, for the integer rule to read."""
     try:
         return int(text)
     except ValueError:
@@ -81,10 +94,8 @@ def _read_integers(args) -> None:
 
     for name in _INTEGER_OPTIONS:
         if getattr(args, name, None) is not None:
-            try:
-                setattr(args, name, _integral(getattr(args, name), "--" + name.replace("_", "-")))
-            except DataError as exc:
-                raise _UsageError(str(exc)) from None
+            flag = "--" + name.replace("_", "-")
+            setattr(args, name, _rule(_integral, getattr(args, name), flag))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -292,7 +303,7 @@ def _cmd_experiment(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fillgap", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="bound library thread pools")
+    parser.add_argument("--threads", type=_number, default=None, help="bound library thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Options shared by subcommands, declared once as parent parsers.

@@ -8,10 +8,12 @@ line, comment line, then ``symbol x y z`` rows).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,10 @@ from scipy.spatial.distance import cdist
 from .errors import DataError
 from .rng import _count, _floats, _indices, _integral, _real, rng_from_seed
 from .selection import _median_nn
+
+# The lone surrogates U+DC80 to U+DCFF: how errors="surrogateescape" reads
+# the bytes of a file that are not UTF-8.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 # Nuclear charges for the supported element symbols.
 CHARGE_BY_SYMBOL = {"H": 1, "C": 6, "N": 7, "O": 8, "F": 9, "S": 16}
@@ -190,6 +196,44 @@ def parse_label_column(raw: str) -> str | int:
     return int(raw) if re.fullmatch(r"[+-]?[0-9]+", raw) else raw
 
 
+def _csv_rows(fh, path) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each non-empty row of a CSV file, numbered
+    from 1 in that order; a row the csv module cannot read, such as one with
+    a cell past its field size limit, raises DataError naming its number."""
+    row_no = 0
+    try:
+        for row in csv.reader(fh):
+            if row:
+                row_no += 1
+                yield row_no, row
+    except csv.Error as exc:
+        raise DataError(f"cannot read row {row_no + 1} of {path}: {exc}") from None
+
+
+def _check_decoded(cells: list[str], row_no: int, names) -> None:
+    """Raise DataError naming the first cell of a row that holds bytes
+    which were not UTF-8."""
+    for cell, name in zip(cells, names):
+        if _UNDECODED.search(cell):
+            raise DataError(f"invalid UTF-8 at row {row_no}, column {name}")
+
+
+def _parse_row(row: list[str], row_no: int, names: list[str]) -> np.ndarray:
+    """A data row's cells as float64 values. numpy's cast reads the accepted
+    strings as float() does; a row it rejects, or with a non-finite value,
+    is read cell by cell so that the error names the first bad cell."""
+    if len(row) != len(names):
+        raise DataError(f"row {row_no} has {len(row)} cells, expected {len(names)}")
+    try:
+        values = np.array(row, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _check_decoded(row, row_no, names)
+        values = np.array([_parse_cell(c.strip(), row_no, name) for c, name in zip(row, names)])
+    return values
+
+
 def load_dataset(
     path: str | os.PathLike,
     has_labels: bool = False,
@@ -202,36 +246,29 @@ def load_dataset(
     one, the label column (header name, 0-based index, or by default the
     column named ``y`` when present, else the last column) is split off from
     the features as the labels.
+
+    Rows are read and converted one at a time, so the file's text is never
+    held whole; the first bad row in file order raises DataError naming it,
+    also for bytes that are not UTF-8 and for rows the csv module rejects.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw = list(csv.reader(fh))
-    raw = [row for row in raw if row]
-    if not raw:
-        raise DataError(f"empty file: {path}")
-
-    header: list[str] | None = None
-    if _looks_like_header(raw[0]):
-        header = [c.strip() for c in raw[0]]
-        data_rows = raw[1:]
-        first_line = 2
-    else:
-        data_rows = raw
-        first_line = 1
-    if not data_rows:
-        raise DataError(f"file has a header but no data rows: {path}")
-
-    width = len(header) if header is not None else len(data_rows[0])
-    names = header if header is not None else [f"x{i}" for i in range(width)]
-
-    values = np.empty((len(data_rows), width), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        line_no = first_line + r
-        if len(row) != width:
-            raise DataError(
-                f"row {line_no} has {len(row)} cells, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            values[r, c] = _parse_cell(cell.strip(), line_no, names[c])
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        rows = _csv_rows(fh, path)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"empty file: {path}")
+        header: list[str] | None = None
+        if _looks_like_header(first[1]):
+            header = [c.strip() for c in first[1]]
+            _check_decoded(header, first[0], range(len(header)))
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"file has a header but no data rows: {path}")
+        width = len(header) if header is not None else len(first[1])
+        names = header if header is not None else [f"x{i}" for i in range(width)]
+        values = np.fromiter(
+            (_parse_row(row, row_no, names) for row_no, row in itertools.chain([first], rows)),
+            dtype=np.dtype((np.float64, width)),
+        )
 
     if not has_labels and label_column is None:
         return Dataset(values, feature_names=tuple(names), source=str(path))
@@ -321,8 +358,19 @@ def read_xyz(text: str) -> list[Molecule]:
 
 
 def load_xyz(path: str | os.PathLike) -> list[Molecule]:
-    with open(path, encoding="utf-8") as fh:
-        return read_xyz(fh.read())
+    return read_xyz(_read_text(path))
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    """The text of a UTF-8 file, line ends read as newlines; a byte that is
+    not UTF-8 raises DataError naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    undecoded = _UNDECODED.search(text)
+    if undecoded:
+        line = text.count("\n", 0, undecoded.start()) + 1
+        raise DataError(f"invalid UTF-8 at line {line} of {path}")
+    return text
 
 
 def coulomb_matrix(mol: Molecule, max_atoms: int) -> np.ndarray:

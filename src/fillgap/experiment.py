@@ -23,12 +23,14 @@ matrix for its B selected rows (n * B * 8 bytes: 0.8 MB at n=1000, B=100),
 gathered from the n x n matrix when the sweep keeps it and computed with
 ``cdist`` otherwise. Each cell the run serves reads its Gram matrix and
 prediction blocks from the run's matrix through the readers behind
-``gaussian_kernel_matrix`` and ``krr_predict``, and builds one Gram matrix
-for conditioning and the fit. Cells run repeat by repeat, so at most one
-such n x B matrix is live. ``gamma=auto`` reads the median of
-``selection.nn_distances`` on the raw pool in 1 MiB tiles, so a sweep whose
-strategies are only ``fps``, ``random`` and ``fps_then_random`` builds no
-n x n matrix.
+``gaussian_kernel_matrix`` and ``krr_predict``. It builds one b x b Gram
+matrix, gathered into it in row blocks, and no other: the fit factors it in
+place and leaves it as it was, then the eigen-solve for conditioning
+overwrites it. Cells run repeat by repeat, so at most one such n x B matrix
+is live. ``gamma=auto`` reads ``selection._median_nn`` on the raw pool (one
+pass of 1 MiB tiles, exact distances only for the rows where the median can
+fall), so a sweep whose strategies are only ``fps``, ``random`` and
+``fps_then_random`` builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import mae, maxae
-from .dataset import Dataset, SynthConfig, load_dataset, minmax_normalize, parse_label_column, remove_zero_variance, synth_lipschitz
+from .dataset import Dataset, SynthConfig, _read_text, load_dataset, minmax_normalize, parse_label_column, remove_zero_variance, synth_lipschitz
 from .errors import ConfigError, DataError, IllConditionedError
 from .regression import _conditions, _gram, _predict, _solve, gamma_for_half_kernel, grid_search_cv_report
 from .rng import _count, _integral, _real, _sequence, child_seed
@@ -235,8 +237,9 @@ def _cell_values(
     """Metric values of one cell, trained on the rows ``idx`` and evaluated
     on every other pool row; ``traces`` holds the cell's listed trace
     metrics. ``sq_dists(rows, cols, out)`` reads the squared distances to
-    the rows of the selection run whose first rows are ``idx``; one Gram
-    matrix serves both conditioning and the fit."""
+    the rows of the selection run whose first rows are ``idx``. One Gram
+    matrix serves the fit and conditioning: _solve leaves it as it was, then
+    the eigen-solve overwrites it."""
     size = idx.size
     mask = np.ones(pool.n, dtype=bool)
     mask[idx] = False
@@ -244,19 +247,22 @@ def _cell_values(
     values = dict(traces)
     conditioning = any(m in _CONDITIONING_METRICS for m in cfg.metrics)
     predicting = any(m in _PREDICTION_METRICS for m in cfg.metrics)
-    if conditioning or (predicting and mask.any()):
+    fitting = predicting and mask.any()
+    if conditioning or fitting:
         K = _gram(sq_dists, idx, size, gamma)
+    weights = None
+    if fitting:
+        try:
+            weights = _solve(K, pool.labels[idx], lam)
+        except IllConditionedError:
+            pass
     if conditioning:
         cond_r, cond_u, _, _ = _conditions(K, lam)
         values["cond_regularized"] = math.nan if cond_r is None else cond_r
         values["cond_unregularized"] = math.nan if cond_u is None else cond_u
     if predicting:
         values["maxae"] = values["mae"] = math.nan
-        if mask.any():
-            try:
-                weights = _solve(K, pool.labels[idx], lam)  # shifts K: conditioning reads it first
-            except IllConditionedError:
-                return values
+        if weights is not None:
             pred = _predict(sq_dists, np.flatnonzero(mask), weights, gamma)
             truth = pool.labels[mask]
             values["maxae"] = maxae(truth, pred)
@@ -450,9 +456,8 @@ def load_experiment_config(path: str | os.PathLike) -> ExperimentConfig:
     """Parse an INI experiment configuration; errors name the bad field."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
+        parser.read_string(_read_text(path), source=os.fspath(path))
+    except (OSError, DataError) as exc:  # DataError: bytes that are not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None

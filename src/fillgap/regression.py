@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dsyevd, dsyevd_lwork
 
 from .dataset import Dataset
 from .errors import DataError, IllConditionedError
@@ -150,25 +151,60 @@ def krr_fit(train: Dataset, gamma: float, lam: float) -> KernelModel:
 
 
 def _solve(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """The weights w of (K + lam * I) w = y, shifting K's diagonal in place;
-    see krr_fit for the checks."""
-    K.flat[:: K.shape[0] + 1] += lam
+    """The weights w of (K + lam * I) w = y; see krr_fit for the checks.
+
+    ``K`` is a C-contiguous, bitwise symmetric matrix, as _gram makes it. It
+    is factored in place: its diagonal is shifted by lam and the Cholesky
+    factor of K.T is written over its upper triangle, which holds the same
+    values as the lower one. The lower triangle is then copied back (see
+    _mirror_lower), so the residual reads K + lam * I, and K is left bitwise
+    as it was given, also when the solve fails. No second b x b matrix is made.
+    """
+    diagonal = K.diagonal().copy()
+    shifted = diagonal + lam
+    np.fill_diagonal(K, shifted)
     try:
-        factor = cho_factor(K, lower=True, check_finite=False)
-        weights = cho_solve(factor, y, check_finite=False)
-    except LinAlgError:
-        raise IllConditionedError(
-            "kernel system is not numerically positive definite "
-            f"(smallest eigenvalue estimate {condition_number(K)[2]:.3e}); "
-            "increase lambda or remove duplicate training rows"
-        ) from None
-    residual = float(np.linalg.norm(K @ weights - y))
-    if not np.isfinite(weights).all() or residual > _RESIDUAL_TOL * float(np.linalg.norm(y)):
-        raise IllConditionedError(
-            f"solve residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} * ||y|| "
-            f"(smallest eigenvalue estimate {condition_number(K)[2]:.3e})"
-        )
-    return weights
+        try:
+            weights = cho_solve(
+                cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False),
+                y,
+                check_finite=False,
+            )
+        except LinAlgError:
+            weights = None
+        _mirror_lower(K)
+        np.fill_diagonal(K, shifted)
+        if weights is None:
+            raise IllConditionedError(
+                "kernel system is not numerically positive definite "
+                f"(smallest eigenvalue estimate {condition_number(K)[2]:.3e}); "
+                "increase lambda or remove duplicate training rows"
+            )
+        residual = float(np.linalg.norm(K @ weights - y))
+        if not np.isfinite(weights).all() or residual > _RESIDUAL_TOL * float(np.linalg.norm(y)):
+            raise IllConditionedError(
+                f"solve residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} * ||y|| "
+                f"(smallest eigenvalue estimate {condition_number(K)[2]:.3e})"
+            )
+        return weights
+    finally:
+        np.fill_diagonal(K, diagonal)
+
+
+# Rows per block of _mirror_lower; the diagonal block's mask is made once.
+_MIRROR_ROWS = 128
+_MIRROR_UPPER = np.triu(np.ones((_MIRROR_ROWS, _MIRROR_ROWS), dtype=bool), 1)
+
+
+def _mirror_lower(K: np.ndarray) -> None:
+    """Copy the strict lower triangle of the square ``K`` over its strict
+    upper one, 128 rows at a time, so no temporary exceeds one such block."""
+    b = K.shape[0]
+    for lo in range(0, b, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, b)
+        K[lo:hi, hi:] = K[hi:, lo:hi].T
+        block = K[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=_MIRROR_UPPER[: hi - lo, : hi - lo])
 
 
 def krr_predict(model: KernelModel, X) -> np.ndarray:
@@ -232,8 +268,9 @@ def _cv_scores(X, y, gamma_grid, lambda_grid, folds: int) -> np.ndarray:
     """Mean absolute CV error of each (gamma, lambda) pair over ``folds``
     contiguous slices of the rows; inf for a pair once a fit fails, and it is
     not fitted again. As in a sweep cell, each fold reads one squared-distance
-    block and each (gamma, fold) builds one Gram matrix, solved on a copy per
-    lambda; the scores equal those of krr_fit and krr_predict bit for bit."""
+    block and each (gamma, fold) builds one Gram matrix, solved in place per
+    lambda (_solve leaves it as it was); the scores equal those of krr_fit and
+    krr_predict bit for bit."""
     size = y.size
     geometry = _Geometry(X, keep_matrix=False)
     errors = np.zeros((gamma_grid.size, lambda_grid.size, folds))
@@ -245,7 +282,7 @@ def _cv_scores(X, y, gamma_grid, lambda_grid, folds: int) -> np.ndarray:
             K = _gram(dists, train, train.size, gamma)
             for j in np.flatnonzero(errors[g, :, k] < math.inf):
                 try:
-                    weights = _solve(K.copy(), y[train], lambda_grid[j])
+                    weights = _solve(K, y[train], lambda_grid[j])
                 except IllConditionedError:
                     errors[g, j] = math.inf
                     continue
@@ -326,12 +363,32 @@ def _square_matrix(K) -> np.ndarray:
     return K
 
 
+def _eigenvalues(K: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the C-contiguous symmetric ``K``, overwriting
+    K: LAPACK's dsyevd through scipy, on the lower triangle of K.T, with the
+    workspace its query asks for.
+
+    That is the call numpy's eigvalsh makes on the lower triangle of its
+    Fortran copy, and it gives eigvalsh's bits (tests/test_regression.py
+    compares them); dsyevd's minimal default workspace blocks the
+    tridiagonal reduction differently and does not.
+    """
+    size = K.shape[0]
+    work, iwork, _ = dsyevd_lwork(size, compute_v=0, lower=1)
+    eigenvalues, _, info = dsyevd(
+        K.T, compute_v=0, lower=1, lwork=int(work), liwork=iwork, overwrite_a=1
+    )
+    if info != 0:
+        raise IllConditionedError(f"eigen-solve of a {size} x {size} matrix did not converge")
+    return eigenvalues
+
+
 def condition_number(K) -> tuple[float | None, float, float]:
     """Eigenvalue-based condition number of a symmetric matrix.
 
     Returns (cond, lambda_max, lambda_min); cond is None when the smallest
     eigenvalue is non-positive within round-off, i.e. the matrix is
-    numerically singular.
+    numerically singular. K is not changed: the eigen-solve reads a copy.
     """
     K = _square_matrix(K)
     # A Gram matrix from _gram is bitwise symmetric, so only outside input
@@ -340,7 +397,8 @@ def condition_number(K) -> tuple[float | None, float, float]:
         scale = float(np.abs(K).max())
         if float(np.abs(K - K.T).max()) > 1e-12 * max(scale, 1.0):
             raise DataError("matrix is not symmetric within tolerance")
-    eigenvalues = np.linalg.eigvalsh(K)
+    # The copy of K.T hands _eigenvalues K's own lower triangle, as eigvalsh(K) reads it.
+    eigenvalues = _eigenvalues(K.T.copy())
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     return _ratio(lam_max, lam_min, K.shape[0]), lam_max, lam_min
 
@@ -352,10 +410,14 @@ def _ratio(lam_max: float, lam_min: float, size: int) -> float | None:
 
 
 def _conditions(K: np.ndarray, lam: float) -> tuple[float | None, float | None, float, float]:
-    """(cond_regularized, cond_unregularized, lambda_max, lambda_min) of K from
-    one eigen-solve: K + lam * I has K's eigenvalues shifted by lam."""
-    cond_u, lam_max, lam_min = condition_number(K)
-    return _ratio(lam_max + lam, lam_min + lam, K.shape[0]), cond_u, lam_max, lam_min
+    """(cond_regularized, cond_unregularized, lambda_max, lambda_min) of the
+    Gram matrix K from one eigen-solve, which overwrites K: K + lam * I has
+    K's eigenvalues shifted by lam."""
+    size = K.shape[0]
+    eigenvalues = _eigenvalues(K)
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+    cond_r = _ratio(lam_max + lam, lam_min + lam, size)
+    return cond_r, _ratio(lam_max, lam_min, size), lam_max, lam_min
 
 
 def eigen_bounds(

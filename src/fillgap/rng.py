@@ -11,6 +11,10 @@ a fixed thread count: Cholesky fits and eigen-solves from about 128 training
 rows can change in the last digits with it (see the README on --threads).
 Child seeds are derived by hashing rather than by consuming parent state,
 which keeps runs reproducible when a sweep grid is extended.
+
+numpy is imported by the functions that use it, not by this module, so the
+command line can read --threads by the integer rule before any numerical
+library loads.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ import hashlib
 import math
 import numbers
 from collections.abc import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -64,6 +70,8 @@ def _sequence(values, name: str) -> tuple:
 def _numeric(values, name: str) -> np.ndarray:
     """``values`` as an array of an integer or float dtype; a ragged, bool,
     string, complex or object input raises DataError naming ``name``."""
+    import numpy as np
+
     try:
         arr = np.asarray(values)
     except ValueError:
@@ -77,6 +85,8 @@ def _floats(values, name: str, ndim: int) -> np.ndarray:
     """``values`` as a C-contiguous float64 array of ``ndim`` axes and finite
     entries, not copied when it already is one. Past _numeric's dtype rule,
     another number of axes or a NaN or inf entry raises DataError naming it."""
+    import numpy as np
+
     arr = _numeric(values, name)
     if arr.ndim != ndim:
         raise DataError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
@@ -101,6 +111,8 @@ def _indices(values, n: int = 2**63) -> np.ndarray:
     """``values`` as a non-empty 1-D int64 array of row indices in [0, n). An
     integer array takes no float copy; a float one must be finite and
     integral; bool, string and object arrays raise DataError."""
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size < 1:
         raise DataError("selected indices must be a non-empty 1-D sequence")
@@ -115,6 +127,8 @@ def _indices(values, n: int = 2**63) -> np.ndarray:
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Return a Philox-backed generator keyed by a 64-bit seed."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=_integral(seed, "seed") & _SEED_MASK))
 
 

@@ -354,10 +354,19 @@ class _Geometry:
 
     def sq_dists(self, rows, cols=slice(None), out=None) -> np.ndarray:
         """Squared distances from the pool rows ``rows`` to the rows ``cols``
-        of ``self.cols``; each is a slice or an index array. A recomputed block
-        is written into ``out`` when given; a kept matrix's is a slice or a gather."""
+        of ``self.cols``; each is a slice or an index array. A recomputed block,
+        and a kept matrix's gather of index rows and sliced columns, is written
+        into ``out`` when given; other blocks of a kept matrix are a slice or a
+        fresh gather."""
         if self._matrix is None:
             return cdist(self.pool[rows], self.cols[cols], "sqeuclidean", out=out)
+        if out is not None and isinstance(cols, slice) and not isinstance(rows, slice):
+            # Gathered into ``out`` in row blocks: a gather of the whole block
+            # would make a second array of its size (np.take copies a
+            # non-contiguous source whole).
+            for lo, hi in _row_blocks(len(rows), out.shape[1]):
+                out[lo:hi] = self._matrix[rows[lo:hi], cols]
+            return out
         if isinstance(rows, slice) or isinstance(cols, slice):
             return self._matrix[rows, cols]
         return self._matrix[rows[:, None], cols]

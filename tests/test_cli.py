@@ -688,6 +688,76 @@ def test_threads_env_fallback(pool_csv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "flag,env,message",
+    [
+        ("2.0", None, None),
+        ("1e0", None, None),
+        (None, "2.0", None),
+        ("1.5", None, "error: --threads must be integral, got 1.5\n"),
+        ("0.0", None, "error: --threads must be >= 1, got 0.0\n"),
+        (None, "2.5", "error: FILLGAP_THREADS must be integral, got 2.5\n"),
+        (None, "banana", "error: FILLGAP_THREADS must be integral, got 'banana'\n"),
+    ],
+    ids=["flag-float", "flag-exponent", "env-float", "flag-fraction", "flag-zero", "env-fraction", "env-text"],
+)
+def test_threads_are_read_by_the_integer_rule(pool_csv, capsys, monkeypatch, flag, env, message):
+    monkeypatch.delenv("FILLGAP_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("FILLGAP_THREADS", env)
+    threads = () if flag is None else ("--threads", flag)
+    code, out, err = run(capsys, *threads, "nn", "--data", pool_csv, "--label-column", "y")
+    if message is None:
+        assert code == 0 and len(json.loads(out)["distances"]) == 60
+    else:
+        assert (code, out, err) == (1, "", message)
+
+
+def test_threads_reach_the_environment_before_numpy_loads():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fillgap
+
+    # The integer rule comes from rng, which must not load numpy on import:
+    # in a fresh process --threads 2.0 sets the variables to 2.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fillgap.__file__).resolve().parent.parent)
+    script = (
+        "import os, sys\n"
+        "from fillgap.cli import _apply_thread_limit\n"
+        "_apply_thread_limit(2.0)\n"
+        "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["False", "2"]
+
+
+def test_unreadable_data_files_are_data_errors(tmp_path, capsys):
+    import csv
+
+    # A cell past the csv module's size limit and bytes that are not UTF-8
+    # exit 2 with a message naming the row, not with a traceback.
+    big = tmp_path / "big.csv"
+    big.write_text("a,b\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n")
+    code, out, err = run(capsys, "nn", "--data", big)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read row 3 of {big}: field larger than field limit")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"a,b\n1,2\n3,\xe94\n")
+    assert run(capsys, "nn", "--data", latin) == (2, "", "error: invalid UTF-8 at row 3, column b\n")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(b"[sweep]\nstrategies = fps\n; caf\xe9\n")
+    code, out, err = run(capsys, "experiment", "--config", path, "--dry-run")
+    assert (code, out) == (1, "")
+    assert err == f"config error: cannot read config {path}: invalid UTF-8 at line 3 of {path}\n"
+
+
+@pytest.mark.parametrize(
     "budget,message",
     [("abc", "--budget must be a count or fraction, got 'abc'"), ("2.5", "budget counts must be integral, got '2.5'")],
     ids=["text", "fraction-above-one"],

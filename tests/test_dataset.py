@@ -95,6 +95,86 @@ def test_load_empty_file(tmp_path):
         load_dataset(write(tmp_path, "a,b,y\n\n"))
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [" 1.5 ", "1_000", "\u0661\u0662", "\uff11\uff12", "-1e-400", "1E+05", ".5", "5.", "\t2\n", "\xa03\u2003"],
+)
+def test_load_reads_each_cell_as_float_does(tmp_path, cell):
+    # numpy's cast reads a row at once; every string it accepts must give
+    # float()'s value, as the cell-by-cell reading did.
+    ds = load_dataset(write(tmp_path, f'a,b\n"{cell}",1\n'))
+    assert ds.features[0, 0].hex() == float(cell).hex()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a,b\n1,2\n3,oops\n4\n", "non-numeric cell at row 3, column b: 'oops'"),
+        ("a,b\n1,2\n3\n4,oops\n", "row 3 has 1 cells, expected 2"),
+        ("1,2\n\n3,inf\n4,x\n", "non-finite cell at row 2, column x1: 'inf'"),
+        ("a,b\n1,nan(1)\n", "non-numeric cell at row 2, column b: 'nan(1)'"),
+        ("a,b\n 1, 1__0 \n", "non-numeric cell at row 2, column b: '1__0'"),
+    ],
+    ids=["non-numeric", "arity-first", "non-finite", "nan-payload", "double-underscore"],
+)
+def test_load_raises_the_first_bad_row_in_file_order(tmp_path, text, message):
+    with pytest.raises(DataError) as exc:
+        load_dataset(write(tmp_path, text))
+    assert str(exc.value) == message
+
+
+def test_load_names_the_row_of_an_unreadable_cell(tmp_path):
+    import csv
+
+    limit = csv.field_size_limit()
+    path = write(tmp_path, "a,b\n1,2\n\n3," + "4" * (limit + 1) + "\n5,6\n")
+    with pytest.raises(DataError) as exc:
+        load_dataset(path)
+    assert str(exc.value).startswith(f"cannot read row 3 of {path}: field larger than field limit")
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"a,b\n1,2\n3,\xff4\n", "invalid UTF-8 at row 3, column b"),
+        (b"a,\xe9\n1,2\n", "invalid UTF-8 at row 1, column 1"),
+    ],
+    ids=["data-row", "header"],
+)
+def test_load_names_the_row_of_bytes_that_are_not_utf8(tmp_path, data, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == message
+
+
+def test_load_xyz_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "mols.xyz"
+    path.write_bytes(b"1\r\nfirst\r\nH 0 0 0\r\n1\r\nse\xffcond\r\nH 0 0 0\r\n")
+    with pytest.raises(DataError) as exc:
+        load_xyz(path)
+    assert str(exc.value) == f"invalid UTF-8 at line 5 of {path}"
+
+
+def test_load_memory_is_the_table_and_one_row(tmp_path):
+    # Rows are converted as they are read: the strings of one row are held
+    # at a time, not the whole file's (several times the table), and the table
+    # grows in place.
+    rows, width = 2000, 100
+    table = np.random.default_rng(3).normal(size=(rows, width))
+    path = tmp_path / "wide.csv"
+    save_dataset(Dataset(table), path)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.features.tobytes() == table.tobytes()
+    assert peak < 2 * 8 * rows * width
+
+
 def test_load_missing_label_column(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_dataset(write(tmp_path, "a,b\n1,2\n"), has_labels=True, label_column="z")

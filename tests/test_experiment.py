@@ -517,14 +517,16 @@ def test_metrics_without_labels_do_not_require_them():
 
 
 def test_conditioning_metrics_behave(monkeypatch):
+    from fillgap import regression
+
     solves = []
-    eigvalsh = np.linalg.eigvalsh
+    eigenvalues = regression._eigenvalues
 
     def counted(matrix):
         solves.append(matrix.shape)
-        return eigvalsh(matrix)
+        return eigenvalues(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(regression, "_eigenvalues", counted)
     cfg = small_config(
         metrics=("cond_regularized", "cond_unregularized"),
         model=ModelConfig(gamma=None, lam=1e-4),

@@ -176,32 +176,110 @@ def test_predict_memory_stays_within_blocks():
         assert peak < 8 * n + 2 * 8 * selection._BLOCK_ENTRIES, n
 
 
-def test_sweep_gram_and_fit_memory_is_two_gram_matrices():
+def test_sweep_gram_and_fit_memory_is_one_gram_matrix():
     import tracemalloc
 
+    from fillgap import selection
     from fillgap.regression import _gram, _solve
     from fillgap.selection import _Geometry
 
-    # A sweep cell builds its Gram matrix from the n x b squared distances
-    # its selection run keeps, then solves in place; both are built first.
+    # A sweep cell builds its Gram matrix from the n x B squared distances
+    # its selection run keeps (here B = b + 100: a run that also serves a
+    # larger budget), then solves in place; both are built first.
     n = 2000
     pool = np.random.default_rng(0).uniform(size=(n, 8))
     labels = np.sin(3.0 * pool).sum(axis=1)
     geometry = _Geometry(pool)
-    for b in (250, 500):
-        idx = np.random.default_rng(1).choice(n, size=b, replace=False)
+    for b in (400, 800):
+        idx = np.random.default_rng(1).choice(n, size=b + 100, replace=False)
         sq_dists = geometry.columns(idx).sq_dists
-        y = labels[idx]
+        y = labels[idx[:b]]
         tracemalloc.start()
         try:
-            _solve(_gram(sq_dists, idx, b, 2.0), y, 1e-6)
+            _solve(_gram(sq_dists, idx[:b], b, 2.0), y, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # K and one more b x b array (the gathered squared distances while K
-        # is built, the Cholesky factor while it solves), and eight b-vectors
-        # (the weights, the residual and their temporaries).
-        assert peak < 2 * 8 * b * b + 8 * 8 * b, b
+        # K, one block of at most 1 MiB (the gathered squared distances while
+        # K is built, a strip of K's lower triangle while the solve copies it
+        # back) and sixteen b-vectors (the saved diagonals, the weights, the
+        # residual and their temporaries). A second b x b matrix would add
+        # 1.3 MB at b=400 and 5.1 MB at b=800.
+        assert peak < 8 * b * b + 8 * selection._BLOCK_ENTRIES + 16 * 8 * b, b
+
+
+def test_fit_memory_is_one_gram_matrix():
+    import tracemalloc
+
+    from fillgap import selection
+
+    for b in (500, 1000):
+        train = labelled(*_smooth_rows(b, 16))
+        tracemalloc.start()
+        try:
+            krr_fit(train, gamma=2.0, lam=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # K, factored in place, one strip of K's lower triangle and
+        # sixteen b-vectors; the Fortran copy of K that cho_factor made
+        # before the solve factored in place took 8 MB more at b=1000.
+        assert peak < 8 * b * b + 8 * selection._BLOCK_ENTRIES + 16 * 8 * b, b
+
+
+def _smooth_rows(b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """b uniform rows in [0, 1]^d and a smooth label of each."""
+    X = np.random.default_rng(b).uniform(size=(b, d))
+    return X, np.sin(3.0 * X).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "gamma,lam,match",
+    [
+        (0.5, 1e-8, None),
+        (0.05, 0.0, "not numerically positive definite"),
+        (0.05, 1e-12, "solve residual"),
+    ],
+    ids=["solved", "factor-fails", "residual-fails"],
+)
+def test_solve_leaves_the_gram_matrix_bitwise_unchanged(gamma, lam, match):
+    from scipy.linalg import cho_factor, cho_solve
+
+    from fillgap.regression import _solve
+
+    # 300 rows: three blocks of the copy back over the factor.
+    X, y = _smooth_rows(300, 2)
+    K = gaussian_kernel_matrix(X, gamma)
+    before = K.copy()
+    if match is None:
+        weights = _solve(K, y, lam)
+        # The weights of a Cholesky solve on a shifted copy.
+        shifted = before.copy()
+        shifted.flat[:: shifted.shape[0] + 1] += lam
+        expected = cho_solve(cho_factor(shifted, lower=True), y)
+        assert weights.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(IllConditionedError, match=match):
+            _solve(K, y, lam)
+    assert K.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("b", [5, 64, 128, 300, 1000])
+def test_eigenvalues_match_numpy_eigvalsh_bit_for_bit(b):
+    from fillgap.regression import _eigenvalues
+
+    X, _ = _smooth_rows(b, 4)
+    K = gaussian_kernel_matrix(X, 3.0)
+    expected = [float(v).hex() for v in np.linalg.eigvalsh(K)]
+    assert [float(v).hex() for v in _eigenvalues(K.copy())] == expected
+    # condition_number eigen-solves a copy, reading K's lower triangle as
+    # eigvalsh does, also when K is symmetric only within tolerance.
+    K[np.triu_indices(b, 1)] *= 1 + 2**-50
+    before = K.copy()
+    _, lam_max, lam_min = condition_number(K)
+    expected = np.linalg.eigvalsh(K)
+    assert (lam_max.hex(), lam_min.hex()) == (float(expected[-1]).hex(), float(expected[0]).hex())
+    assert K.tobytes() == before.tobytes()
 
 
 def test_conditioning_report_memory_stays_within_blocks():
@@ -219,12 +297,12 @@ def test_conditioning_report_memory_stays_within_blocks():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Two b x b arrays (K and the eigen-solve's copy; K is bitwise
-        # symmetric, so the tolerance check's temporaries are never made) and
-        # the separation walk's block over the b selected rows: no per-row
-        # array of the float64 pool, the same bound at both sizes, where the
-        # n x b kernel would take 80 MB at n=20000.
-        assert peak < 2 * 8 * b * b + 8 * selection._BLOCK_ENTRIES, n
+        # One b x b array, K, which the eigen-solve overwrites, and the larger
+        # of the eigen-solve's workspace and the separation walk's block over
+        # the b selected rows: no per-row array of the float64 pool, the same
+        # bound at both sizes, where the n x b kernel would take 80 MB at
+        # n=20000. An eigen-solve of a copy would add 2 MB.
+        assert peak < 8 * b * b + 8 * selection._BLOCK_ENTRIES, n
 
 
 _PREDICT_EXACT_SCRIPT = """
@@ -677,14 +755,16 @@ def test_regularized_condition_of_a_singular_kernel():
 
 
 def test_conditioning_report_solves_once(monkeypatch):
+    from fillgap import regression
+
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    eigenvalues = regression._eigenvalues
 
     def counted(matrix):
         calls.append(matrix.shape)
-        return eigvalsh(matrix)
+        return eigenvalues(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(regression, "_eigenvalues", counted)
     pool = np.random.default_rng(1).normal(size=(30, 3))
     for lam in (0.0, 1e-4):
         conditioning_report(pool, [0, 5, 9, 17], gamma=0.5, lam=lam)

@@ -187,6 +187,23 @@ def test_root_of_squared_distances_equals_euclidean_cdist():
         assert np.array_equal(gathered, cdist(pool, pool[idx], "sqeuclidean")), case
 
 
+def test_kept_gather_into_out_matches_the_recomputed_block():
+    from fillgap import selection
+
+    # Index rows and sliced columns of a kept matrix are gathered into
+    # ``out`` in row blocks, as a sweep cell builds its Gram matrix; the
+    # block equals the recomputed one bit for bit and is ``out`` itself.
+    pool = np.random.default_rng(9).normal(size=(900, 5))
+    columns = np.random.default_rng(10).permutation(900)[:700]
+    kept = selection._Geometry(pool).columns(columns)
+    recomputed = selection._Geometry(pool, keep_matrix=False).columns(columns)
+    for b in (3, 300, 600):  # 600 rows of 600 columns span three 1 MiB blocks
+        out = np.empty((b, b))
+        block = kept.sq_dists(columns[:b], slice(0, b), out=out)
+        assert block is out
+        assert np.array_equal(out, recomputed.sq_dists(columns[:b], slice(0, b))), b
+
+
 def test_pairwise_squared_distances_are_bitwise_symmetric():
     import itertools
 
